@@ -166,7 +166,7 @@ def cmd_build_rom(args) -> int:
         save_basis(bases[var], out / f"{var}.pod")
     k_shared = max(b.k for b in bases.values())
     homogeneous = len({b.k for b in bases.values()}) == 1
-    if homogeneous:
+    if homogeneous and args.mode != "pod-deim":  # its run-rom uses sampled tensors
         save_tensors(build_tensor_coefficients(space), out / "tensors.tpod")
     if args.mode == "pod-deim":
         if snaps.nonlinear is None:

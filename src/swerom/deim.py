@@ -8,10 +8,11 @@ sampled mesh rows. Selection matrices are never formed; P^T is row
 gathering throughout.
 
 The same sampled factors also yield coefficient tensors by summing over
-the m sampled rows instead of all n mesh rows, which is what makes the
-off-line stage cheap: the contraction of those tensors reproduces the
-sampled evaluation exactly (same algebra, reordered), even though the
-tensors themselves differ from the full-sum ones.
+the m sampled rows instead of all n mesh rows (the full-sum build's GEMM
+routine, :func:`swerom.rom.product_tensors`, with P = E in place of W^T),
+which is what makes the off-line stage cheap: the contraction of those
+tensors reproduces the sampled evaluation exactly (same algebra,
+reordered), even though the tensors themselves differ from the full-sum ones.
 
 Operator file layout (little-endian): header ``{magic b"DEIMOP1\\0", n, m,
 k, term tag}``, then the points as int64, the spectrum, V and E as float64,
@@ -27,7 +28,7 @@ import numpy as np
 
 from swerom.errors import FileFormatError
 from swerom.model import TERMS, TERM_EQUATION, TERM_NAMES
-from swerom.rom import ProductTensors, ReducedSpace, TensorCoefficients, TermTensors
+from swerom.rom import ReducedSpace, TensorCoefficients, TermTensors, product_tensors
 
 __all__ = [
     "deim_select_points",
@@ -188,17 +189,9 @@ def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
     terms = {}
     for name in TERM_NAMES:
         op = ops[name]
-        products = []
-        for p in op.products:
-            quad = p.coef * np.einsum("il,lp,lq->ipq", op.E, p.Uam, p.Ubxm,
-                                      optimize=True)
-            lin_a = p.coef * (op.E @ (p.bxm[:, None] * p.Uam))
-            lin_b = p.coef * (op.E @ (p.am[:, None] * p.Ubxm))
-            const = p.coef * (op.E @ (p.am * p.bxm))
-            products.append(ProductTensors(a_var=p.a_var, b_var=p.b_var, coef=p.coef,
-                                           quad=quad, lin_a=lin_a, lin_b=lin_b,
-                                           const=const))
-        terms[name] = TermTensors(term=name, products=products)
+        terms[name] = TermTensors(term=name, products=[
+            product_tensors(op.E, p.Uam, p.am, p.Ubxm, p.bxm, p.coef, p.a_var, p.b_var)
+            for p in op.products])
     return TensorCoefficients(
         terms=terms,
         coriolis_uv=space.coriolis_uv, coriolis_vu=space.coriolis_vu,
@@ -234,36 +227,37 @@ def save_deim_operator(op: DeimTermOperator, path) -> None:
 
 def load_deim_operator(path) -> DeimTermOperator:
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise FileFormatError("truncated operator file")
-        magic, n, m, k, tag = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise FileFormatError(f"bad operator magic {magic!r}")
+        def read(nbytes, what):
+            data = fh.read(nbytes)
+            if len(data) != nbytes:
+                raise FileFormatError(f"truncated operator file while reading {what}")
+            return data
 
         def read_f8(count, what, shape=None):
-            data = fh.read(8 * count)
-            if len(data) != 8 * count:
-                raise FileFormatError(f"truncated operator file while reading {what}")
-            arr = np.frombuffer(data, dtype="<f8").copy()
+            arr = np.frombuffer(read(8 * count, what), dtype="<f8").copy()
             return arr.reshape(shape, order="F") if shape else arr
 
-        points = np.frombuffer(fh.read(8 * m), dtype="<i8").copy()
-        nsigma, cond = struct.unpack("<qd", fh.read(16))
+        magic, n, m, k, tag = _HEADER.unpack(read(_HEADER.size, "header"))
+        if magic != _MAGIC:
+            raise FileFormatError(f"bad operator magic {magic!r}")
+        points = np.frombuffer(read(8 * m, "points"), dtype="<i8").copy()
+        nsigma, cond = struct.unpack("<qd", read(16, "sigma header"))
         sigma = read_f8(nsigma, "sigma")
         V = read_f8(n * m, "V", (n, m))
         E = read_f8(k * m, "E", (k, m))
-        (n_products,) = struct.unpack("<q", fh.read(8))
+        (n_products,) = struct.unpack("<q", read(8, "product count"))
         products = []
         for _ in range(n_products):
-            a_var = fh.read(8).rstrip(b"\0").decode()
-            b_var = fh.read(8).rstrip(b"\0").decode()
-            coef, ka, kb = struct.unpack("<dqq", fh.read(24))
+            a_var = read(8, "variable tag").rstrip(b"\0").decode()
+            b_var = read(8, "variable tag").rstrip(b"\0").decode()
+            coef, ka, kb = struct.unpack("<dqq", read(24, "product header"))
             Uam = read_f8(m * ka, "Uam", (m, ka))
             Ubxm = read_f8(m * kb, "Ubxm", (m, kb))
             am = read_f8(m, "am")
             bxm = read_f8(m, "bxm")
             products.append(SampledProduct(a_var=a_var, b_var=b_var, coef=coef,
                                            Uam=Uam, Ubxm=Ubxm, am=am, bxm=bxm))
+        if fh.read(1):
+            raise FileFormatError("trailing bytes after operator payload")
     return DeimTermOperator(term=tag.rstrip(b"\0").decode(), V=V, points=points,
                             E=E, cond=cond, sigma=sigma, products=products, n=n)

@@ -6,7 +6,9 @@ The nonlinear right-hand side can then be evaluated three ways:
 
 * plain lift-evaluate-project (cost grows with the full dimension n),
 * contraction against precomputed coefficient tensors (cost depends only
-  on the basis sizes; built here by summing over all n rows),
+  on the basis sizes; both builds share the GEMM routine
+  :func:`product_tensors`, with P = W^T over all n rows here and the DEIM
+  projector P = E over the m sampled rows in :mod:`swerom.deim`),
 * sampled interpolation (built in :mod:`swerom.deim`; cost depends on the
   number of sample points).
 
@@ -57,6 +59,7 @@ __all__ = [
     "ProductTensors",
     "TermTensors",
     "TensorCoefficients",
+    "product_tensors",
     "build_tensor_coefficients",
     "tensorial_nonlinear",
     "reduced_jacobian",
@@ -187,26 +190,30 @@ class TensorCoefficients:
     built_from: str = "full"  # "full": summed over all n rows; "sampled": DEIM rows
 
 
-def _product_tensors(W, Ua, abar, Ubx, bxbar, coef, a_var, b_var) -> ProductTensors:
-    quad = coef * np.einsum("li,lp,lq->ipq", W, Ua, Ubx, optimize=True)
-    lin_a = coef * (W.T @ (bxbar[:, None] * Ua))
-    lin_b = coef * (W.T @ (abar[:, None] * Ubx))
-    const = coef * (W.T @ (abar * bxbar))
+def product_tensors(P, Ua, abar, Ubx, bxbar, coef, a_var, b_var) -> ProductTensors:
+    """Projected pieces of coef * P @ ((abar + Ua x_a) ⊙ (bxbar + Ubx x_b))
+    for a k_eq-by-r projector P over the r rows of Ua and Ubx. One GEMM per
+    a-mode keeps the temporary r-by-k_b, not the r-by-k_a*k_b Khatri-Rao."""
+    quad = np.empty((P.shape[0], Ua.shape[1], Ubx.shape[1]))
+    for p in range(Ua.shape[1]):
+        quad[:, p, :] = coef * (P @ (Ua[:, p, None] * Ubx))
+    lin_a = coef * (P @ (bxbar[:, None] * Ua))
+    lin_b = coef * (P @ (abar[:, None] * Ubx))
+    const = coef * (P @ (abar * bxbar))
     return ProductTensors(a_var=a_var, b_var=b_var, coef=coef,
                           quad=quad, lin_a=lin_a, lin_b=lin_b, const=const)
 
 
 def build_tensor_coefficients(space: ReducedSpace) -> TensorCoefficients:
-    """Sum the projected triple products over all n mesh rows."""
+    """Sum the projected triple products over all n mesh rows (P = W^T)."""
     terms: dict[str, TermTensors] = {}
     for name in TERM_NAMES:
-        eq = TERM_EQUATION[name]
-        W = space.bases[eq].W
+        P = space.bases[TERM_EQUATION[name]].W.T
         products = []
         for coef, avar, bvar, axis in TERMS[name]:
             ba = space.bases[avar]
-            products.append(_product_tensors(
-                W, ba.U, ba.xbar,
+            products.append(product_tensors(
+                P, ba.U, ba.xbar,
                 space.dbasis[bvar, axis], space.dmean[bvar, axis],
                 coef, avar, bvar))
         terms[name] = TermTensors(term=name, products=products)
@@ -470,11 +477,6 @@ class ReducedModel:
         return state, traj, timings
 
 
-def rom_step(xt: ReducedState, model: ReducedModel, step_index: int = 0) -> ReducedState:
-    """Single reduced step (convenience wrapper around ReducedModel.step)."""
-    return model.step(xt, step_index)
-
-
 # --- tensor coefficient file -----------------------------------------------------
 
 _MAGIC = b"TPODCF1\0"
@@ -509,21 +511,21 @@ def save_tensors(tensors: TensorCoefficients, path) -> None:
 
 def load_tensors(path) -> TensorCoefficients:
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise FileFormatError("truncated tensor file")
-        magic, k, p, n_terms = _HEADER.unpack(header)
+        def read_bytes(nbytes, what):
+            data = fh.read(nbytes)
+            if len(data) != nbytes:
+                raise FileFormatError(f"truncated tensor file while reading {what}")
+            return data
+
+        def read(shape, what):
+            data = read_bytes(8 * int(np.prod(shape)), what)
+            return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+
+        magic, k, p, n_terms = _HEADER.unpack(read_bytes(_HEADER.size, "header"))
         if magic != _MAGIC:
             raise FileFormatError(f"bad tensor magic {magic!r}")
         if p != 2:
             raise FileFormatError(f"unsupported tensor degree {p}")
-
-        def read(shape, what):
-            count = int(np.prod(shape))
-            data = fh.read(8 * count)
-            if len(data) != 8 * count:
-                raise FileFormatError(f"truncated tensor file while reading {what}")
-            return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
         cor_uv = read((k, k), "coriolis")
         cor_vu = read((k, k), "coriolis")
@@ -531,13 +533,13 @@ def load_tensors(path) -> TensorCoefficients:
         cor_v0 = read((k,), "coriolis")
         terms = {}
         for _ in range(n_terms):
-            tag = fh.read(8).rstrip(b"\0").decode()
-            (n_products,) = struct.unpack("<q", fh.read(8))
+            tag = read_bytes(8, "term tag").rstrip(b"\0").decode()
+            (n_products,) = struct.unpack("<q", read_bytes(8, "product count"))
             products = []
             for _ in range(n_products):
-                a_var = fh.read(8).rstrip(b"\0").decode()
-                b_var = fh.read(8).rstrip(b"\0").decode()
-                (coef,) = struct.unpack("<d", fh.read(8))
+                a_var = read_bytes(8, "variable tag").rstrip(b"\0").decode()
+                b_var = read_bytes(8, "variable tag").rstrip(b"\0").decode()
+                (coef,) = struct.unpack("<d", read_bytes(8, "scale factor"))
                 quad = read((k, k, k), "quad")
                 lin_a = read((k, k), "lin_a")
                 lin_b = read((k, k), "lin_b")

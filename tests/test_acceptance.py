@@ -4,10 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
 lines; the assertions make pytest's own verdict match them.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import swerom
 from swerom.bench import build_state_bases
 from swerom.deim import (
     build_deim_term_operator,
@@ -188,47 +193,78 @@ def test_criterion_6_energy_capture_and_rom_accuracy(pipeline31):
             detail)
 
 
-def _time_phase(fn, number=100, repeat=7):
-    best = np.inf
-    for _ in range(repeat):
+def _scaling_phases(grid, rng, k=20, m=20):
+    """The four timed phases of criterion 7 on one grid, as callables."""
+    space = make_space(grid, rng, k=k, centered=False)
+    tensors = build_tensor_coefficients(space)
+    xt = random_reduced(space, rng)
+    ops_by_term = {}
+    for term in TERM_NAMES:
+        V = orthonormal_basis(grid.n, m, rng)
+        ops_by_term[term] = build_deim_term_operator(space, term, V, deim_select_points(V))
+    return {
+        "std": lambda: [standard_pod_nonlinear(t, xt, space) for t in TERM_NAMES],
+        "tns": lambda: [tensorial_nonlinear(t, xt, tensors) for t in TERM_NAMES],
+        "build_full": lambda: build_tensor_coefficients(space),
+        "build_sampled": lambda: deim_tensor_coefficients(ops_by_term, space),
+    }
+
+
+def _calls_per_block(fn, min_block_s):
+    number = 1
+    while True:
         t0 = time.perf_counter()
         for _ in range(number):
             fn()
-        best = min(best, (time.perf_counter() - t0) / number)
-    return best
+        if time.perf_counter() - t0 >= min_block_s:
+            return number
+        number *= 2
+
+
+def scaling_timings(rounds=10, min_block_s=0.005):
+    """Fastest single call of each phase at each grid size.
+
+    Each phase runs in blocks of consecutive calls lasting at least
+    min_block_s, one block per size in turn, for the given number of
+    rounds. On a shared host the speed can switch between a fast and a
+    slow state within milliseconds, so a block's mean mixes the two states
+    in varying shares; the fastest call is what every size reaches alike.
+    Meant to run in a process with one BLAS thread.
+    """
+    rng = np.random.default_rng(103)
+    grids = [build_grid(nx, ny) for nx, ny in [(31, 23), (61, 45), (101, 71)]]
+    phases = [_scaling_phases(grid, rng) for grid in grids]
+    numbers = [{name: _calls_per_block(fn, min_block_s) for name, fn in ph.items()}
+               for ph in phases]
+    best = [dict.fromkeys(ph, np.inf) for ph in phases]
+    for _ in range(rounds):
+        for name in phases[0]:
+            for ph, number, b in zip(phases, numbers, best):
+                for _ in range(number[name]):
+                    t0 = time.perf_counter()
+                    ph[name]()
+                    b[name] = min(b[name], time.perf_counter() - t0)
+    return {"n": [grid.n for grid in grids], "best": best}
 
 
 def test_criterion_7_scaling_trends():
-    rng = np.random.default_rng(103)
-    k, m = 20, 20
-    sizes = [(31, 23), (61, 45), (101, 71)]
-    t_std, t_tns, t_build_full, t_build_sampled, ns = [], [], [], [], []
-    for nx, ny in sizes:
-        grid = build_grid(nx, ny)
-        space = make_space(grid, rng, k=k, centered=False)
-        tensors = build_tensor_coefficients(space)
-        xt = random_reduced(space, rng)
-
-        def eval_std():
-            for t in TERM_NAMES:
-                standard_pod_nonlinear(t, xt, space)
-
-        def eval_tns():
-            for t in TERM_NAMES:
-                tensorial_nonlinear(t, xt, tensors)
-
-        t_std.append(_time_phase(eval_std))
-        t_tns.append(_time_phase(eval_tns))
-        ops_by_term = {}
-        for term in TERM_NAMES:
-            V = orthonormal_basis(grid.n, m, rng)
-            ops_by_term[term] = build_deim_term_operator(space, term, V,
-                                                         deim_select_points(V))
-        t_build_full.append(_time_phase(lambda: build_tensor_coefficients(space),
-                                        number=1, repeat=3))
-        t_build_sampled.append(_time_phase(
-            lambda: deim_tensor_coefficients(ops_by_term, space), number=1, repeat=3))
-        ns.append(grid.n)
+    # Timed in a child interpreter: OpenBLAS reads its thread count only
+    # at start-up, and threaded BLAS on a shared machine swamps the trends.
+    paths = [os.path.dirname(os.path.abspath(__file__)),
+             os.path.dirname(os.path.dirname(os.path.abspath(swerom.__file__))),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_acceptance; print(json.dumps(test_acceptance.scaling_timings()))"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    ns, best = out["n"], out["best"]
+    t_std, t_tns = [b["std"] for b in best], [b["tns"] for b in best]
+    t_build_full = [b["build_full"] for b in best]
+    t_build_sampled = [b["build_sampled"] for b in best]
 
     variation = (max(t_tns) - min(t_tns)) / min(t_tns)
     slope = float(np.polyfit(np.log(ns), np.log(t_std), 1)[0])

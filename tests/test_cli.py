@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -75,12 +76,18 @@ def rom_dir(full_run_dir, tmp_path_factory):
     return out
 
 
-def test_build_rom_artifacts(rom_dir):
-    for name in ("u.pod", "v.pod", "phi.pod", "tensors.tpod", "rom_meta.json",
-                 "F11.deim", "F32.deim"):
+def test_build_rom_artifacts(rom_dir, full_run_dir, tmp_path):
+    for name in ("u.pod", "v.pod", "phi.pod", "rom_meta.json", "F11.deim", "F32.deim"):
         assert (rom_dir / name).exists(), name
+    # pod-deim runs from sampled tensors, so it writes no full-sum ones
+    assert not (rom_dir / "tensors.tpod").exists()
     meta = json.loads((rom_dir / "rom_meta.json").read_text())
     assert meta["k"] == 4 and meta["m"] == 6
+    code = main(["build-rom", "--snapshots", str(full_run_dir / "snapshots.snap"),
+                 "--k", "4", "--mode", "tensorial-pod", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "tensors.tpod").exists()
+    assert not (tmp_path / "F11.deim").exists()
 
 
 def test_build_rom_needs_one_selector(full_run_dir, tmp_path, capsys):
@@ -102,6 +109,18 @@ def test_run_rom_all_modes(rom_dir, full_run_dir, tmp_path, mode, capsys):
     assert text[0] == "variable,relative_error,rmse_final"
     assert len(text) == 4
     assert "relative error" in capsys.readouterr().out
+
+
+def test_run_rom_truncated_operator_exit_2(rom_dir, tmp_path, capsys):
+    romdir = tmp_path / "rom"
+    shutil.copytree(rom_dir, romdir)
+    data = (romdir / "F21.deim").read_bytes()
+    # cut inside the sigma-length/condition-number pair that follows the
+    # 40-byte header and the m=6 points
+    (romdir / "F21.deim").write_bytes(data[:40 + 8 * 6 + 4])
+    assert main(["run-rom", "--rom", str(romdir), "--mode", "pod-deim",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "truncated operator file" in capsys.readouterr().err
 
 
 def test_run_rom_missing_dir_exit_2(tmp_path):

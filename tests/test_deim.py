@@ -20,7 +20,7 @@ from swerom.rom import (
     tensorial_nonlinear,
 )
 
-from test_rom import make_space, orthonormal_basis, random_reduced
+from test_rom import check_product_against_loop, make_space, orthonormal_basis, random_reduced
 
 
 def greedy_oracle(V):
@@ -194,6 +194,22 @@ def test_sampled_tensor_scalar_case():
     p = op.products[0]
     want = op.E[0, 0] * p.Uam[0, 0] * p.Ubxm[0, 0]
     assert tensors.terms["F21"].products[0].quad[0, 0, 0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
+def test_sampled_tensors_match_loop_over_sampled_rows(k):
+    rng = np.random.default_rng(34)
+    grid = build_grid(5, 5)
+    space = make_space(grid, rng, k=k)
+    ops = {}
+    for term in TERM_NAMES:
+        V = orthonormal_basis(grid.n, 5, rng)
+        ops[term] = build_deim_term_operator(space, term, V, deim_select_points(V))
+    tensors = deim_tensor_coefficients(ops, space)
+    for term in TERM_NAMES:
+        op = ops[term]
+        for got, p in zip(tensors.terms[term].products, op.products):
+            check_product_against_loop(got, op.E.T, p.Uam, p.am, p.Ubxm, p.bxm, p.coef)
 
 
 @pytest.mark.parametrize("centered", [True, False])

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from swerom.deim import (
+    build_deim_term_operator,
+    deim_select_points,
+    load_deim_operator,
+    save_deim_operator,
+)
 from swerom.errors import FileFormatError
 from swerom.model import TERM_NAMES, build_grid
+from swerom.rom import build_tensor_coefficients, load_tensors, save_tensors
 from swerom.snapshots import SnapshotSet, load_snapshots, save_snapshots
+
+from test_rom import make_space, orthonormal_basis
 
 
 def make_snapshots(rng, nx=5, ny=4, nt=3, with_nonlinear=True):
@@ -76,3 +85,24 @@ def test_snapshot_truncated(tmp_path):
     path.write_bytes(data[:len(data) // 2])
     with pytest.raises(FileFormatError, match="truncated"):
         load_snapshots(path)
+
+
+def test_operator_and_tensor_files_truncated_at_every_offset(tmp_path):
+    rng = np.random.default_rng(6)
+    grid = build_grid(4, 3)
+    space = make_space(grid, rng, k=2)
+    V = orthonormal_basis(grid.n, 3, rng)
+    save_deim_operator(build_deim_term_operator(space, "F22", V, deim_select_points(V)),
+                       tmp_path / "op.deim")
+    save_tensors(build_tensor_coefficients(space), tmp_path / "t.tpod")
+    cut = tmp_path / "cut"
+    for name, load in (("op.deim", load_deim_operator), ("t.tpod", load_tensors)):
+        data = (tmp_path / name).read_bytes()
+        load(tmp_path / name)
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(FileFormatError, match="truncated"):
+                load(cut)
+    cut.write_bytes((tmp_path / "op.deim").read_bytes() + b"\0")
+    with pytest.raises(FileFormatError, match="trailing"):
+        load_deim_operator(cut)

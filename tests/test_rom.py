@@ -37,10 +37,13 @@ def orthonormal_basis(n, k, rng):
 
 
 def make_space(grid, rng, k=3, centered=True, phi_has_constant=False):
+    """Random orthonormal bases; k is one size for all variables or a
+    (k_u, k_v, k_phi) tuple."""
     ops = build_operators(grid)
     f = coriolis_field(grid)
     bases = {}
-    for var in ("u", "v", "phi"):
+    sizes = k if isinstance(k, tuple) else (k, k, k)
+    for var, k in zip(("u", "v", "phi"), sizes):
         if var == "phi" and phi_has_constant:
             U = np.column_stack([np.ones(grid.n) / np.sqrt(grid.n),
                                  rng.standard_normal((grid.n, k - 1))])
@@ -72,6 +75,17 @@ def loop_tensor(W, Ua, Ubx, coef):
                     s += W[l, i] * Ua[l, p] * Ubx[l, q]
                 M[i, p, q] = coef * s
     return M
+
+
+def check_product_against_loop(prod, W, Ua, abar, Ubx, bxbar, coef):
+    """All four projected pieces of one product against loop_tensor: the
+    mean columns appended to Ua and Ubx give lin_a, lin_b and const."""
+    ka, kb = Ua.shape[1], Ubx.shape[1]
+    M = loop_tensor(W, np.column_stack([Ua, abar]), np.column_stack([Ubx, bxbar]), coef)
+    for got, want in ((prod.quad, M[:, :ka, :kb]), (prod.lin_a, M[:, :ka, kb]),
+                      (prod.lin_b, M[:, ka, :kb]), (prod.const, M[:, ka, kb])):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # --- projection --------------------------------------------------------------
@@ -184,18 +198,19 @@ def test_tensor_k1_matches_direct_sum():
     assert tensors.terms["F11"].products[0].quad[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
 
-def test_tensor_matches_quadruple_loop_oracle():
+@pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
+def test_tensor_matches_quadruple_loop_oracle(k):
     rng = np.random.default_rng(8)
     grid = build_grid(5, 5)
-    space = make_space(grid, rng, k=3)
+    space = make_space(grid, rng, k=k)
     tensors = build_tensor_coefficients(space)
     for name in TERM_NAMES:
-        eq = TERM_EQUATION[name]
-        W = space.bases[eq].W
+        W = space.bases[TERM_EQUATION[name]].W
         for j, (coef, avar, bvar, axis) in enumerate(TERMS[name]):
-            want = loop_tensor(W, space.bases[avar].U, space.dbasis[bvar, axis], coef)
-            got = tensors.terms[name].products[j].quad
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+            ba = space.bases[avar]
+            check_product_against_loop(tensors.terms[name].products[j], W, ba.U, ba.xbar,
+                                       space.dbasis[bvar, axis], space.dmean[bvar, axis],
+                                       coef)
 
 
 def test_frobenius_product_unit():
