@@ -10,7 +10,6 @@ from swerom.bench import ExperimentConfig, RunReport, run_experiment
 from swerom.deim import (
     DeimTermOperator,
     build_deim_term_operator,
-    deim_nonlinear,
     deim_operators_from_snapshots,
     deim_select_points,
     deim_tensor_coefficients,
@@ -75,7 +74,6 @@ __all__ = [
     "center_snapshots",
     "compute_pod_basis",
     "coriolis_field",
-    "deim_nonlinear",
     "deim_operators_from_snapshots",
     "deim_select_points",
     "deim_tensor_coefficients",

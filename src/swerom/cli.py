@@ -44,6 +44,7 @@ from swerom.metrics import trajectory_errors
 from swerom.model import (
     TERM_NAMES,
     VARIABLES,
+    PhysicalConstants,
     build_grid,
     build_operators,
     cfl_indicator,
@@ -156,7 +157,7 @@ def cmd_build_rom(args) -> int:
     snaps = load_snapshots(args.snapshots)
     grid = snaps.grid
     ops = build_operators(grid)
-    f = coriolis_field(grid)
+    f = coriolis_field(grid, PhysicalConstants(L=grid.L, D=grid.D))
     bases = build_state_bases(snaps.states, k=args.k, gamma=args.gamma,
                               center=not args.no_center)
     space = ReducedSpace(bases, ops, f)
@@ -179,9 +180,9 @@ def cmd_build_rom(args) -> int:
             op = build_deim_term_operator(space, term, V[:, :args.m],
                                           deim_select_points(V[:, :args.m]), sigma=s)
             save_deim_operator(op, out / f"{term}.deim")
-    meta = {"nx": grid.nx, "ny": grid.ny, "dt": snaps.dt, "nt": snaps.nt,
-            "k": k_shared, "m": args.m, "center": not args.no_center,
-            "mode": args.mode}
+    meta = {"nx": grid.nx, "ny": grid.ny, "L": grid.L, "D": grid.D,
+            "dt": snaps.dt, "nt": snaps.nt, "k": k_shared, "m": args.m,
+            "center": not args.no_center, "mode": args.mode}
     (out / "rom_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     print(f"wrote reduced artifacts (k={k_shared}) to {out}")
     return 0
@@ -190,9 +191,13 @@ def cmd_build_rom(args) -> int:
 def cmd_run_rom(args) -> int:
     romdir = Path(args.rom)
     meta = json.loads((romdir / "rom_meta.json").read_text())
-    grid = build_grid(meta["nx"], meta["ny"])
+    if "L" not in meta or "D" not in meta:
+        raise ValueError(f"{romdir / 'rom_meta.json'} has no domain size L, D; "
+                         "rerun build-rom")
+    consts = PhysicalConstants(L=float(meta["L"]), D=float(meta["D"]))
+    grid = build_grid(meta["nx"], meta["ny"], consts)
     ops = build_operators(grid)
-    f = coriolis_field(grid)
+    f = coriolis_field(grid, consts)
     bases = {var: load_basis(romdir / f"{var}.pod") for var in VARIABLES}
     space = ReducedSpace(bases, ops, f)
     mode = args.mode
@@ -207,7 +212,7 @@ def cmd_run_rom(args) -> int:
                    else build_tensor_coefficients(space))
     nt = args.nt if args.nt is not None else int(meta["nt"])
     cfg = _solver_config(args, float(meta["dt"]), nt)
-    ic = initial_state(grid, ops)
+    ic = initial_state(grid, ops, consts)
     model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
     x0 = project_initial(ic, space)
     t0 = time.perf_counter()

@@ -37,7 +37,6 @@ __all__ = [
     "DeimTermOperator",
     "build_deim_term_operator",
     "deim_operators_from_snapshots",
-    "deim_nonlinear",
     "deim_tensor_coefficients",
     "save_deim_operator",
     "load_deim_operator",
@@ -169,13 +168,6 @@ def deim_operators_from_snapshots(space: ReducedSpace,
         points = deim_select_points(V)
         ops[term] = build_deim_term_operator(space, term, V, points, sigma=s)
     return ops
-
-
-def deim_nonlinear(term: str, xt, op: DeimTermOperator) -> np.ndarray:
-    """Sampled evaluation of one term (see DeimTermOperator.evaluate)."""
-    if op.term != term:
-        raise ValueError(f"operator was built for {op.term!r}, not {term!r}")
-    return op.evaluate(xt)
 
 
 def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],

@@ -16,6 +16,13 @@ The coefficient tensors double as the analytic reduced Jacobian in all
 modes, and the reduced ADI stepper mirrors the full solver's split exactly
 so that reduced-versus-full differences isolate projection error.
 
+The per-term functions (:func:`standard_pod_nonlinear`,
+:func:`tensorial_nonlinear`, :func:`reduced_jacobian`) are the reference
+evaluation. The stepper runs on :class:`PackedDirection` instead: each ADI
+direction's three terms and its Coriolis half packed over the stacked
+reduced vector, so a right-hand side or a Jacobian is a few batched calls
+rather than one Python call per term and product.
+
 With centering enabled the lift is xbar + U*xt, so each quadratic product
 also generates linear and constant reduced pieces; they are precomputed
 alongside the quadratic tensors.
@@ -50,6 +57,9 @@ from swerom.model import (
 from swerom.pod import PodBasis
 from swerom.solver import SolverConfig
 
+# LAPACK's solve with an LU factorization, as lu_solve calls it
+_getrs = scipy.linalg.lapack.dgetrs
+
 __all__ = [
     "ReducedState",
     "ReducedSpace",
@@ -63,6 +73,8 @@ __all__ = [
     "build_tensor_coefficients",
     "tensorial_nonlinear",
     "reduced_jacobian",
+    "PackedDirection",
+    "pack_directions",
     "build_power_tensor",
     "contract_power",
     "RomTimings",
@@ -275,17 +287,171 @@ def contract_power(M: np.ndarray, xt: np.ndarray) -> np.ndarray:
     return out
 
 
+# --- packed on-line evaluation -------------------------------------------------------
+
+def _contraction(quad, ga, gb, rows, K):
+    """Per product (quad @ x_b) @ x_a in two batched calls, then one sum of
+    the product rows into z's rows (row K collects the padding)."""
+    P, q = ga.shape
+
+    def quadratic(z):
+        rows_b = np.matmul(quad, z[gb][:, :, None]).reshape(P, q, q)
+        vals = np.matmul(rows_b, z[ga][:, :, None])
+        return np.bincount(rows, weights=vals.ravel(), minlength=K + 1)[:K]
+    return quadratic
+
+
+def _sampled_products(terms, deim_ops, sl, K):
+    """c ⊙ (A z + a0) ⊙ (B z + b0) over every product's m sample rows, then
+    one stacked oblique projector with the coefficients c folded in."""
+    products = [(TERM_EQUATION[t], deim_ops[t].E, p) for t in terms
+                for p in deim_ops[t].products]
+    m = products[0][1].shape[1]
+    Pm = len(products) * m
+    AB = np.zeros((2 * Pm, K))
+    ab0 = np.empty(2 * Pm)
+    E = np.zeros((K, Pm))
+    for j, (eq, Et, p) in enumerate(products):
+        a, b = slice(j * m, (j + 1) * m), slice(Pm + j * m, Pm + (j + 1) * m)
+        AB[a, sl(p.a_var)], ab0[a] = p.Uam, p.am
+        AB[b, sl(p.b_var)], ab0[b] = p.Ubxm, p.bxm
+        E[sl(eq), a] = p.coef * Et
+
+    def quadratic(z):
+        t = AB @ z + ab0
+        return E @ (t[:Pm] * t[Pm:])
+    return quadratic
+
+
+def _lift_project(terms, space, sl, K):
+    """Lift each variable and its derivative along the direction's axis once,
+    sum each equation's products over all n rows, project with W^T."""
+    axis = TERMS[terms[0]][0][3]
+    bases = [space.bases[var] for var in VARIABLES]
+    dbasis = [space.dbasis[var, axis] for var in VARIABLES]
+    dmean = [space.dmean[var, axis] for var in VARIABLES]
+    slices = [sl(var) for var in VARIABLES]
+    products = {eq: [(coef, VARIABLES.index(avar), VARIABLES.index(bvar))
+                     for t in terms if TERM_EQUATION[t] == eq
+                     for coef, avar, bvar, _ in TERMS[t]] for eq in VARIABLES}
+    equations = [(slices[e], bases[e].W.T, products[eq]) for e, eq in enumerate(VARIABLES)]
+
+    def quadratic(z):
+        x = [z[s] for s in slices]
+        a = [b.xbar + b.U @ xv for b, xv in zip(bases, x)]
+        bx = [mean + D @ xv for mean, D, xv in zip(dmean, dbasis, x)]
+        out = np.empty(K)
+        for s, Wt, prods in equations:
+            out[s] = Wt @ sum(coef * (a[i] * bx[j]) for coef, i, j in prods)
+        return out
+    return quadratic
+
+
+class PackedDirection:
+    """One ADI direction's three terms and its Coriolis half, packed over the
+    stacked reduced vector z = (u, v, phi) of length K.
+
+    The right-hand side is ``lin @ z + const - quadratic(z)``: the nonlinear
+    terms enter with a minus sign, half the Coriolis coupling with a plus.
+    ``quadratic`` is the mode's evaluation of the direction's five products;
+    for tensorial POD ``lin`` and ``const`` also hold every product's linear
+    and constant pieces. ``jacobian`` is the derivative taken from the
+    coefficient tensors in every mode.
+
+    Each product's tensors are padded to the largest basis size q. Padded
+    slots gather z[0] against zero coefficients and scatter into a spare
+    entry K that is dropped, so per-variable k needs no other branch.
+    """
+
+    def __init__(self, terms, space: ReducedSpace, tensors: TensorCoefficients,
+                 mode: str, deim_ops: dict | None):
+        k = tensors.k
+        K = sum(k[var] for var in VARIABLES)
+        q = max(k.values())
+        offset = dict(zip(VARIABLES, np.cumsum([0] + [k[var] for var in VARIABLES])))
+
+        def slots(var, pad):  # z positions of var's modes, padded to q
+            out = np.full(q, pad)
+            out[:k[var]] = offset[var] + np.arange(k[var])
+            return out
+
+        def sl(var):
+            return slice(offset[var], offset[var] + k[var])
+
+        products = [(TERM_EQUATION[t], p) for t in terms for p in tensors.terms[t].products]
+        P = len(products)
+        ga = np.stack([slots(p.a_var, 0) for _, p in products])
+        gb = np.stack([slots(p.b_var, 0) for _, p in products])
+        rows = np.stack([slots(eq, K) for eq, _ in products])
+
+        # quad[0, p] is (row, a-mode) x b-mode; quad[1, p] is (row, b-mode) x a-mode
+        quad = np.zeros((2, P, q, q, q))
+        jac_lin = np.zeros((K, K))
+        tensor_const = np.zeros(K)
+        for j, (eq, p) in enumerate(products):
+            ke, ka, kb = p.quad.shape
+            quad[0, j, :ke, :ka, :kb] = p.quad
+            quad[1, j, :ke, :kb, :ka] = p.quad.transpose(0, 2, 1)
+            jac_lin[sl(eq), sl(p.a_var)] -= p.lin_a
+            jac_lin[sl(eq), sl(p.b_var)] -= p.lin_b
+            tensor_const[sl(eq)] -= p.const
+        self.K = K
+        self.quad = quad.reshape(2 * P, q * q, q)
+        self.g_jac = np.concatenate([gb, ga])
+        cols = np.concatenate([np.stack([slots(p.a_var, K) for _, p in products]),
+                               np.stack([slots(p.b_var, K) for _, p in products])])
+        self.jac_index = (np.repeat(np.concatenate([rows, rows]), q, axis=1) * (K + 1)
+                          + np.tile(cols, q)).ravel()
+
+        cor_lin = np.zeros((K, K))
+        cor_const = np.zeros(K)
+        cor_lin[sl("u"), sl("v")] = 0.5 * tensors.coriolis_uv
+        cor_lin[sl("v"), sl("u")] = -0.5 * tensors.coriolis_vu
+        cor_const[sl("u")] = 0.5 * tensors.coriolis_u0
+        cor_const[sl("v")] = -0.5 * tensors.coriolis_v0
+        self.jac_lin = jac_lin + cor_lin
+        # the evaluators close over arrays only, so a direction holds no
+        # reference cycle and is freed as soon as its model is
+        if mode == "tensorial-pod":
+            self.lin, self.const = self.jac_lin, tensor_const + cor_const
+            self.quadratic = _contraction(self.quad[:P], ga, gb, rows.ravel(), K)
+        elif mode == "pod-deim":
+            self.lin, self.const = cor_lin, cor_const
+            self.quadratic = _sampled_products(terms, deim_ops, sl, K)
+        else:
+            self.lin, self.const = cor_lin, cor_const
+            self.quadratic = _lift_project(terms, space, sl, K)
+
+    def rhs(self, z: np.ndarray) -> np.ndarray:
+        return self.lin @ z + self.const - self.quadratic(z)
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """d rhs / dz from the tensors: both derivative blocks of every
+        product in one batched contraction, scattered in one pass."""
+        K = self.K
+        blocks = np.matmul(self.quad, z[self.g_jac][:, :, None])
+        J = np.bincount(self.jac_index, weights=blocks.ravel(), minlength=(K + 1) ** 2)
+        return self.jac_lin - J.reshape(K + 1, K + 1)[:K, :K]
+
+
+def pack_directions(space: ReducedSpace, tensors: TensorCoefficients, mode: str,
+                    deim_ops: dict | None = None) -> dict[str, PackedDirection]:
+    """The x and y directions of the reduced ADI split, packed for ``mode``."""
+    return {"x": PackedDirection(X_TERMS, space, tensors, mode, deim_ops),
+            "y": PackedDirection(Y_TERMS, space, tensors, mode, deim_ops)}
+
+
 # --- reduced ADI stepping -------------------------------------------------------------
 
 @dataclass
 class RomTimings:
     """On-line phase decomposition (seconds)."""
 
-    nonlinear_s: float = 0.0
+    nonlinear_s: float = 0.0    # right-hand sides, Coriolis part included
     jacobian_s: float = 0.0
     factorization_s: float = 0.0
     solve_s: float = 0.0
-    total_s: float = 0.0
+    total_s: float = 0.0        # includes packing the directions
     newton_iters: int = 0
     steps: int = 0
     worst_residual: float = 0.0  # largest accepted relative residual
@@ -297,7 +463,8 @@ class ReducedModel:
     The right-hand side nonlinear terms come from the selected mode
     (lift-project, tensor contraction, or a sampled evaluator); the Newton
     matrices always come from the coefficient tensors, which for sampled
-    tensors are exactly the derivative of the sampled right-hand side.
+    tensors are exactly the derivative of the sampled right-hand side. Each
+    direction is packed into one :class:`PackedDirection` on the first step.
     """
 
     def __init__(self, space: ReducedSpace, tensors: TensorCoefficients,
@@ -316,8 +483,8 @@ class ReducedModel:
         self._slices = {"u": slice(0, ku), "v": slice(ku, ku + kv),
                         "phi": slice(ku + kv, ku + kv + self.k["phi"])}
         self.k_total = ku + kv + self.k["phi"]
-        self._lu_x = None
-        self._lu_y = None
+        self._directions: dict[str, PackedDirection] | None = None
+        self._lu: dict[str, tuple] = {}
 
     # -- packing -----------------------------------------------------------
 
@@ -329,53 +496,16 @@ class ReducedModel:
         return ReducedState(u=z[s["u"]].copy(), v=z[s["v"]].copy(),
                             phi=z[s["phi"]].copy(), time=t)
 
-    def _views(self, z: np.ndarray) -> dict[str, np.ndarray]:
-        return {var: z[self._slices[var]] for var in VARIABLES}
-
-    # -- right-hand side ----------------------------------------------------
-
-    def _term_value(self, term: str, xt, timings: RomTimings | None) -> np.ndarray:
+    def _rhs(self, d: PackedDirection, z: np.ndarray, timings: RomTimings) -> np.ndarray:
         t0 = time.perf_counter()
-        if self.mode == "standard-pod":
-            out = standard_pod_nonlinear(term, xt, self.space)
-        elif self.mode == "tensorial-pod":
-            out = tensorial_nonlinear(term, xt, self.tensors)
-        else:
-            out = self.deim_ops[term].evaluate(xt)
-        if timings is not None:
-            timings.nonlinear_s += time.perf_counter() - t0
+        out = d.rhs(z)
+        timings.nonlinear_s += time.perf_counter() - t0
         return out
 
-    def _direction_rhs(self, z: np.ndarray, terms, timings) -> np.ndarray:
-        xt = self._views(z)
-        out = np.zeros(self.k_total)
-        for name in terms:
-            sl = self._slices[TERM_EQUATION[name]]
-            out[sl] -= self._term_value(name, xt, timings)
-        return out
-
-    def _coriolis_rhs(self, z: np.ndarray) -> np.ndarray:
-        T = self.tensors
-        xt = self._views(z)
-        out = np.zeros(self.k_total)
-        out[self._slices["u"]] = T.coriolis_u0 + T.coriolis_uv @ xt["v"]
-        out[self._slices["v"]] = -(T.coriolis_v0 + T.coriolis_vu @ xt["u"])
-        return out
-
-    # -- Newton matrix -------------------------------------------------------
-
-    def _system_matrix(self, z: np.ndarray, terms, dt2: float,
-                       timings: RomTimings) -> np.ndarray:
+    def _factor(self, d: PackedDirection, z: np.ndarray, dt2: float,
+                timings: RomTimings) -> tuple:
         t0 = time.perf_counter()
-        xt = self._views(z)
-        J = np.zeros((self.k_total, self.k_total))
-        for name in terms:
-            row = self._slices[TERM_EQUATION[name]]
-            for var, block in reduced_jacobian(name, xt, self.tensors).items():
-                J[row, self._slices[var]] -= block
-        J[self._slices["u"], self._slices["v"]] += 0.5 * self.tensors.coriolis_uv
-        J[self._slices["v"], self._slices["u"]] -= 0.5 * self.tensors.coriolis_vu
-        A = np.eye(self.k_total) - dt2 * J
+        A = np.eye(self.k_total) - dt2 * d.jacobian(z)
         timings.jacobian_s += time.perf_counter() - t0
         t0 = time.perf_counter()
         lu = scipy.linalg.lu_factor(A)
@@ -384,29 +514,44 @@ class ReducedModel:
 
     # -- Newton loop -----------------------------------------------------------
 
-    def _half_step(self, z0, explicit_part, terms, dt2, lu, refactor, timings):
+    def _half_step(self, z0, explicit_part, name, dt2, refresh, timings):
+        """Solve z - dt2 * rhs(z) = explicit_part for direction ``name``
+        by quasi-Newton from z0."""
         cfg = self.cfg
+        d = self._directions[name]
+        if not np.all(np.isfinite(explicit_part)):
+            raise NonConvergenceError(
+                f"reduced explicit half-step part is not finite ({self.mode})",
+                residual=float("inf"), iterations=0)
+        if refresh or name not in self._lu:
+            self._lu[name] = self._factor(d, z0, dt2, timings)
+        lu, piv = self._lu[name]
         z = z0.copy()
         scale = np.linalg.norm(z0)
         if scale == 0.0:
             scale = 1.0
 
         def residual(zk):
-            return (zk - explicit_part
-                    - dt2 * (self._direction_rhs(zk, terms, timings)
-                             + 0.5 * self._coriolis_rhs(zk)))
+            return zk - explicit_part - dt2 * self._rhs(d, zk, timings)
 
         G = residual(z)
         res = np.linalg.norm(G)
+        if not np.isfinite(res):
+            raise NonConvergenceError(
+                f"reduced quasi-Newton residual is not finite ({self.mode})",
+                residual=float("inf"), iterations=0)
         slow = 0
         for it in range(cfg.newton_max_iters):
             if res <= cfg.newton_tol * scale:
                 timings.newton_iters += it
                 timings.worst_residual = max(timings.worst_residual, res / scale)
-                return z, lu
+                return z
             t0 = time.perf_counter()
-            delta = scipy.linalg.lu_solve(lu, -G)
+            # lu_solve without its finiteness check and batching wrapper (G is finite)
+            delta, info = _getrs(lu, piv, -G, overwrite_b=True)
             timings.solve_s += time.perf_counter() - t0
+            if info != 0:
+                raise ValueError(f"getrs: illegal value in argument {-info}")
             alpha = 1.0
             z_try = z + delta
             G_try = residual(z_try)
@@ -423,12 +568,12 @@ class ReducedModel:
             slow = slow + 1 if res_try > 0.25 * res else 0
             z, G, res = z_try, G_try, res_try
             if slow >= 2:
-                lu = refactor(z)
+                lu, piv = self._lu[name] = self._factor(d, z, dt2, timings)
                 slow = 0
         if res <= cfg.newton_tol * scale:
             timings.newton_iters += cfg.newton_max_iters
             timings.worst_residual = max(timings.worst_residual, res / scale)
-            return z, lu
+            return z
         raise NonConvergenceError(
             f"reduced quasi-Newton stalled at relative residual {res / scale:.3e} "
             f"after {cfg.newton_max_iters} iterations ({self.mode})",
@@ -438,27 +583,18 @@ class ReducedModel:
              timings: RomTimings | None = None) -> ReducedState:
         cfg = self.cfg
         timings = timings if timings is not None else RomTimings()
+        if self._directions is None:
+            self._directions = pack_directions(self.space, self.tensors, self.mode,
+                                               self.deim_ops)
         dt2 = 0.5 * cfg.dt
         refresh = (step_index % cfg.lu_refresh_every == 0)
-
         z = self._pack(state)
-        bx = z + dt2 * (self._direction_rhs(z, Y_TERMS, timings) + 0.5 * self._coriolis_rhs(z))
-        if refresh or self._lu_x is None:
-            self._lu_x = self._system_matrix(z, X_TERMS, dt2, timings)
-        z_half, self._lu_x = self._half_step(
-            z, bx, X_TERMS, dt2, self._lu_x,
-            lambda zk: self._system_matrix(zk, X_TERMS, dt2, timings), timings)
-
-        by = z_half + dt2 * (self._direction_rhs(z_half, X_TERMS, timings)
-                             + 0.5 * self._coriolis_rhs(z_half))
-        if refresh or self._lu_y is None:
-            self._lu_y = self._system_matrix(z_half, Y_TERMS, dt2, timings)
-        z_new, self._lu_y = self._half_step(
-            z_half, by, Y_TERMS, dt2, self._lu_y,
-            lambda zk: self._system_matrix(zk, Y_TERMS, dt2, timings), timings)
-
+        # x implicit with the y terms explicit, then the reverse
+        for implicit, explicit in (("x", "y"), ("y", "x")):
+            b = z + dt2 * self._rhs(self._directions[explicit], z, timings)
+            z = self._half_step(z, b, implicit, dt2, refresh, timings)
         timings.steps += 1
-        return self._unpack(z_new, state.time + cfg.dt)
+        return self._unpack(z, state.time + cfg.dt)
 
     def run(self, x0: ReducedState, nt: int | None = None
             ) -> tuple[ReducedState, dict[str, np.ndarray], RomTimings]:

@@ -1,10 +1,22 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
+from swerom.bench import build_state_bases
 from swerom.cli import main
-from swerom.snapshots import load_snapshots
+from swerom.deim import deim_operators_from_snapshots, deim_tensor_coefficients
+from swerom.model import (
+    PhysicalConstants,
+    build_grid,
+    build_operators,
+    coriolis_field,
+    initial_state,
+)
+from swerom.rom import ReducedModel, ReducedSpace, build_tensor_coefficients, project_initial
+from swerom.snapshots import load_snapshots, save_snapshots
+from swerom.solver import SolverConfig, run_full
 
 
 def test_flops_table(capsys):
@@ -126,6 +138,54 @@ def test_run_rom_truncated_operator_exit_2(rom_dir, tmp_path, capsys):
 def test_run_rom_missing_dir_exit_2(tmp_path):
     assert main(["run-rom", "--rom", str(tmp_path / "nope"), "--out",
                  str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("mode", ["tensorial-pod", "pod-deim"])
+def test_rom_verbs_use_the_snapshot_domain(tmp_path, mode):
+    # a snapshot on a non-default domain: build-rom (whose Coriolis field the
+    # tensor file keeps) and run-rom (whose Coriolis field the sampled
+    # tensors use) must take the grid, f and the initial state from its L, D
+    consts = PhysicalConstants(D=3.0e6)
+    grid = build_grid(11, 9, consts)
+    ops = build_operators(grid)
+    f = coriolis_field(grid, consts)
+    ic = initial_state(grid, ops, consts)
+    cfg = SolverConfig(dt=300.0, nt=6)
+    _, snaps, _ = run_full(ic, cfg, ops, f, grid)
+    save_snapshots(snaps, tmp_path / "s.snap")
+    rom, out = tmp_path / "rom", tmp_path / "run"
+    assert main(["build-rom", "--snapshots", str(tmp_path / "s.snap"), "--k", "4",
+                 "--mode", mode, "--m", "4", "--out", str(rom)]) == 0
+    meta = json.loads((rom / "rom_meta.json").read_text())
+    assert (meta["L"], meta["D"]) == (consts.L, consts.D)
+    assert main(["run-rom", "--rom", str(rom), "--mode", mode, "--out", str(out)]) == 0
+    got = load_snapshots(out / "rom_trajectory.snap")
+    assert (got.grid.L, got.grid.D) == (consts.L, consts.D)
+
+    bases = build_state_bases(snaps.states, k=4)
+    space = ReducedSpace(bases, ops, f)
+    deim_ops = None
+    if mode == "pod-deim":
+        deim_ops = deim_operators_from_snapshots(space, snaps.nonlinear, 4)
+        tensors = deim_tensor_coefficients(deim_ops, space)
+    else:
+        tensors = build_tensor_coefficients(space)
+    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    _, traj, _ = model.run(project_initial(ic, space))
+    for var, b in bases.items():
+        want = b.xbar[:, None] + b.U @ traj[var]
+        assert np.linalg.norm(got.states[var] - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_run_rom_meta_without_domain_exit_2(rom_dir, tmp_path, capsys):
+    romdir = tmp_path / "rom"
+    shutil.copytree(rom_dir, romdir)
+    meta = json.loads((romdir / "rom_meta.json").read_text())
+    del meta["L"], meta["D"]
+    (romdir / "rom_meta.json").write_text(json.dumps(meta))
+    assert main(["run-rom", "--rom", str(romdir), "--mode", "pod-deim",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "no domain size" in capsys.readouterr().err
 
 
 def test_bench_with_config_and_overrides(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 from swerom.errors import FileFormatError
 from swerom.deim import (
     build_deim_term_operator,
-    deim_nonlinear,
     deim_operators_from_snapshots,
     deim_projection,
     deim_select_points,
@@ -133,7 +132,7 @@ def test_deim_zero_state_no_centering():
         V = term_span_basis(space, term, rng)
         op = build_deim_term_operator(space, term, V, deim_select_points(V))
         zero = ReducedState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
-        assert np.allclose(deim_nonlinear(term, zero, op), 0.0)
+        assert np.allclose(op.evaluate(zero), 0.0)
 
 
 @pytest.mark.parametrize("term", TERM_NAMES)
@@ -146,7 +145,7 @@ def test_deim_exact_on_span(term):
     for trial in range(5):
         xt = random_reduced(space, rng)
         exact = standard_pod_nonlinear(term, xt, space)
-        approx = deim_nonlinear(term, xt, op)
+        approx = op.evaluate(xt)
         assert np.linalg.norm(approx - exact) <= 1e-10 * (1.0 + np.linalg.norm(exact))
 
 
@@ -225,7 +224,7 @@ def test_contraction_equals_sampled_evaluation(centered):
     for trial in range(10):
         xt = random_reduced(space, rng, scale=2.0)
         for term in TERM_NAMES:
-            direct = deim_nonlinear(term, xt, ops[term])
+            direct = ops[term].evaluate(xt)
             contracted = tensorial_nonlinear(term, xt, tensors)
             assert np.linalg.norm(contracted - direct) <= 1e-12 * (1.0 + np.linalg.norm(direct))
 
@@ -299,7 +298,7 @@ def test_deim_error_band_over_sample_counts(pipeline31):
         errs = []
         for term in TERM_NAMES:
             for xt, ref in zip(projected, reference[term]):
-                approx = deim_nonlinear(term, xt, ops_by_term[term])
+                approx = ops_by_term[term].evaluate(xt)
                 errs.append(np.linalg.norm(approx - ref) / (1.0 + np.linalg.norm(ref)))
         means.append(np.mean(errs))
     for coarse, fine in zip(means, means[1:]):

@@ -1,12 +1,18 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from swerom.errors import FileFormatError
+from swerom.deim import build_deim_term_operator, deim_select_points, deim_tensor_coefficients
+from swerom.errors import FileFormatError, NonConvergenceError
 from swerom.model import (
     FieldState,
     TERMS,
     TERM_EQUATION,
     TERM_NAMES,
+    X_TERMS,
+    Y_TERMS,
     build_grid,
     build_operators,
     coriolis_field,
@@ -22,6 +28,7 @@ from swerom.rom import (
     contract_power,
     lift_state,
     load_tensors,
+    pack_directions,
     project_initial,
     reduced_jacobian,
     save_tensors,
@@ -367,6 +374,105 @@ def test_mode_validation():
         ReducedModel(space, tensors, "magic", cfg)
     with pytest.raises(ValueError, match="sampled operators"):
         ReducedModel(space, tensors, "pod-deim", cfg)
+
+
+def mode_operators(space, mode, rng, m=5):
+    """Tensors and sampled operators as a ReducedModel in ``mode`` takes them;
+    the sampled operators use random orthonormal term bases."""
+    if mode != "pod-deim":
+        return build_tensor_coefficients(space), None
+    deim_ops = {}
+    for term in TERM_NAMES:
+        V = orthonormal_basis(space.n, m, rng)
+        deim_ops[term] = build_deim_term_operator(space, term, V, deim_select_points(V))
+    return deim_tensor_coefficients(deim_ops, space), deim_ops
+
+
+def per_term_direction(space, tensors, mode, deim_ops, terms, xt):
+    """A direction's right-hand side and its derivative from the public
+    per-term functions plus half the Coriolis blocks, as K-vector and K-by-K."""
+    k = [space.k(var) for var in ("u", "v", "phi")]
+    start = dict(zip(("u", "v", "phi"), np.cumsum([0] + k)))
+    sl = {var: slice(start[var], start[var] + space.k(var)) for var in start}
+    K = sum(k)
+    rhs, jac = np.zeros(K), np.zeros((K, K))
+    for term in terms:
+        eq = sl[TERM_EQUATION[term]]
+        if mode == "standard-pod":
+            rhs[eq] -= standard_pod_nonlinear(term, xt, space)
+        elif mode == "tensorial-pod":
+            rhs[eq] -= tensorial_nonlinear(term, xt, tensors)
+        else:
+            rhs[eq] -= deim_ops[term].evaluate(xt)
+        for var, block in reduced_jacobian(term, xt, tensors).items():
+            jac[eq, sl[var]] -= block
+    rhs[sl["u"]] += 0.5 * (tensors.coriolis_u0 + tensors.coriolis_uv @ xt["v"])
+    rhs[sl["v"]] -= 0.5 * (tensors.coriolis_v0 + tensors.coriolis_vu @ xt["u"])
+    jac[sl["u"], sl["v"]] += 0.5 * tensors.coriolis_uv
+    jac[sl["v"], sl["u"]] -= 0.5 * tensors.coriolis_vu
+    return rhs, jac
+
+
+@pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
+@pytest.mark.parametrize("centered", [True, False], ids=["centered", "uncentered"])
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_packed_directions_equal_per_term_sums(mode, centered, k):
+    rng = np.random.default_rng(21)
+    space = make_space(build_grid(7, 5), rng, k=k, centered=centered)
+    tensors, deim_ops = mode_operators(space, mode, rng)
+    packed = pack_directions(space, tensors, mode, deim_ops)
+    for trial in range(3):
+        xt = random_reduced(space, rng, scale=2.0)
+        z = np.concatenate([xt.u, xt.v, xt.phi])
+        for name, terms in (("x", X_TERMS), ("y", Y_TERMS)):
+            rhs, jac = per_term_direction(space, tensors, mode, deim_ops, terms, xt)
+            got_rhs, got_jac = packed[name].rhs(z), packed[name].jacobian(z)
+            assert got_rhs.shape == rhs.shape and got_jac.shape == jac.shape
+            assert np.linalg.norm(got_rhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            assert np.linalg.norm(got_jac - jac) <= 1e-12 * np.linalg.norm(jac)
+
+
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_packed_direction_freed_without_cycle_collector(mode):
+    # a reference cycle would keep every finished model's packed arrays
+    # alive until the cycle collector runs, which raises peak memory
+    rng = np.random.default_rng(24)
+    space = make_space(build_grid(7, 5), rng, k=3)
+    tensors, deim_ops = mode_operators(space, mode, rng)
+    gc.disable()
+    try:
+        packed = pack_directions(space, tensors, mode, deim_ops)
+        refs = [weakref.ref(d) for d in packed.values()]
+        del packed
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_non_finite_half_step_raises_nonconvergence(mode):
+    rng = np.random.default_rng(22)
+    space = make_space(build_grid(9, 7), rng, k=3)
+    tensors, deim_ops = mode_operators(space, mode, rng)
+    model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=1),
+                         deim_ops=deim_ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergenceError, match="not finite") as err:
+            model.step(random_reduced(space, rng, scale=1e160), 0)
+    assert err.value.iterations == 0  # caught before any Newton solve
+
+
+def test_per_variable_k_trajectory_standard_equals_tensorial():
+    rng = np.random.default_rng(23)
+    space = make_space(build_grid(7, 7), rng, k=(2, 3, 4), centered=False)
+    tensors = build_tensor_coefficients(space)
+    cfg = SolverConfig(dt=50.0, nt=4, newton_tol=1e-12, lu_refresh_every=2)
+    xt0 = random_reduced(space, rng, scale=0.1)
+    _, a, _ = ReducedModel(space, tensors, "standard-pod", cfg).run(xt0)
+    _, b, _ = ReducedModel(space, tensors, "tensorial-pod", cfg).run(xt0)
+    for var in ("u", "v", "phi"):
+        assert a[var].shape == (space.k(var), 4)
+        assert np.linalg.norm(a[var] - b[var]) <= 1e-10 * np.linalg.norm(a[var])
 
 
 # --- tensor file -----------------------------------------------------------------------
