@@ -16,6 +16,7 @@ from swerom.deim import (
 )
 from swerom.errors import FileFormatError, NonConvergenceError
 from swerom.flops import flop_count
+from swerom.heap import fix_thresholds
 from swerom.metrics import relative_error_series, rmse_final
 from swerom.model import (
     DEFAULT_CONSTANTS,
@@ -42,9 +43,12 @@ from swerom.rom import (
     tensorial_nonlinear,
 )
 from swerom.snapshots import SnapshotSet, load_snapshots, save_snapshots
-from swerom.solver import FullSolver, RecordFlags, SolverConfig, adi_step, run_full
+from swerom.solver import FullSolver, RecordFlags, SolverConfig, run_full
 
 __version__ = "0.1.0"
+
+# pinned once per process: see swerom.heap
+fix_thresholds()
 
 __all__ = [
     "DEFAULT_CONSTANTS",
@@ -66,7 +70,6 @@ __all__ = [
     "SnapshotSet",
     "SolverConfig",
     "TensorCoefficients",
-    "adi_step",
     "build_deim_term_operator",
     "build_grid",
     "build_operators",

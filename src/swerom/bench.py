@@ -84,7 +84,6 @@ class ExperimentConfig:
     newton_tol: float = 1e-10
     newton_max_iters: int = 25
     lu_refresh_every: int = 6
-    linear_solver: str = "direct-sparse"
     domain_km: tuple[float, float] | None = None  # (L, D); SI internally
 
     def validate(self) -> None:
@@ -310,8 +309,7 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
     ic = initial_state(grid, ops, consts, literal=cfg.grammeltvedt_literal)
     scfg = SolverConfig(dt=dt, nt=nt, newton_tol=cfg.newton_tol,
                         newton_max_iters=cfg.newton_max_iters,
-                        lu_refresh_every=cfg.lu_refresh_every,
-                        linear_solver=cfg.linear_solver)
+                        lu_refresh_every=cfg.lu_refresh_every)
 
     t0 = time.perf_counter()
     try:

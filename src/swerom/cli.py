@@ -92,16 +92,13 @@ def _window_args(args) -> tuple[float, int]:
 def _solver_config(args, dt: float, nt: int) -> SolverConfig:
     return SolverConfig(dt=dt, nt=nt, newton_tol=args.newton_tol,
                         newton_max_iters=args.newton_max_iters,
-                        lu_refresh_every=args.lu_refresh_every,
-                        linear_solver=args.linear_solver)
+                        lu_refresh_every=args.lu_refresh_every)
 
 
 def _add_solver_flags(p):
     p.add_argument("--newton-tol", type=float, default=1e-10)
     p.add_argument("--newton-max-iters", type=int, default=25)
     p.add_argument("--lu-refresh-every", type=int, default=6)
-    p.add_argument("--linear-solver", default="direct-sparse",
-                   choices=["direct-sparse", "iterative-restarted-residual"])
 
 
 def _add_window_flags(p):
@@ -154,7 +151,7 @@ def cmd_run_full(args) -> int:
 
 
 def cmd_build_rom(args) -> int:
-    snaps = load_snapshots(args.snapshots)
+    snaps = load_snapshots(args.snapshots, nonlinear=args.mode == "pod-deim")
     grid = snaps.grid
     ops = build_operators(grid)
     f = coriolis_field(grid, PhysicalConstants(L=grid.L, D=grid.D))
@@ -228,7 +225,7 @@ def cmd_run_rom(args) -> int:
     print(f"{mode}: {nt} steps in {elapsed:.3f}s "
           f"(nonlinear phase {tm.nonlinear_s:.3f}s, {tm.newton_iters} Newton iterations)")
     if args.snapshots:
-        full = load_snapshots(args.snapshots)
+        full = load_snapshots(args.snapshots, nonlinear=False)
         errors = trajectory_errors(full.states, lifted)
         with open(out / "metrics.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -208,7 +208,8 @@ def load_basis(path) -> PodBasis:
             return np.frombuffer(data, dtype="<f8").copy()
 
         xbar = read(n, "xbar")
-        U = read(n * k, "U").reshape((n, k), order="F")
+        # row-major like a built basis, so products with it round the same way
+        U = np.ascontiguousarray(read(n * k, "U").reshape((n, k), order="F"))
         sigma = read(nsigma, "sigma")
         if fh.read(1):
             raise FileFormatError("trailing bytes after basis payload")

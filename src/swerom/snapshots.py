@@ -17,6 +17,7 @@ Round-trips are bit exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -83,7 +84,8 @@ def save_snapshots(snaps: SnapshotSet, path) -> None:
                 _write_matrix(fh, snaps.nonlinear[term])
 
 
-def load_snapshots(path) -> SnapshotSet:
+def load_snapshots(path, nonlinear: bool = True) -> SnapshotSet:
+    """Read a snapshot file; ``nonlinear=False`` skips the term matrices."""
     with open(path, "rb") as fh:
         magic, nx, ny, nt, n, dt, flags, L, D = _HEADER.unpack(
             _read_exact(fh, _HEADER.size, "header"))
@@ -96,9 +98,12 @@ def load_snapshots(path) -> SnapshotSet:
         states = None
         if flags & _FLAG_STATES:
             states = {var: _read_matrix(fh, n, nt, var) for var in VARIABLES}
-        nonlinear = None
+        terms = None
         if flags & _FLAG_NONLINEAR:
-            nonlinear = {term: _read_matrix(fh, n, nt, term) for term in TERM_NAMES}
+            if nonlinear:
+                terms = {term: _read_matrix(fh, n, nt, term) for term in TERM_NAMES}
+            elif fh.seek(8 * n * nt * len(TERM_NAMES), 1) > os.fstat(fh.fileno()).st_size:
+                raise FileFormatError("truncated snapshot file while skipping nonlinear terms")
         if fh.read(1):
             raise FileFormatError("trailing bytes after snapshot payload")
-    return SnapshotSet(grid=grid, dt=dt, times=times, states=states, nonlinear=nonlinear)
+    return SnapshotSet(grid=grid, dt=dt, times=times, states=states, nonlinear=terms)

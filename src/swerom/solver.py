@@ -9,8 +9,13 @@ the dynamics must enter once explicitly and once implicitly across the two
 factors of a step, which keeps the amplification factor of the linearized
 scheme at unit modulus for any dt. The model equations stay coupled: every
 half-step solves one nonlinear system in all 3n unknowns by quasi-Newton,
-where the sparse Jacobian is assembled and LU-factorized only every
+where the Newton matrix is assembled and LU-factorized only every
 ``lu_refresh_every`` steps and reused (stale) in between.
+
+A half-step's implicit terms couple nodes only along grid lines. With the
+unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
+in the folded x order 0, nx-1, 1, nx-2, ... for x, x-columns for y), the
+Newton matrix is banded and is factorized by LAPACK ``dgbtrf``/``dgbtrs``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg  # noqa: F401  perfbench/tracing.py wraps its splu from the loaded module
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from swerom.errors import NonConvergenceError
 from swerom.model import (
@@ -38,7 +43,7 @@ from swerom.model import (
 )
 from swerom.snapshots import SnapshotSet
 
-__all__ = ["SolverConfig", "RecordFlags", "PhaseTimings", "FullSolver", "adi_step", "run_full"]
+__all__ = ["SolverConfig", "RecordFlags", "PhaseTimings", "FullSolver", "run_full"]
 
 CFL_LIMIT = 8.9301
 
@@ -54,7 +59,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     newton_max_iters: int = 25
     lu_refresh_every: int = 6
-    linear_solver: str = "direct-sparse"  # or "iterative-restarted-residual"
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -65,8 +69,6 @@ class SolverConfig:
             raise ValueError("newton_tol must be positive")
         if self.lu_refresh_every < 1:
             raise ValueError("lu_refresh_every must be at least 1")
-        if self.linear_solver not in ("direct-sparse", "iterative-restarted-residual"):
-            raise ValueError(f"unknown linear_solver {self.linear_solver!r}")
 
 
 @dataclass
@@ -88,28 +90,91 @@ class PhaseTimings:
     steps: int = 0
     worst_residual: float = 0.0  # largest accepted relative residual
 
-    def add(self, other: "PhaseTimings") -> None:
-        self.assembly_s += other.assembly_s
-        self.factorization_s += other.factorization_s
-        self.solve_s += other.solve_s
-        self.recording_s += other.recording_s
-        self.newton_iters += other.newton_iters
-        self.steps += other.steps
-        self.worst_residual = max(self.worst_residual, other.worst_residual)
+
+class _BandedNewton:
+    """One direction's Newton matrix I - dt2*J in LAPACK band storage.
+
+    Fixed at construction: ``band[q]``, the band row of packed unknown q,
+    and ``index``, the flat position in column-major band storage of every
+    Jacobian entry in the order :meth:`assemble` evaluates them. The
+    wall-row v unknowns keep a unit row and column: their entries go to a
+    spare slot past the end, so a solve returns the right-hand side there.
+    """
+
+    def __init__(self, grid: Grid, ops: DifferenceOperators, f: np.ndarray, terms, axis: str):
+        n, nx = grid.n, grid.nx
+        nodes = np.arange(n)
+        j, i = np.divmod(nodes, nx)
+        line_pos = (j * nx + np.minimum(2 * i, 2 * (nx - 1 - i) + 1) if axis == "x"
+                    else i * grid.ny + j)
+        self.band = (3 * line_pos + np.arange(3)[:, None]).ravel()
+        self.order = np.argsort(self.band)
+        self._products = []
+        rows, cols = [], []
+        for name in terms:
+            eq = _VAR_SLOT[TERM_EQUATION[name]] * n
+            for coef, avar, bvar, paxis in TERMS[name]:
+                A = ops.Ax if paxis == "x" else ops.Ay
+                coo = A.tocoo()
+                rows += [eq + nodes, eq + coo.row]
+                cols += [_VAR_SLOT[avar] * n + nodes, _VAR_SLOT[bvar] * n + coo.col]
+                self._products.append((coef, avar, bvar, A, coo.row, coo.data))
+        # trapezoidal Coriolis: each half-step carries half of it implicitly
+        rows += [nodes, n + nodes]
+        cols += [n + nodes, nodes]
+        self._coriolis = np.concatenate([0.5 * f, -0.5 * f])
+
+        rows = self.band[np.concatenate(rows)]
+        cols = self.band[np.concatenate(cols)]
+        walls = self.band[n + boundary_row_indices(grid)]
+        keep = ~(np.isin(rows, walls) | np.isin(cols, walls))
+        self.kl = int(np.max(rows - cols, where=keep, initial=0))
+        self.ku = int(np.max(cols - rows, where=keep, initial=0))
+        self.ldab = 2 * self.kl + self.ku + 1
+        self.size = self.ldab * 3 * n
+        self.index = np.where(keep, self.kl + self.ku + rows - cols + self.ldab * cols, self.size)
+        self.diagonal = self.kl + self.ku + self.ldab * np.arange(3 * n)
+
+    def assemble(self, fields: dict[str, np.ndarray], dt2: float) -> np.ndarray:
+        """I - dt2*J at the given fields, as a Fortran-ordered band array; J
+        is d/dw of the direction's terms plus half the Coriolis term."""
+        values = []
+        for coef, avar, bvar, A, row, data in self._products:
+            values += [-coef * (A @ fields[bvar]), (-coef * fields[avar])[row] * data]
+        J = np.bincount(self.index, weights=np.concatenate(values + [self._coriolis]),
+                        minlength=self.size + 1)
+        ab = J[:self.size]
+        ab *= -dt2
+        ab[self.diagonal] += 1.0
+        return ab.reshape(-1, self.ldab).T
+
+    def factorize(self, ab: np.ndarray):
+        """LU-factorize ``ab`` in place; returns the solve in packed order."""
+        kl, ku, order, band = self.kl, self.ku, self.order, self.band
+        lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise NonConvergenceError(
+                f"Newton matrix is singular (zero pivot in band row {info - 1})",
+                residual=float("nan"), iterations=0)
+
+        def solve(rhs):
+            x, _ = dgbtrs(lu, kl, ku, rhs[order], piv, overwrite_b=True)
+            return x[band]
+        return solve
 
 
 class FullSolver:
     """Stateful stepper holding operators and cached LU factorizations."""
 
     def __init__(self, grid: Grid, ops: DifferenceOperators, f: np.ndarray, cfg: SolverConfig):
-        self.grid = grid
         self.ops = ops
         self.f = f
         self.cfg = cfg
         self.n = grid.n
         self._vrows = self.n + boundary_row_indices(grid)  # v block offset
-        self._solve_x = None
-        self._solve_y = None
+        self._bands = {terms: _BandedNewton(grid, ops, f, terms, axis)
+                       for terms, axis in ((X_TERMS, "x"), (Y_TERMS, "y"))}
+        self._solves = {}  # implicit terms -> solve with the current factorization
 
     # -- state packing ---------------------------------------------------
 
@@ -124,96 +189,54 @@ class FullSolver:
         n = self.n
         return {"u": w[:n], "v": w[n:2 * n], "phi": w[2 * n:]}
 
-    # -- right-hand side pieces -------------------------------------------
+    # -- right-hand side ----------------------------------------------------
 
-    def _direction_rhs(self, w: np.ndarray, terms) -> np.ndarray:
-        """Contribution of the given F-terms to (u', v', phi'), packed."""
+    def _rhs(self, w: np.ndarray, terms) -> np.ndarray:
+        """The given F-terms' part of (u', v', phi') plus half the Coriolis
+        term, packed."""
+        n = self.n
         fields = self._fields(w)
-        out = np.zeros(3 * self.n)
+        out = np.zeros(3 * n)
         for name in terms:
             slot = _VAR_SLOT[TERM_EQUATION[name]]
-            acc = out[slot * self.n:(slot + 1) * self.n]
+            acc = out[slot * n:(slot + 1) * n]
             for coef, avar, bvar, axis in TERMS[name]:
                 A = self.ops.Ax if axis == "x" else self.ops.Ay
                 acc -= coef * fields[avar] * (A @ fields[bvar])
+        out[:n] += 0.5 * self.f * fields["v"]
+        out[n:2 * n] -= 0.5 * self.f * fields["u"]
         return out
 
-    def _coriolis_rhs(self, w: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = np.zeros(3 * n)
-        out[:n] = self.f * w[n:2 * n]
-        out[n:2 * n] = -self.f * w[:n]
-        return out
-
-    # -- Jacobians ---------------------------------------------------------
-
-    def _direction_jacobian(self, w: np.ndarray, terms) -> sp.csr_matrix:
-        """d/dw of (direction RHS + Coriolis) as a 3n-by-3n sparse matrix."""
-        n = self.n
-        fields = self._fields(w)
-        blocks = [[None] * 3 for _ in range(3)]
-
-        def add(rvar, cvar, mat):
-            r, c = _VAR_SLOT[rvar], _VAR_SLOT[cvar]
-            blocks[r][c] = mat if blocks[r][c] is None else blocks[r][c] + mat
-
-        for name in terms:
-            eq = TERM_EQUATION[name]
-            for coef, avar, bvar, axis in TERMS[name]:
-                A = self.ops.Ax if axis == "x" else self.ops.Ay
-                add(eq, avar, sp.diags(-coef * (A @ fields[bvar])))
-                add(eq, bvar, A.multiply((-coef * fields[avar])[:, None]).tocsr())
-        # trapezoidal Coriolis: each half-step carries half of it implicitly
-        add("u", "v", sp.diags(0.5 * self.f))
-        add("v", "u", sp.diags(-0.5 * self.f))
-        return sp.bmat(blocks, format="csr")
-
-    def _system_matrix(self, w: np.ndarray, terms, dt2: float) -> sp.csc_matrix:
-        """Newton matrix I - dt2*J with the v boundary rows replaced."""
-        J = sp.identity(3 * self.n, format="csr") - dt2 * self._direction_jacobian(w, terms)
-        keep = np.ones(3 * self.n)
-        keep[self._vrows] = 0.0
-        J = sp.diags(keep) @ J + sp.diags(1.0 - keep)
-        return J.tocsc()
+    # -- Newton matrices ---------------------------------------------------
 
     def _factorize(self, w: np.ndarray, terms, dt2: float, timings: PhaseTimings):
+        """Assemble and LU-factorize I - dt2*J at ``w``; returns the solve."""
+        band = self._bands[terms]
         t0 = time.perf_counter()
-        A = self._system_matrix(w, terms, dt2)
+        ab = band.assemble(self._fields(w), dt2)
         timings.assembly_s += time.perf_counter() - t0
         t0 = time.perf_counter()
-        if self.cfg.linear_solver == "direct-sparse":
-            lu = spla.splu(A)
-            solve = lu.solve
-        else:
-            ilu = spla.spilu(A, drop_tol=1e-8, fill_factor=20.0)
-            M = spla.LinearOperator(A.shape, ilu.solve)
-
-            def solve(rhs, A=A, M=M):
-                x, info = spla.gmres(A, rhs, rtol=1e-12, atol=0.0, restart=40,
-                                     maxiter=400, M=M)
-                if info != 0:
-                    raise NonConvergenceError(
-                        f"restarted residual iteration stalled (info={info})",
-                        residual=float(np.linalg.norm(A @ x - rhs)), iterations=info)
-                return x
+        solve = band.factorize(ab)
         timings.factorization_s += time.perf_counter() - t0
         return solve
 
     # -- Newton ----------------------------------------------------------------
 
     def _half_step(self, w0: np.ndarray, explicit_part: np.ndarray, terms,
-                   dt2: float, solve, refactor, timings: PhaseTimings):
-        """Solve w = explicit_part + dt2*(R_terms(w) + Coriolis(w)) by quasi-Newton.
+                   dt2: float, solve, timings: PhaseTimings):
+        """Solve w = explicit_part + dt2*_rhs(w, terms) by quasi-Newton.
 
-        ``solve`` applies the current (possibly stale) factorization;
-        ``refactor`` rebuilds it at a given iterate. Refactoring mid-iteration
-        happens only as a safeguard when the stale iteration stops
-        contracting, which stays dormant at the CFL numbers of normal runs.
+        ``solve`` applies the current (possibly stale) factorization, or is
+        None to factorize at w0. Refactoring mid-iteration happens only as a
+        safeguard when the stale iteration stops contracting, which stays
+        dormant at the CFL numbers of normal runs.
 
         Returns (solution, solve) where ``solve`` reflects any safeguard
         refactorization so the caller can keep reusing it.
         """
         cfg = self.cfg
+        if solve is None:
+            solve = self._factorize(w0, terms, dt2, timings)
         w = w0.copy()
         scale = np.linalg.norm(w0)
         if scale == 0.0:
@@ -221,8 +244,7 @@ class FullSolver:
 
         def residual(wk):
             t0 = time.perf_counter()
-            G = (wk - explicit_part
-                 - dt2 * (self._direction_rhs(wk, terms) + 0.5 * self._coriolis_rhs(wk)))
+            G = wk - explicit_part - dt2 * self._rhs(wk, terms)
             G[self._vrows] = wk[self._vrows]
             timings.assembly_s += time.perf_counter() - t0
             return G
@@ -230,11 +252,13 @@ class FullSolver:
         G = residual(w)
         res = np.linalg.norm(G)
         slow = 0
-        for it in range(cfg.newton_max_iters):
+        for it in range(cfg.newton_max_iters + 1):
             if res <= cfg.newton_tol * scale:
                 timings.newton_iters += it
                 timings.worst_residual = max(timings.worst_residual, res / scale)
                 return w, solve
+            if it == cfg.newton_max_iters:
+                break
             t0 = time.perf_counter()
             delta = solve(-G)
             timings.solve_s += time.perf_counter() - t0
@@ -255,12 +279,8 @@ class FullSolver:
             slow = slow + 1 if res_try > 0.25 * res else 0
             w, G, res = w_try, G_try, res_try
             if slow >= 2:
-                solve = refactor(w)
+                solve = self._factorize(w, terms, dt2, timings)
                 slow = 0
-        if res <= cfg.newton_tol * scale:
-            timings.newton_iters += cfg.newton_max_iters
-            timings.worst_residual = max(timings.worst_residual, res / scale)
-            return w, solve
         raise NonConvergenceError(
             f"quasi-Newton stalled at relative residual {res / scale:.3e} "
             f"after {cfg.newton_max_iters} iterations",
@@ -276,37 +296,15 @@ class FullSolver:
         refresh = (step_index % cfg.lu_refresh_every == 0)
 
         w = self._pack(state)
-        t0 = time.perf_counter()
-        bx = w + dt2 * (self._direction_rhs(w, Y_TERMS) + 0.5 * self._coriolis_rhs(w))
-        timings.assembly_s += time.perf_counter() - t0
-        if refresh or self._solve_x is None:
-            self._solve_x = self._factorize(w, X_TERMS, dt2, timings)
-        w_half, self._solve_x = self._half_step(
-            w, bx, X_TERMS, dt2, self._solve_x,
-            lambda wk: self._factorize(wk, X_TERMS, dt2, timings), timings)
-
-        t0 = time.perf_counter()
-        by = w_half + dt2 * (self._direction_rhs(w_half, X_TERMS) + 0.5 * self._coriolis_rhs(w_half))
-        timings.assembly_s += time.perf_counter() - t0
-        if refresh or self._solve_y is None:
-            self._solve_y = self._factorize(w_half, Y_TERMS, dt2, timings)
-        w_new, self._solve_y = self._half_step(
-            w_half, by, Y_TERMS, dt2, self._solve_y,
-            lambda wk: self._factorize(wk, Y_TERMS, dt2, timings), timings)
-
+        # x implicit with the y terms explicit, then the reverse
+        for implicit, explicit in ((X_TERMS, Y_TERMS), (Y_TERMS, X_TERMS)):
+            t0 = time.perf_counter()
+            b = w + dt2 * self._rhs(w, explicit)
+            timings.assembly_s += time.perf_counter() - t0
+            solve = None if refresh else self._solves.get(implicit)
+            w, self._solves[implicit] = self._half_step(w, b, implicit, dt2, solve, timings)
         timings.steps += 1
-        return self._unpack(w_new, state.time + cfg.dt)
-
-
-def adi_step(state: FieldState, cfg: SolverConfig, ops: DifferenceOperators,
-             f: np.ndarray, grid: Grid, step_index: int = 0) -> FieldState:
-    """One alternating-direction step (fresh solver; see FullSolver for runs)."""
-    ind = cfl_indicator(state, grid, cfg.dt)
-    if ind > CFL_LIMIT:
-        warnings.warn(f"CFL indicator {ind:.4f} exceeds stability limit {CFL_LIMIT}",
-                      RuntimeWarning, stacklevel=2)
-    solver = FullSolver(grid, ops, f, cfg)
-    return solver.step(state, step_index)
+        return self._unpack(w, state.time + cfg.dt)
 
 
 def run_full(
@@ -346,9 +344,8 @@ def run_full(
         times[k] = state.time
         t0 = time.perf_counter()
         if states is not None:
-            states["u"][:, k] = state.u
-            states["v"][:, k] = state.v
-            states["phi"][:, k] = state.phi
+            for var in states:
+                states[var][:, k] = state[var]
         if nonlinear is not None:
             for term, value in all_nonlinear(state, ops).items():
                 nonlinear[term][:, k] = value

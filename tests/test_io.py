@@ -87,6 +87,25 @@ def test_snapshot_truncated(tmp_path):
         load_snapshots(path)
 
 
+def test_snapshot_load_without_nonlinear_terms(tmp_path):
+    rng = np.random.default_rng(7)
+    snaps = make_snapshots(rng)
+    path = tmp_path / "s.snap"
+    save_snapshots(snaps, path)
+    back = load_snapshots(path, nonlinear=False)
+    assert back.nonlinear is None
+    for var in ("u", "v", "phi"):
+        assert np.array_equal(back.states[var], snaps.states[var])
+    # the skipped block is still checked: cut inside it, or padded after it
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+    with pytest.raises(FileFormatError, match="truncated"):
+        load_snapshots(path, nonlinear=False)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(FileFormatError, match="trailing"):
+        load_snapshots(path, nonlinear=False)
+
+
 def test_operator_and_tensor_files_truncated_at_every_offset(tmp_path):
     rng = np.random.default_rng(6)
     grid = build_grid(4, 3)

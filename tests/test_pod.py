@@ -220,6 +220,19 @@ def test_basis_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_loaded_basis_projects_bitwise_like_built(tmp_path):
+    # the CLI projects with a loaded basis and the library with a built one;
+    # both must round the same way
+    rng = np.random.default_rng(13)
+    basis = pod_from_snapshots(rng.standard_normal((713, 16)), k=6)
+    save_basis(basis, tmp_path / "b.pod")
+    back = load_basis(tmp_path / "b.pod")
+    x = rng.standard_normal(713)
+    assert np.array_equal(back.project(x), basis.project(x))
+    xt = rng.standard_normal((6, 16))
+    assert np.array_equal(back.U @ xt, basis.U @ xt)
+
+
 def test_basis_bad_magic(tmp_path):
     rng = np.random.default_rng(12)
     basis = pod_from_snapshots(rng.standard_normal((6, 4)), k=2)

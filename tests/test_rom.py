@@ -1,5 +1,6 @@
 import gc
 import weakref
+import warnings
 
 import numpy as np
 import pytest
@@ -456,10 +457,12 @@ def test_non_finite_half_step_raises_nonconvergence(mode):
     tensors, deim_ops = mode_operators(space, mode, rng)
     model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=1),
                          deim_ops=deim_ops)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(NonConvergenceError, match="not finite") as err:
             model.step(random_reduced(space, rng, scale=1e160), 0)
     assert err.value.iterations == 0  # caught before any Newton solve
+    assert [str(w.message) for w in caught] == []  # no overflow warnings on stderr
 
 
 def test_per_variable_k_trajectory_standard_equals_tensorial():

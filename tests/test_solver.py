@@ -4,10 +4,13 @@ import pytest
 from swerom.errors import NonConvergenceError
 from swerom.model import (
     FieldState,
+    X_TERMS,
+    Y_TERMS,
     boundary_row_indices,
     build_grid,
     build_operators,
     coriolis_field,
+    eval_nonlinear,
     initial_state,
 )
 from swerom.solver import (
@@ -15,7 +18,6 @@ from swerom.solver import (
     PhaseTimings,
     RecordFlags,
     SolverConfig,
-    adi_step,
     run_full,
 )
 
@@ -35,15 +37,13 @@ def test_config_validation():
         SolverConfig(dt=1.0, nt=0)
     with pytest.raises(ValueError):
         SolverConfig(dt=1.0, nt=1, lu_refresh_every=0)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=1.0, nt=1, linear_solver="magic")
 
 
 def test_rest_state_is_fixed_point(setup):
     grid, ops, f = setup
     cfg = SolverConfig(dt=600.0, nt=1)
     rest = FieldState(u=np.zeros(grid.n), v=np.zeros(grid.n), phi=np.full(grid.n, 282.0))
-    out = adi_step(rest, cfg, ops, f, grid)
+    out = FullSolver(grid, ops, f, cfg).step(rest, 0)
     assert np.array_equal(out.u, rest.u)
     assert np.array_equal(out.v, rest.v)
     assert np.array_equal(out.phi, rest.phi)
@@ -70,13 +70,76 @@ def test_boundary_v_zero_after_every_step(setup):
         assert np.all(state.v[rows] == 0.0)
 
 
+def test_boundary_v_exactly_zero_at_121x89():
+    grid = build_grid(121, 89)
+    ops = build_operators(grid)
+    solver = FullSolver(grid, ops, coriolis_field(grid), SolverConfig(dt=960.0, nt=12))
+    state = initial_state(grid, ops)
+    rows = boundary_row_indices(grid)
+    for k in range(12):
+        state = solver.step(state, k)
+        assert np.all(state.v[rows] == 0.0), f"step {k}"
+
+
+def _half_step_residual(w, grid, ops, f, axis, dt2):
+    """G(w) = w - dt2*(implicit terms + half Coriolis), v pinned on the walls,
+    from the model's term evaluator alone (the explicit part cancels in
+    differences)."""
+    n = grid.n
+    state = FieldState(u=w[:n], v=w[n:2 * n], phi=w[2 * n:])
+    du = -eval_nonlinear("F11" if axis == "x" else "F12", state, ops) + 0.5 * f * state.v
+    dv = -eval_nonlinear("F21" if axis == "x" else "F22", state, ops) - 0.5 * f * state.u
+    dphi = -eval_nonlinear("F31" if axis == "x" else "F32", state, ops)
+    G = w - dt2 * np.concatenate([du, dv, dphi])
+    walls = n + boundary_row_indices(grid)
+    G[walls] = w[walls]
+    return G
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("shape", [(31, 23), (8, 7)])
+def test_newton_solve_inverts_residual_derivative(shape, axis):
+    # G is quadratic in w, so the central difference is its exact derivative
+    # along d up to rounding; solving with the Newton matrix must return d
+    grid = build_grid(*shape)
+    ops = build_operators(grid)
+    f = coriolis_field(grid)
+    rng = np.random.default_rng(5)
+    ic = initial_state(grid, ops)
+    n = grid.n
+    walls = n + boundary_row_indices(grid)
+    w = np.concatenate([ic.u, ic.v, ic.phi])
+    w += 0.1 * np.abs(w).max() * rng.standard_normal(3 * n)
+    w[walls] = 0.0
+    d = rng.standard_normal(3 * n)
+    d[walls] = 0.0
+    dt2, h = 480.0, 1e-3
+    solver = FullSolver(grid, ops, f, SolverConfig(dt=2 * dt2, nt=1))
+    terms = X_TERMS if axis == "x" else Y_TERMS
+    # the line order keeps the band narrow whatever the grid size
+    band = solver._bands[terms]
+    assert (band.kl, band.ku) == ((8, 11) if axis == "x" else (4, 4))
+    solve = solver._factorize(w, terms, dt2, PhaseTimings())
+    jd = (_half_step_residual(w + h * d, grid, ops, f, axis, dt2)
+          - _half_step_residual(w - h * d, grid, ops, f, axis, dt2)) / (2 * h)
+    got = solve(jd)
+    assert np.linalg.norm(got - d) <= 1e-9 * np.linalg.norm(d)
+
+
+def test_singular_newton_matrix_raises_nonconvergence(setup):
+    grid, ops, f = setup
+    band = FullSolver(grid, ops, f, SolverConfig(dt=120.0, nt=1))._bands[X_TERMS]
+    with pytest.raises(NonConvergenceError, match="singular"):
+        band.factorize(np.zeros((band.ldab, 3 * grid.n), order="F"))
+
+
 def test_cfl_warning_emitted(setup):
     grid, ops, f = setup
     ic = initial_state(grid, ops)
     cfg = SolverConfig(dt=2.0e4, nt=1, newton_max_iters=60)
     with pytest.warns(RuntimeWarning, match="CFL indicator"):
         try:
-            adi_step(ic, cfg, ops, f, grid)
+            run_full(ic, cfg, ops, f, grid, RecordFlags(states=False, nonlinear=False))
         except NonConvergenceError:
             pass  # only the warning is under test here
 
@@ -157,22 +220,9 @@ def test_nonconvergence_carries_residual(setup):
     cfg = SolverConfig(dt=5.0e4, nt=1, newton_max_iters=2, newton_tol=1e-14)
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NonConvergenceError) as err:
-            adi_step(ic, cfg, ops, f, grid)
+            run_full(ic, cfg, ops, f, grid, RecordFlags(states=False, nonlinear=False))
     assert err.value.residual > 0.0
     assert err.value.iterations == 2
-
-
-def test_iterative_linear_solver_matches_direct(setup):
-    grid, ops, f = setup
-    ic = initial_state(grid, ops)
-    direct = FullSolver(grid, ops, f, SolverConfig(dt=120.0, nt=1))
-    iterative = FullSolver(grid, ops, f, SolverConfig(
-        dt=120.0, nt=1, linear_solver="iterative-restarted-residual"))
-    a = direct.step(ic, 0)
-    b = iterative.step(ic, 0)
-    scale = np.max(np.abs(a.phi))
-    assert np.max(np.abs(a.u - b.u)) < 1e-8
-    assert np.max(np.abs(a.phi - b.phi)) / scale < 1e-10
 
 
 def test_accepted_residuals_below_tolerance(setup):
