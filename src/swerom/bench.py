@@ -1,9 +1,9 @@
 """Experiment runner: full-versus-reduced sweeps with itemized timing.
 
-For every grid in a sweep the full model runs once (that is the snapshot
-generation cost, shared by all reduction modes) and each requested mode
-then builds its off-line artifacts, integrates the reduced system, lifts
-the trajectory, and reports errors plus a wall-clock decomposition. Rows
+For every grid in a sweep the full model runs once and one off-line pass
+takes each snapshot SVD once (costs shared by all reduction modes); each
+requested mode then builds the rest of its off-line artifacts, integrates
+the reduced system, and reports errors plus a wall-clock decomposition. Rows
 that fail (for example sampled runs whose quasi-Newton does not converge
 at small m) are recorded with a status string and the sweep continues.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -76,11 +75,8 @@ class ExperimentConfig:
     m_values: list[int] = field(default_factory=lambda: [30])
     modes: list[str] = field(default_factory=lambda: list(ALL_MODES))
     out_dir: str = "bench_out"
-    seed: int = 0
     center: bool = True
     grammeltvedt_literal: bool = False
-    timed_serial: bool = True
-    workers: int = 1
     newton_tol: float = 1e-10
     newton_max_iters: int = 25
     lu_refresh_every: int = 6
@@ -137,7 +133,6 @@ class RunReport:
     dt: float
     nt: int
     mode: str
-    seed: int
     k: int | None = None
     m: int | None = None
     status: str = "ok"
@@ -196,48 +191,79 @@ def build_state_bases(states: dict[str, np.ndarray], k: int | None = None,
 
 def _base_report(cfg: ExperimentConfig, grid, dt: float, nt: int, mode: str) -> RunReport:
     return RunReport(grid=f"{grid.nx}x{grid.ny}", nx=grid.nx, ny=grid.ny, n=grid.n,
-                     window=cfg.window, dt=dt, nt=nt, mode=mode, seed=cfg.seed)
+                     window=cfg.window, dt=dt, nt=nt, mode=mode)
 
 
-def _rom_pipeline(cfg, grid, ops, f, ic, snaps, scfg, mode, m, report) -> None:
-    """Off-line build plus on-line run for one mode; fills the report in place."""
-    t_start = time.perf_counter()
-
+def _shared_offline(cfg, ops, f, snaps) -> dict:
+    """A grid's off-line work, done once for all of its rows: one SVD per
+    snapshot matrix (state ``bases`` and ``space``; ``term_svds``, each term's
+    ``(U, s)``, ``U`` None without pod-deim rows) and the full-sum ``tensors``,
+    with their seconds. A failed state stage's exception is kept as ``error``."""
+    shared = {}
     t0 = time.perf_counter()
-    bases = build_state_bases(snaps.states, k=cfg.k, gamma=cfg.gamma, center=cfg.center)
-    space = ReducedSpace(bases, ops, f)
-    report.svd_state_s = time.perf_counter() - t0
-    report.k = max(b.k for b in bases.values())
+    try:
+        shared["bases"] = build_state_bases(snaps.states, k=cfg.k, gamma=cfg.gamma,
+                                            center=cfg.center)
+        if any(mode != "full" for mode in cfg.modes):
+            shared["space"] = ReducedSpace(shared["bases"], ops, f)
+    except (np.linalg.LinAlgError, ValueError) as err:
+        shared["error"] = err
+    shared["state_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    shared["term_svds"] = {
+        t: (np.linalg.svd(snaps.nonlinear[t], full_matrices=False)[:2]
+            if "pod-deim" in cfg.modes
+            else (None, np.linalg.svd(snaps.nonlinear[t], compute_uv=False)))
+        for t in TERM_NAMES}
+    shared["term_s"] = time.perf_counter() - t0
+    if "space" in shared and {"standard-pod", "tensorial-pod"} & set(cfg.modes):
+        t0 = time.perf_counter()
+        shared["tensors"] = build_tensor_coefficients(shared["space"])
+        shared["tensors_s"] = time.perf_counter() - t0
+    return shared
+
+
+def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
+    """Off-line build plus on-line run for one mode; fills the report in place.
+
+    The shared stages ran before this row's clock starts. Like
+    ``snapshots_s``, each one the row uses is reported in its own column and
+    counted in ``offline_total_s`` and ``end_to_end_s``.
+    """
+    if "error" in shared:
+        raise shared["error"]
+    space = shared["space"]
+    report.svd_state_s = shared["state_s"]
+    report.k = max(b.k for b in space.bases.values())
+    t_start = time.perf_counter()
 
     deim_ops = None
     if mode == "pod-deim":
         bound = min(min(snaps.nonlinear[t].shape) for t in TERM_NAMES)
         if m > bound:
             raise ValueError(f"m={m} exceeds snapshot count/rank bound {bound}")
+        report.svd_nonlinear_s = shared["term_s"]
+        svds = {term: (U[:, :m], s) for term, (U, s) in shared["term_svds"].items()}
         t0 = time.perf_counter()
-        svds = {term: np.linalg.svd(snaps.nonlinear[term], full_matrices=False)[:2]
-                for term in TERM_NAMES}
-        report.svd_nonlinear_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        points = {term: deim_select_points(svds[term][0][:, :m]) for term in TERM_NAMES}
+        points = {term: deim_select_points(svds[term][0]) for term in TERM_NAMES}
         report.deim_points_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        deim_ops = {term: build_deim_term_operator(space, term, svds[term][0][:, :m],
+        deim_ops = {term: build_deim_term_operator(space, term, svds[term][0],
                                                    points[term], sigma=svds[term][1])
                     for term in TERM_NAMES}
         report.deim_projector_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         tensors = deim_tensor_coefficients(deim_ops, space)
         report.tensors_s = time.perf_counter() - t0
+        shared_s = report.svd_state_s + report.svd_nonlinear_s
     else:
-        t0 = time.perf_counter()
-        tensors = build_tensor_coefficients(space)
-        report.tensors_s = time.perf_counter() - t0
+        tensors = shared["tensors"]
+        report.tensors_s = shared["tensors_s"]
+        shared_s = report.svd_state_s + report.tensors_s
 
     model = ReducedModel(space, tensors, mode, scfg, deim_ops=deim_ops)
-    x0 = project_initial(ic, space)
-    _, traj, rom_tm = model.run(x0, scfg.nt)
-    report.end_to_end_s = time.perf_counter() - t_start
+    _, traj, rom_tm = model.run(project_initial(ic, space), scfg.nt)
+    report.end_to_end_s = time.perf_counter() - t_start + shared_s
 
     report.online_s = rom_tm.total_s
     report.online_nonlinear_s = rom_tm.nonlinear_s
@@ -246,58 +272,71 @@ def _rom_pipeline(cfg, grid, ops, f, ic, snaps, scfg, mode, m, report) -> None:
         t for t in (report.svd_state_s, report.svd_nonlinear_s, report.deim_points_s,
                     report.deim_projector_s, report.tensors_s) if t is not None)
 
-    lifted = {var: bases[var].xbar[:, None] + bases[var].U @ traj[var]
-              for var in VARIABLES}
-    errors = trajectory_errors(snaps.states, lifted)
+    errors = trajectory_errors(snaps.states, {
+        var: b.xbar[:, None] + b.U @ traj[var] for var, b in space.bases.items()})
     for var in VARIABLES:
         setattr(report, f"relerr_{var}", errors[var]["relerr"])
         setattr(report, f"rmse_{var}", errors[var]["rmse"])
     report.flops_model = flop_count(mode, n=grid.n, k=report.k, m=m)
 
 
-def _spectra_rows(cfg, grid, snaps) -> list[dict]:
-    rows = []
+# spectra.csv and deim_points.csv are joined with ',' and ended with CRLF by
+# hand, which gives csv.writer's bytes: every field is a number (repr of a
+# float, str of an int) or a fixed token (grid, window, kind, variable or
+# term name), so none needs quoting.
+
+SPECTRA_COLUMNS = ["grid", "window", "kind", "name", "index", "sigma", "lambda"]
+DEIM_POINT_COLUMNS = ["grid", "window", "term", "index", "ix", "iy",
+                      "x_m", "y_m", "max_abs_over_time", "deim_order"]
+
+
+def _spectra_rows(cfg, grid_name, snaps, shared) -> list[tuple]:
+    """Singular values and their squares per snapshot matrix, from the
+    shared SVDs; the states need their own only when the state stage failed."""
+    spectra = []
     for var in VARIABLES:
-        X = snaps.states[var]
-        Xc = center_snapshots(X)[0] if cfg.center else X
-        s = np.linalg.svd(Xc, compute_uv=False)
-        rows += [{"grid": f"{grid.nx}x{grid.ny}", "window": cfg.window,
-                  "kind": "state", "name": var, "index": i + 1,
-                  "sigma": float(si), "lambda": float(si ** 2)}
-                 for i, si in enumerate(s)]
-    if snaps.nonlinear is not None:
-        for term in TERM_NAMES:
-            s = np.linalg.svd(snaps.nonlinear[term], compute_uv=False)
-            rows += [{"grid": f"{grid.nx}x{grid.ny}", "window": cfg.window,
-                      "kind": "nonlinear", "name": term, "index": i + 1,
-                      "sigma": float(si), "lambda": float(si ** 2)}
-                     for i, si in enumerate(s)]
-    return rows
+        if "bases" in shared:
+            lam = shared["bases"][var].sigma
+            spectra.append(("state", var, np.sqrt(lam), lam))
+        else:
+            X = snaps.states[var]
+            s = np.linalg.svd(center_snapshots(X)[0] if cfg.center else X,
+                              compute_uv=False)
+            spectra.append(("state", var, s, s ** 2))
+    spectra += [("nonlinear", term, s, s ** 2)
+                for term, (_, s) in shared["term_svds"].items()]
+    return [(grid_name, cfg.window, kind, name, i, s, sq)
+            for kind, name, sigma, lam in spectra
+            for i, (s, sq) in enumerate(zip(sigma.tolist(), lam.tolist()), start=1)]
 
 
-def _deim_point_rows(cfg, grid, snaps, deim_ops) -> list[dict]:
+def _deim_point_lines(cfg, grid_name, grid, snaps, shared) -> list[str]:
     """Per-node max-over-time statistic with greedy selection order.
 
-    Points for smaller m are prefixes of the exported ordering, so one
-    export covers the whole m sweep.
+    Points are selected once, at the largest m, from the shared term bases;
+    points for smaller m are prefixes of that ordering, so one export covers
+    the whole m sweep.
     """
-    rows = []
-    x = grid.x_coords()
-    y = grid.y_coords()
+    m_max = max(cfg.m_values)
+    try:
+        points = {term: deim_select_points(U[:, :m_max])
+                  for term, (U, _) in shared["term_svds"].items()}
+    except (np.linalg.LinAlgError, ValueError):
+        points = None
+    nodes = np.arange(grid.n)
+    node_fields = [f"{i},{ix},{iy},{x!r},{y!r}" for i, ix, iy, x, y in zip(
+        nodes.tolist(), (nodes % grid.nx).tolist(), (nodes // grid.nx).tolist(),
+        grid.x_coords().tolist(), grid.y_coords().tolist())]
+    lines = []
     for term in TERM_NAMES:
         stat = np.max(np.abs(snaps.nonlinear[term]), axis=1)
-        order = np.zeros(grid.n, dtype=int)
-        if deim_ops is not None:
-            for rank_idx, node in enumerate(deim_ops[term].points, start=1):
-                order[node] = rank_idx
-        for node in range(grid.n):
-            rows.append({"grid": f"{grid.nx}x{grid.ny}", "window": cfg.window,
-                         "term": term, "index": node,
-                         "ix": node % grid.nx, "iy": node // grid.nx,
-                         "x_m": float(x[node]), "y_m": float(y[node]),
-                         "max_abs_over_time": float(stat[node]),
-                         "deim_order": int(order[node])})
-    return rows
+        order = np.zeros(grid.n, dtype=np.int64)
+        if points is not None:
+            order[points[term]] = np.arange(1, points[term].shape[0] + 1)
+        head = f"{grid_name},{cfg.window},{term},"
+        lines += [f"{head}{node},{s!r},{o}\r\n" for node, s, o in
+                  zip(node_fields, stat.tolist(), order.tolist())]
+    return lines
 
 
 def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
@@ -323,12 +362,11 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
         return [rep], [], []
     snapshots_s = time.perf_counter() - t0
 
+    shared = _shared_offline(cfg, ops, f, snaps)
     reports = []
     if "full" in cfg.modes:
         rep = _base_report(cfg, grid, dt, nt, "full")
-        rep.snapshots_s = snapshots_s
-        rep.offline_total_s = snapshots_s
-        rep.end_to_end_s = snapshots_s
+        rep.snapshots_s = rep.offline_total_s = rep.end_to_end_s = snapshots_s
         rep.newton_iters = full_tm.newton_iters
         reports.append(rep)
 
@@ -340,7 +378,7 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
             rep.m = m
             rep.snapshots_s = snapshots_s
             try:
-                _rom_pipeline(cfg, grid, ops, f, ic, snaps, scfg, mode, m, rep)
+                _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, rep)
             except NonConvergenceError as err:
                 rep.status = (f"nonconverged: residual {err.residual:.3e} "
                               f"after {err.iterations} iterations")
@@ -349,24 +387,11 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
             reports.append(rep)
 
     # diagnostics for plots (untimed): spectra and sampled-point statistics
-    spectra = _spectra_rows(cfg, grid, snaps)
-    deim_rows = []
-    if "pod-deim" in cfg.modes:
-        m_max = max(cfg.m_values)
-        try:
-            ops_for_export = {}
-            bases = build_state_bases(snaps.states, k=cfg.k, gamma=cfg.gamma,
-                                      center=cfg.center)
-            space = ReducedSpace(bases, ops, f)
-            for term in TERM_NAMES:
-                V = np.linalg.svd(snaps.nonlinear[term],
-                                  full_matrices=False)[0][:, :m_max]
-                ops_for_export[term] = build_deim_term_operator(
-                    space, term, V, deim_select_points(V))
-            deim_rows = _deim_point_rows(cfg, grid, snaps, ops_for_export)
-        except (np.linalg.LinAlgError, ValueError):
-            deim_rows = _deim_point_rows(cfg, grid, snaps, None)
-    return reports, spectra, deim_rows
+    grid_name = f"{grid.nx}x{grid.ny}"
+    spectra = _spectra_rows(cfg, grid_name, snaps, shared)
+    deim_lines = (_deim_point_lines(cfg, grid_name, grid, snaps, shared)
+                  if "pod-deim" in cfg.modes else [])
+    return reports, spectra, deim_lines
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -375,25 +400,19 @@ def run_experiment(cfg: ExperimentConfig):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.timed_serial or cfg.workers <= 1:
-        per_grid = [_run_grid(cfg, nx, ny) for nx, ny in cfg.grids]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_grid = list(pool.map(lambda g: _run_grid(cfg, *g), cfg.grids))
-
+    per_grid = [_run_grid(cfg, nx, ny) for nx, ny in cfg.grids]
     reports = [rep for grid_out in per_grid for rep in grid_out[0]]
     spectra = [row for grid_out in per_grid for row in grid_out[1]]
-    deim_rows = [row for grid_out in per_grid for row in grid_out[2]]
+    deim_lines = [line for grid_out in per_grid for line in grid_out[2]]
 
     write_run_report(reports, out / "run_report.csv")
-    _write_rows(spectra, ["grid", "window", "kind", "name", "index", "sigma", "lambda"],
-                out / "spectra.csv")
-    if deim_rows:
-        _write_rows(deim_rows, ["grid", "window", "term", "index", "ix", "iy",
-                                "x_m", "y_m", "max_abs_over_time", "deim_order"],
-                    out / "deim_points.csv")
+    _write_lines([f"{g},{w},{kind},{name},{i},{s!r},{sq!r}\r\n"
+                  for g, w, kind, name, i, s, sq in spectra],
+                 SPECTRA_COLUMNS, out / "spectra.csv")
+    if deim_lines:
+        _write_lines(deim_lines, DEIM_POINT_COLUMNS, out / "deim_points.csv")
     write_timing_vs_n(reports, out / "timing_vs_n.csv")
-    return reports, {"spectra": spectra, "deim_points": deim_rows}
+    return reports, {"spectra": [dict(zip(SPECTRA_COLUMNS, row)) for row in spectra]}
 
 
 # --- CSV plumbing -------------------------------------------------------------
@@ -406,45 +425,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(rows: list[dict], columns: list[str], path) -> None:
+def _write_lines(lines: list[str], columns: list[str], path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(lines)
+
+
+def _write_reports(reports: list[RunReport], columns: list[str], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+        writer.writerows([_fmt(getattr(rep, c)) for c in columns] for rep in reports)
 
 
 def write_run_report(reports: list[RunReport], path) -> None:
-    rows = [{c: getattr(rep, c) for c in REPORT_COLUMNS} for rep in reports]
-    _write_rows(rows, REPORT_COLUMNS, path)
+    _write_reports(reports, REPORT_COLUMNS, path)
 
 
 def write_timing_vs_n(reports: list[RunReport], path) -> None:
     columns = ["n", "grid", "window", "mode", "k", "m",
                "offline_total_s", "online_s", "online_nonlinear_s"]
-    rows = [{c: getattr(rep, c) for c in columns}
-            for rep in sorted(reports, key=lambda r: (r.n, r.mode, r.m or 0))
-            if rep.status == "ok"]
-    _write_rows(rows, columns, path)
+    _write_reports(sorted((rep for rep in reports if rep.status == "ok"),
+                          key=lambda r: (r.n, r.mode, r.m or 0)), columns, path)
 
 
 def read_run_report(path) -> list[RunReport]:
     """Parse run_report.csv back into report rows (for plot export)."""
-    converters = {f.name: f.type for f in fields(RunReport)}
-    reports = []
+    types = {f.name: f.type for f in fields(RunReport)}
+    parse = {"int": int, "int | None": int, "float": float, "float | None": float}
     with open(path, newline="") as fh:
-        for raw in csv.DictReader(fh):
-            kwargs = {}
-            for key, text in raw.items():
-                if key not in converters:
-                    continue
-                if text == "":
-                    kwargs[key] = None
-                elif converters[key] in ("int", "int | None"):
-                    kwargs[key] = int(text)
-                elif converters[key] in ("float", "float | None"):
-                    kwargs[key] = float(text)
-                else:
-                    kwargs[key] = text
-            reports.append(RunReport(**kwargs))
-    return reports
+        # columns this version does not know (an older report's seed) are skipped
+        return [RunReport(**{key: None if text == "" else parse.get(types[key], str)(text)
+                             for key, text in raw.items() if key in types})
+                for raw in csv.DictReader(fh)]

@@ -263,16 +263,10 @@ def cmd_bench(args) -> int:
         cfg.modes = args.mode
     if args.out:
         cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.timed_serial is not None:
-        cfg.timed_serial = args.timed_serial
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.domain_km:
         cfg.domain_km = _parse_domain_km(args.domain_km)
 
-    reports, extras = run_experiment(cfg)
+    reports, _ = run_experiment(cfg)
     for rep in reports:
         if rep.mode == "full":
             print(f"{rep.grid} full: {rep.snapshots_s:.3f}s")
@@ -370,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", action="append", type=int)
     p.add_argument("--mode", action="append", choices=list(ALL_MODES))
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--timed-serial", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--workers", type=int)
     p.add_argument("--domain-km", help="LxD in kilometers, e.g. 6000x4400")
     p.set_defaults(func=cmd_bench)
 

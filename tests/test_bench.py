@@ -1,8 +1,13 @@
+import csv
+import io
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from swerom.bench import (
     ExperimentConfig,
+    RunReport,
     build_state_bases,
     read_run_report,
     run_experiment,
@@ -112,13 +117,64 @@ def test_csv_outputs_exist_and_parse(small_sweep):
 
 def test_deim_points_rows_complete(small_sweep):
     cfg, reports, extras, out = small_sweep
-    rows = extras["deim_points"]
+    with open(out / "deim_points.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     n = 13 * 11
     assert len(rows) == 6 * n
     f11 = [r for r in rows if r["term"] == "F11"]
-    orders = sorted(r["deim_order"] for r in f11 if r["deim_order"] > 0)
+    orders = sorted(int(r["deim_order"]) for r in f11 if int(r["deim_order"]) > 0)
     assert orders == list(range(1, 9))  # m_max = 8 selected points
-    assert all(0 <= r["index"] < n for r in f11)
+    assert all(0 <= int(r["index"]) < n for r in f11)
+
+
+@pytest.mark.parametrize("name", ["deim_points.csv", "spectra.csv"])
+def test_diagnostic_tables_match_csv_writer(small_sweep, name):
+    # the tables are joined by hand; csv.writer with repr floats must give
+    # the same bytes (header, CRLF line ends, shortest-repr floats)
+    _, _, _, out = small_sweep
+    raw = (out / name).read_bytes()
+    with open(out / name, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    float_columns = {"x_m", "y_m", "max_abs_over_time", "sigma", "lambda"}
+    for row in rows:
+        writer.writerow([repr(float(v)) if c in float_columns else v
+                         for c, v in zip(header, row)])
+    assert len(rows) > 0
+    assert buf.getvalue().encode() == raw
+
+
+def test_one_svd_per_snapshot_matrix(tmp_path, monkeypatch):
+    # 3 state + 6 term matrices per grid, shared by every row, the spectra
+    # and the DEIM-point export
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    grid = dict(grids=[(13, 11)], window="custom", dt=300.0, nt=10, k=5)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    reports, _ = run_experiment(ExperimentConfig(**grid, m_values=[6, 8],
+                                                 out_dir=str(tmp_path / "all")))
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert len(calls) == 9
+    assert [(r.mode, r.m) for r in reports] == [
+        ("full", None), ("standard-pod", None), ("tensorial-pod", None),
+        ("pod-deim", 6), ("pod-deim", 8)]
+    # each row equals a sweep of its mode (and m) alone, so no row sees a
+    # shared object another row changed
+    for i, rep in enumerate(reports):
+        alone, _ = run_experiment(ExperimentConfig(
+            **grid, modes=[rep.mode], m_values=[rep.m or 6],
+            out_dir=str(tmp_path / f"alone{i}")))
+        assert len(alone) == 1
+        for f in fields(RunReport):
+            if not f.name.endswith("_s"):  # wall-clock columns
+                assert getattr(alone[0], f.name) == getattr(rep, f.name), (rep.mode, f.name)
 
 
 def test_failed_rows_recorded_and_sweep_continues(tmp_path):
@@ -143,15 +199,6 @@ def test_full_run_failure_is_structured(tmp_path):
     assert len(reports) == 1
     assert reports[0].mode == "full"
     assert reports[0].status.startswith("nonconverged")
-
-
-def test_parallel_workers_smoke(tmp_path):
-    cfg = ExperimentConfig(grids=[(9, 7), (11, 9)], window="custom", dt=200.0,
-                           nt=3, k=3, modes=["full", "tensorial-pod"],
-                           timed_serial=False, workers=2, out_dir=str(tmp_path))
-    reports, _ = run_experiment(cfg)
-    assert [r.grid for r in reports] == ["9x7", "9x7", "11x9", "11x9"]
-    assert all(r.status == "ok" for r in reports)
 
 
 # --- plots ------------------------------------------------------------------------
