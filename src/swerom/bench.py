@@ -147,6 +147,7 @@ class RunReport:
     online_nonlinear_s: float | None = None
     end_to_end_s: float | None = None
     newton_iters: int | None = None
+    worst_residual: float | None = None
     relerr_u: float | None = None
     relerr_v: float | None = None
     relerr_phi: float | None = None
@@ -268,6 +269,7 @@ def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
     report.online_s = rom_tm.total_s
     report.online_nonlinear_s = rom_tm.nonlinear_s
     report.newton_iters = rom_tm.newton_iters
+    report.worst_residual = rom_tm.worst_residual
     report.offline_total_s = (report.snapshots_s or 0.0) + sum(
         t for t in (report.svd_state_s, report.svd_nonlinear_s, report.deim_points_s,
                     report.deim_projector_s, report.tensors_s) if t is not None)
@@ -368,6 +370,7 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
         rep = _base_report(cfg, grid, dt, nt, "full")
         rep.snapshots_s = rep.offline_total_s = rep.end_to_end_s = snapshots_s
         rep.newton_iters = full_tm.newton_iters
+        rep.worst_residual = full_tm.worst_residual
         reports.append(rep)
 
     for mode in cfg.modes:
@@ -420,8 +423,8 @@ def run_experiment(cfg: ExperimentConfig):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr names its type
+        return repr(float(value))
     return str(value)
 
 

@@ -140,12 +140,13 @@ def cmd_run_full(args) -> int:
     save_snapshots(snaps, out / "snapshots.snap")
     meta = {"nx": nx, "ny": ny, "dt": dt, "nt": nt,
             "newton_tol": cfg.newton_tol, "newton_iters": tm.newton_iters,
+            "rhs_evals": tm.rhs_evals,
             "wall_s": elapsed, "assembly_s": tm.assembly_s,
             "factorization_s": tm.factorization_s, "solve_s": tm.solve_s,
             "recording_s": tm.recording_s}
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     print(f"completed {nt} steps to t={final.time:g}s in {elapsed:.3f}s "
-          f"({tm.newton_iters} Newton iterations)")
+          f"({tm.newton_iters} Newton iterations, {tm.rhs_evals} right-hand sides)")
     print(f"wrote {out / 'snapshots.snap'}")
     return 0
 
@@ -223,7 +224,8 @@ def cmd_run_rom(args) -> int:
     save_snapshots(SnapshotSet(grid=grid, dt=float(meta["dt"]), times=times,
                                states=lifted), out / "rom_trajectory.snap")
     print(f"{mode}: {nt} steps in {elapsed:.3f}s "
-          f"(nonlinear phase {tm.nonlinear_s:.3f}s, {tm.newton_iters} Newton iterations)")
+          f"(nonlinear phase {tm.nonlinear_s:.3f}s, {tm.newton_iters} Newton iterations, "
+          f"{tm.rhs_evals} right-hand sides)")
     if args.snapshots:
         full = load_snapshots(args.snapshots, nonlinear=False)
         errors = trajectory_errors(full.states, lifted)

@@ -50,8 +50,8 @@ class PodBasis:
     """Orthonormal trial/test bases for one variable, plus its spectrum.
 
     ``sigma`` is the full nonincreasing spectrum of squared singular values;
-    ``U`` keeps only the leading ``k`` modes. Under Galerkin projection
-    (the default) ``W is U``.
+    ``U`` keeps only the leading ``k`` modes. Projection is Galerkin:
+    every pipeline builds or loads the basis with ``W is U``.
     """
 
     var: str
@@ -71,14 +71,6 @@ class PodBasis:
 
     def lift(self, xt: np.ndarray) -> np.ndarray:
         return self.xbar + self.U @ xt
-
-    def with_test_basis(self, W: np.ndarray) -> "PodBasis":
-        """Petrov-Galerkin variant; requires W^T U = I."""
-        dev = np.max(np.abs(W.T @ self.U - np.eye(self.k))) if self.k else 0.0
-        if dev > 1e-10:
-            raise ValueError(f"test basis violates W^T U = I (max deviation {dev:.2e})")
-        return PodBasis(var=self.var, U=self.U, W=W, xbar=self.xbar,
-                        sigma=self.sigma, k=self.k, gamma=self.gamma)
 
 
 def center_snapshots(snaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ A :class:`ReducedSpace` bundles per-variable bases with the difference
 operators and precomputes every projected array the reduced model needs.
 The nonlinear right-hand side can then be evaluated three ways:
 
-* plain lift-evaluate-project (cost grows with the full dimension n),
+* plain lift-evaluate-project: one lift of each variable and of its
+  derivative, the latter by the sparse difference operator applied to the
+  lifted field (cost grows with the full dimension n),
 * contraction against precomputed coefficient tensors (cost depends only
   on the basis sizes; both builds share the GEMM routine
   :func:`product_tensors`, with P = W^T over all n rows here and the DEIM
@@ -114,7 +116,7 @@ class ReducedSpace:
         self.ops = ops
         self.f = f
         self.n = bases["u"].n
-        # derivative bases A_axis @ U and derivative means A_axis @ xbar
+        # derivative bases A_axis @ U and means A_axis @ xbar, for the tensor builds
         self.dbasis: dict[tuple[str, str], np.ndarray] = {}
         self.dmean: dict[tuple[str, str], np.ndarray] = {}
         for var, basis in bases.items():
@@ -324,25 +326,30 @@ def _sampled_products(terms, deim_ops, sl, K):
 
 
 def _lift_project(terms, space, sl, K):
-    """Lift each variable and its derivative along the direction's axis once,
-    sum each equation's products over all n rows, project with W^T."""
-    axis = TERMS[terms[0]][0][3]
-    bases = [space.bases[var] for var in VARIABLES]
-    dbasis = [space.dbasis[var, axis] for var in VARIABLES]
-    dmean = [space.dmean[var, axis] for var in VARIABLES]
-    slices = [sl(var) for var in VARIABLES]
-    products = {eq: [(coef, VARIABLES.index(avar), VARIABLES.index(bvar))
-                     for t in terms if TERM_EQUATION[t] == eq
-                     for coef, avar, bvar, _ in TERMS[t]] for eq in VARIABLES}
-    equations = [(slices[e], bases[e].W.T, products[eq]) for e, eq in enumerate(VARIABLES)]
+    """One lift of each variable and of its derivative: U @ x + xbar, then
+    the direction's sparse difference operator applied to the lifted field.
+    Each equation's products are summed in place over all n rows and
+    projected with W^T; W is U, so the projection reads the arrays the lift
+    just read."""
+    A = space.ops.Ax if TERMS[terms[0]][0][3] == "x" else space.ops.Ay
+    lifts = [(sl(var), space.bases[var].U, space.bases[var].xbar) for var in VARIABLES]
+    equations = [(sl(eq), space.bases[eq].W.T,
+                  [(coef, VARIABLES.index(avar), VARIABLES.index(bvar))
+                   for t in terms if TERM_EQUATION[t] == eq
+                   for coef, avar, bvar, _ in TERMS[t]]) for eq in VARIABLES]
 
     def quadratic(z):
-        x = [z[s] for s in slices]
-        a = [b.xbar + b.U @ xv for b, xv in zip(bases, x)]
-        bx = [mean + D @ xv for mean, D, xv in zip(dmean, dbasis, x)]
+        a = [U @ z[s] + xbar for s, U, xbar in lifts]
+        bx = [A @ field for field in a]
         out = np.empty(K)
         for s, Wt, prods in equations:
-            out[s] = Wt @ sum(coef * (a[i] * bx[j]) for coef, i, j in prods)
+            acc = None
+            for coef, i, j in prods:
+                prod = a[i] * bx[j]
+                if coef != 1.0:
+                    prod *= coef
+                acc = prod if acc is None else np.add(acc, prod, out=acc)
+            out[s] = Wt @ acc
         return out
     return quadratic
 
@@ -453,6 +460,7 @@ class RomTimings:
     solve_s: float = 0.0
     total_s: float = 0.0        # includes packing the directions
     newton_iters: int = 0
+    rhs_evals: int = 0          # right-hand sides evaluated
     steps: int = 0
     worst_residual: float = 0.0  # largest accepted relative residual
 
@@ -500,6 +508,7 @@ class ReducedModel:
         t0 = time.perf_counter()
         out = d.rhs(z)
         timings.nonlinear_s += time.perf_counter() - t0
+        timings.rhs_evals += 1
         return out
 
     def _factor(self, d: PackedDirection, z: np.ndarray, dt2: float,
@@ -516,7 +525,8 @@ class ReducedModel:
 
     def _half_step(self, z0, explicit_part, name, dt2, refresh, timings):
         """Solve z - dt2 * rhs(z) = explicit_part for direction ``name``
-        by quasi-Newton from z0."""
+        by quasi-Newton from z0. Returns the accepted z and rhs(z), which
+        its last residual evaluated."""
         cfg = self.cfg
         d = self._directions[name]
         if not np.all(np.isfinite(explicit_part)):
@@ -532,9 +542,10 @@ class ReducedModel:
             scale = 1.0
 
         def residual(zk):
-            return zk - explicit_part - dt2 * self._rhs(d, zk, timings)
+            r = self._rhs(d, zk, timings)
+            return zk - explicit_part - dt2 * r, r
 
-        G = residual(z)
+        G, r = residual(z)
         res = np.linalg.norm(G)
         if not np.isfinite(res):
             raise NonConvergenceError(
@@ -545,7 +556,7 @@ class ReducedModel:
             if res <= cfg.newton_tol * scale:
                 timings.newton_iters += it
                 timings.worst_residual = max(timings.worst_residual, res / scale)
-                return z
+                return z, r
             t0 = time.perf_counter()
             # lu_solve without its finiteness check and batching wrapper (G is finite)
             delta, info = _getrs(lu, piv, -G, overwrite_b=True)
@@ -554,26 +565,26 @@ class ReducedModel:
                 raise ValueError(f"getrs: illegal value in argument {-info}")
             alpha = 1.0
             z_try = z + delta
-            G_try = residual(z_try)
+            G_try, r_try = residual(z_try)
             res_try = np.linalg.norm(G_try)
             while alpha > 0.015 and (not np.isfinite(res_try) or res_try >= res):
                 alpha *= 0.5
                 z_try = z + alpha * delta
-                G_try = residual(z_try)
+                G_try, r_try = residual(z_try)
                 res_try = np.linalg.norm(G_try)
             if not np.isfinite(res_try):
                 raise NonConvergenceError(
                     "reduced quasi-Newton residual is not finite",
                     residual=float("inf"), iterations=it + 1)
             slow = slow + 1 if res_try > 0.25 * res else 0
-            z, G, res = z_try, G_try, res_try
+            z, G, res, r = z_try, G_try, res_try, r_try
             if slow >= 2:
                 lu, piv = self._lu[name] = self._factor(d, z, dt2, timings)
                 slow = 0
         if res <= cfg.newton_tol * scale:
             timings.newton_iters += cfg.newton_max_iters
             timings.worst_residual = max(timings.worst_residual, res / scale)
-            return z
+            return z, r
         raise NonConvergenceError(
             f"reduced quasi-Newton stalled at relative residual {res / scale:.3e} "
             f"after {cfg.newton_max_iters} iterations ({self.mode})",
@@ -591,10 +602,11 @@ class ReducedModel:
         z = self._pack(state)
         # a blown-up state ends in NonConvergenceError, without overflow warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            # x implicit with the y terms explicit, then the reverse
-            for implicit, explicit in (("x", "y"), ("y", "x")):
-                b = z + dt2 * self._rhs(self._directions[explicit], z, timings)
-                z = self._half_step(z, b, implicit, dt2, refresh, timings)
+            # x implicit with the y terms explicit, then the reverse; the x
+            # half-step's accepted rhs_x(z) is the second one's explicit part
+            r = self._rhs(self._directions["y"], z, timings)
+            for implicit in ("x", "y"):
+                z, r = self._half_step(z, z + dt2 * r, implicit, dt2, refresh, timings)
         timings.steps += 1
         return self._unpack(z, state.time + cfg.dt)
 

@@ -87,6 +87,7 @@ class PhaseTimings:
     recording_s: float = 0.0
     total_s: float = 0.0
     newton_iters: int = 0
+    rhs_evals: int = 0          # right-hand sides evaluated
     steps: int = 0
     worst_residual: float = 0.0  # largest accepted relative residual
 
@@ -231,8 +232,9 @@ class FullSolver:
         safeguard when the stale iteration stops contracting, which stays
         dormant at the CFL numbers of normal runs.
 
-        Returns (solution, solve) where ``solve`` reflects any safeguard
-        refactorization so the caller can keep reusing it.
+        Returns (solution, solve, rhs): ``solve`` reflects any safeguard
+        refactorization so the caller can keep reusing it, and ``rhs`` is
+        _rhs(solution, terms), which the last residual evaluated.
         """
         cfg = self.cfg
         if solve is None:
@@ -244,19 +246,21 @@ class FullSolver:
 
         def residual(wk):
             t0 = time.perf_counter()
-            G = wk - explicit_part - dt2 * self._rhs(wk, terms)
+            r = self._rhs(wk, terms)
+            G = wk - explicit_part - dt2 * r
             G[self._vrows] = wk[self._vrows]
             timings.assembly_s += time.perf_counter() - t0
-            return G
+            timings.rhs_evals += 1
+            return G, r
 
-        G = residual(w)
+        G, r = residual(w)
         res = np.linalg.norm(G)
         slow = 0
         for it in range(cfg.newton_max_iters + 1):
             if res <= cfg.newton_tol * scale:
                 timings.newton_iters += it
                 timings.worst_residual = max(timings.worst_residual, res / scale)
-                return w, solve
+                return w, solve, r
             if it == cfg.newton_max_iters:
                 break
             t0 = time.perf_counter()
@@ -265,19 +269,19 @@ class FullSolver:
             # backtracking keeps the iteration from overshooting at large dt
             alpha = 1.0
             w_try = w + delta
-            G_try = residual(w_try)
+            G_try, r_try = residual(w_try)
             res_try = np.linalg.norm(G_try)
             while alpha > 0.015 and (not np.isfinite(res_try) or res_try >= res):
                 alpha *= 0.5
                 w_try = w + alpha * delta
-                G_try = residual(w_try)
+                G_try, r_try = residual(w_try)
                 res_try = np.linalg.norm(G_try)
             if not np.isfinite(res_try):
                 raise NonConvergenceError(
                     "quasi-Newton residual is not finite", residual=float("inf"),
                     iterations=it + 1)
             slow = slow + 1 if res_try > 0.25 * res else 0
-            w, G, res = w_try, G_try, res_try
+            w, G, res, r = w_try, G_try, res_try, r_try
             if slow >= 2:
                 solve = self._factorize(w, terms, dt2, timings)
                 slow = 0
@@ -296,13 +300,16 @@ class FullSolver:
         refresh = (step_index % cfg.lu_refresh_every == 0)
 
         w = self._pack(state)
-        # x implicit with the y terms explicit, then the reverse
-        for implicit, explicit in ((X_TERMS, Y_TERMS), (Y_TERMS, X_TERMS)):
-            t0 = time.perf_counter()
-            b = w + dt2 * self._rhs(w, explicit)
-            timings.assembly_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        r = self._rhs(w, Y_TERMS)
+        timings.assembly_s += time.perf_counter() - t0
+        timings.rhs_evals += 1
+        # x implicit with the y terms explicit, then the reverse; the x
+        # half-step's accepted _rhs(w, X_TERMS) is the second one's explicit part
+        for implicit in (X_TERMS, Y_TERMS):
             solve = None if refresh else self._solves.get(implicit)
-            w, self._solves[implicit] = self._half_step(w, b, implicit, dt2, solve, timings)
+            w, self._solves[implicit], r = self._half_step(w, w + dt2 * r, implicit,
+                                                          dt2, solve, timings)
         timings.steps += 1
         return self._unpack(w, state.time + cfg.dt)
 

@@ -113,6 +113,8 @@ def test_csv_outputs_exist_and_parse(small_sweep):
     assert len(back) == len(reports)
     assert back[0].mode == "full"
     assert back[1].relerr_u == pytest.approx(reports[1].relerr_u)
+    assert [r.worst_residual for r in back] == [r.worst_residual for r in reports]
+    assert all(0.0 < r.worst_residual <= cfg.newton_tol for r in back if r.status == "ok")
 
 
 def test_deim_points_rows_complete(small_sweep):

@@ -59,6 +59,8 @@ def test_run_full_outputs(full_run_dir):
     assert snaps.grid.nx == 11
     meta = json.loads((full_run_dir / "run_meta.json").read_text())
     assert meta["nt"] == 8 and meta["wall_s"] > 0
+    # per step: one explicit part, then per half-step one residual per iterate
+    assert meta["rhs_evals"] >= meta["newton_iters"] + 3 * 8
 
 
 def test_run_full_rejects_partial_window(capsys):
@@ -120,7 +122,8 @@ def test_run_rom_all_modes(rom_dir, full_run_dir, tmp_path, mode, capsys):
     text = (out / "metrics.csv").read_text().splitlines()
     assert text[0] == "variable,relative_error,rmse_final"
     assert len(text) == 4
-    assert "relative error" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "relative error" in stdout and "right-hand sides" in stdout
 
 
 def test_run_rom_truncated_operator_exit_2(rom_dir, tmp_path, capsys):

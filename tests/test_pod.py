@@ -194,14 +194,6 @@ def test_project_lift_consistency():
     assert np.allclose(basis.project(basis.lift(xt)), xt, atol=1e-12)
 
 
-def test_petrov_galerkin_validation():
-    rng = np.random.default_rng(10)
-    basis = pod_from_snapshots(rng.standard_normal((10, 6)), k=3)
-    assert np.max(np.abs(basis.W.T @ basis.U - np.eye(3))) <= 1e-12
-    with pytest.raises(ValueError, match="W\\^T U"):
-        basis.with_test_basis(rng.standard_normal((10, 3)))
-
-
 # --- file round trip ---------------------------------------------------------------
 
 def test_basis_roundtrip(tmp_path):

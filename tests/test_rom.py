@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from swerom.deim import build_deim_term_operator, deim_select_points, deim_tensor_coefficients
+from swerom.bench import build_state_bases
+from swerom.deim import (
+    build_deim_term_operator,
+    deim_operators_from_snapshots,
+    deim_select_points,
+    deim_tensor_coefficients,
+)
 from swerom.errors import FileFormatError, NonConvergenceError
 from swerom.model import (
     FieldState,
@@ -24,6 +30,7 @@ from swerom.rom import (
     ReducedModel,
     ReducedSpace,
     ReducedState,
+    RomTimings,
     build_power_tensor,
     build_tensor_coefficients,
     contract_power,
@@ -463,6 +470,55 @@ def test_non_finite_half_step_raises_nonconvergence(mode):
             model.step(random_reduced(space, rng, scale=1e160), 0)
     assert err.value.iterations == 0  # caught before any Newton solve
     assert [str(w.message) for w in caught] == []  # no overflow warnings on stderr
+
+
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_one_rhs_per_accepted_iterate(pipeline31, mode):
+    # each half-step returns the right-hand side its last residual took at
+    # the accepted iterate, and the next half-step's explicit part uses it
+    bases = build_state_bases(pipeline31.snaps.states, k=4)
+    space = ReducedSpace(bases, pipeline31.ops, pipeline31.f)
+    if mode == "pod-deim":
+        deim_ops = deim_operators_from_snapshots(space, pipeline31.snaps.nonlinear, 6)
+        tensors = deim_tensor_coefficients(deim_ops, space)
+    else:
+        deim_ops, tensors = None, build_tensor_coefficients(space)
+    cfg = SolverConfig(dt=pipeline31.cfg.dt, nt=7)  # spans the refresh at step 6
+    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    rhs, half_step = model._rhs, model._half_step
+    calls = {"all": 0, "residual": 0}
+    inside = False
+    half_steps = []
+
+    def counting_rhs(d, z, timings):
+        calls["all"] += 1
+        calls["residual"] += inside
+        return rhs(d, z, timings)
+
+    def recording_half_step(z0, explicit_part, name, *args):
+        nonlocal inside
+        inside = True
+        try:
+            z, r = half_step(z0, explicit_part, name, *args)
+        finally:
+            inside = False
+        half_steps.append((z0.copy(), explicit_part.copy(), name, z.copy(), r.copy()))
+        return z, r
+
+    model._rhs, model._half_step = counting_rhs, recording_half_step
+    _, _, timings = model.run(project_initial(pipeline31.ic, space))
+    assert timings.rhs_evals == calls["all"] == calls["residual"] + cfg.nt
+
+    def fresh(name, z):
+        return rhs(model._directions[name], z, RomTimings())
+
+    assert len(half_steps) == 2 * cfg.nt
+    for _, _, name, z, r in half_steps:
+        assert np.array_equal(r, fresh(name, z))
+    dt2 = 0.5 * cfg.dt
+    for (_, _, name, z, _), (z0, b, next_name, _, _) in zip(half_steps[::2], half_steps[1::2]):
+        assert (name, next_name) == ("x", "y") and np.array_equal(z0, z)
+        assert np.array_equal(b, z + dt2 * fresh("x", z))
 
 
 def test_per_variable_k_trajectory_standard_equals_tensorial():

@@ -237,3 +237,45 @@ def test_accepted_residuals_below_tolerance(setup):
     for k in range(6):
         state = solver.step(state, k, tm)
     assert 0.0 < tm.worst_residual <= cfg.newton_tol
+
+
+def test_one_rhs_per_accepted_iterate(setup):
+    # each half-step returns the right-hand side its last residual took at
+    # the accepted iterate, and the next half-step's explicit part uses it
+    grid, ops, f = setup
+    cfg = SolverConfig(dt=120.0, nt=7)  # spans the refresh at step 6
+    solver = FullSolver(grid, ops, f, cfg)
+    rhs, half_step = solver._rhs, solver._half_step
+    calls = {"all": 0, "residual": 0}
+    inside = False
+    half_steps = []
+
+    def counting_rhs(w, terms):
+        calls["all"] += 1
+        calls["residual"] += inside
+        return rhs(w, terms)
+
+    def recording_half_step(w0, explicit_part, terms, *args):
+        nonlocal inside
+        inside = True
+        try:
+            w, solve, r = half_step(w0, explicit_part, terms, *args)
+        finally:
+            inside = False
+        half_steps.append((w0.copy(), explicit_part.copy(), terms, w.copy(), r.copy()))
+        return w, solve, r
+
+    solver._rhs, solver._half_step = counting_rhs, recording_half_step
+    tm = PhaseTimings()
+    state = initial_state(grid, ops)
+    for k in range(cfg.nt):
+        state = solver.step(state, k, tm)
+    assert tm.rhs_evals == calls["all"] == calls["residual"] + cfg.nt
+
+    assert len(half_steps) == 2 * cfg.nt
+    for _, _, terms, w, r in half_steps:
+        assert np.array_equal(r, rhs(w, terms))
+    dt2 = 0.5 * cfg.dt
+    for (_, _, terms, w, _), (w0, b, next_terms, _, _) in zip(half_steps[::2], half_steps[1::2]):
+        assert (terms, next_terms) == (X_TERMS, Y_TERMS) and np.array_equal(w0, w)
+        assert np.array_equal(b, w + dt2 * rhs(w, X_TERMS))
