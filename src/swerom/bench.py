@@ -198,8 +198,10 @@ def _base_report(cfg: ExperimentConfig, grid, dt: float, nt: int, mode: str) -> 
 def _shared_offline(cfg, ops, f, snaps) -> dict:
     """A grid's off-line work, done once for all of its rows: one SVD per
     snapshot matrix (state ``bases`` and ``space``; ``term_svds``, each term's
-    ``(U, s)``, ``U`` None without pod-deim rows) and the full-sum ``tensors``,
-    with their seconds. A failed state stage's exception is kept as ``error``."""
+    ``(U, s)``, ``U`` None without pod-deim rows), each term's DEIM ``points``
+    at the largest m and the full-sum ``tensors``, with their seconds. A
+    failed state stage's exception is kept as ``error``; a failed point
+    selection leaves ``points`` out."""
     shared = {}
     t0 = time.perf_counter()
     try:
@@ -217,6 +219,15 @@ def _shared_offline(cfg, ops, f, snaps) -> dict:
             else (None, np.linalg.svd(snaps.nonlinear[t], compute_uv=False)))
         for t in TERM_NAMES}
     shared["term_s"] = time.perf_counter() - t0
+    if "pod-deim" in cfg.modes:
+        # greedy points are nested: the first m at max(m) are the points at m
+        t0 = time.perf_counter()
+        try:
+            shared["points"] = {t: deim_select_points(U[:, :max(cfg.m_values)])
+                                for t, (U, _) in shared["term_svds"].items()}
+            shared["points_s"] = time.perf_counter() - t0
+        except (np.linalg.LinAlgError, ValueError):
+            pass  # each row selects its own points
     if "space" in shared and {"standard-pod", "tensorial-pod"} & set(cfg.modes):
         t0 = time.perf_counter()
         shared["tensors"] = build_tensor_coefficients(shared["space"])
@@ -245,9 +256,15 @@ def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
             raise ValueError(f"m={m} exceeds snapshot count/rank bound {bound}")
         report.svd_nonlinear_s = shared["term_s"]
         svds = {term: (U[:, :m], s) for term, (U, s) in shared["term_svds"].items()}
-        t0 = time.perf_counter()
-        points = {term: deim_select_points(svds[term][0]) for term in TERM_NAMES}
-        report.deim_points_s = time.perf_counter() - t0
+        shared_s = report.svd_state_s + report.svd_nonlinear_s
+        if "points" in shared:
+            points = {term: p[:m] for term, p in shared["points"].items()}
+            report.deim_points_s = shared["points_s"]
+            shared_s += report.deim_points_s
+        else:
+            t0 = time.perf_counter()
+            points = {term: deim_select_points(svds[term][0]) for term in TERM_NAMES}
+            report.deim_points_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         deim_ops = {term: build_deim_term_operator(space, term, svds[term][0],
                                                    points[term], sigma=svds[term][1])
@@ -256,7 +273,6 @@ def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
         t0 = time.perf_counter()
         tensors = deim_tensor_coefficients(deim_ops, space)
         report.tensors_s = time.perf_counter() - t0
-        shared_s = report.svd_state_s + report.svd_nonlinear_s
     else:
         tensors = shared["tensors"]
         report.tensors_s = shared["tensors_s"]
@@ -315,16 +331,11 @@ def _spectra_rows(cfg, grid_name, snaps, shared) -> list[tuple]:
 def _deim_point_lines(cfg, grid_name, grid, snaps, shared) -> list[str]:
     """Per-node max-over-time statistic with greedy selection order.
 
-    Points are selected once, at the largest m, from the shared term bases;
-    points for smaller m are prefixes of that ordering, so one export covers
-    the whole m sweep.
+    The order is that of the shared points at the largest m (0 everywhere
+    when that selection failed); points for smaller m are prefixes of it, so
+    one export covers the whole m sweep.
     """
-    m_max = max(cfg.m_values)
-    try:
-        points = {term: deim_select_points(U[:, :m_max])
-                  for term, (U, _) in shared["term_svds"].items()}
-    except (np.linalg.LinAlgError, ValueError):
-        points = None
+    points = shared.get("points")
     nodes = np.arange(grid.n)
     node_fields = [f"{i},{ix},{iy},{x!r},{y!r}" for i, ix, iy, x, y in zip(
         nodes.tolist(), (nodes % grid.nx).tolist(), (nodes // grid.nx).tolist(),

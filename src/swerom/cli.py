@@ -140,13 +140,14 @@ def cmd_run_full(args) -> int:
     save_snapshots(snaps, out / "snapshots.snap")
     meta = {"nx": nx, "ny": ny, "dt": dt, "nt": nt,
             "newton_tol": cfg.newton_tol, "newton_iters": tm.newton_iters,
-            "rhs_evals": tm.rhs_evals,
+            "rhs_evals": tm.rhs_evals, "pivoted_factorizations": tm.pivoted_factorizations,
             "wall_s": elapsed, "assembly_s": tm.assembly_s,
             "factorization_s": tm.factorization_s, "solve_s": tm.solve_s,
             "recording_s": tm.recording_s}
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     print(f"completed {nt} steps to t={final.time:g}s in {elapsed:.3f}s "
-          f"({tm.newton_iters} Newton iterations, {tm.rhs_evals} right-hand sides)")
+          f"({tm.newton_iters} Newton iterations, {tm.rhs_evals} right-hand sides, "
+          f"{tm.pivoted_factorizations} pivoted factorizations)")
     print(f"wrote {out / 'snapshots.snap'}")
     return 0
 

@@ -287,7 +287,16 @@ def eval_nonlinear(term: str, state: FieldState, ops: DifferenceOperators) -> np
 
 
 def all_nonlinear(state: FieldState, ops: DifferenceOperators) -> dict[str, np.ndarray]:
-    return {name: eval_nonlinear(name, state, ops) for name in TERM_NAMES}
+    """Every term, as :func:`eval_nonlinear` gives it, from one derivative per
+    (axis, variable)."""
+    deriv = {(axis, var): _operator(ops, axis) @ state[var]
+             for axis in ("x", "y") for var in VARIABLES}
+    out = {}
+    for name in TERM_NAMES:
+        out[name] = acc = np.zeros(state.n)
+        for coef, avar, bvar, axis in TERMS[name]:
+            acc += coef * state[avar] * deriv[axis, bvar]
+    return out
 
 
 def full_rhs(

@@ -15,7 +15,10 @@ where the Newton matrix is assembled and LU-factorized only every
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
 in the folded x order 0, nx-1, 1, nx-2, ... for x, x-columns for y), the
-Newton matrix is banded and is factorized by LAPACK ``dgbtrf``/``dgbtrs``.
+Newton matrix is banded and is factorized by LAPACK ``dgbtrf``. When the
+factorization interchanges no row, which holds up to a wave-CFL indicator
+near 3, each solve applies L and U with one BLAS ``dtbsv`` each; otherwise
+it calls ``dgbtrs``. Both routes give the same bits on unpivoted factors.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg  # noqa: F401  perfbench/tracing.py wraps its splu from the loaded module
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from swerom.errors import NonConvergenceError
@@ -90,16 +94,24 @@ class PhaseTimings:
     rhs_evals: int = 0          # right-hand sides evaluated
     steps: int = 0
     worst_residual: float = 0.0  # largest accepted relative residual
+    pivoted_factorizations: int = 0  # band LUs that interchanged rows (solved by dgbtrs)
 
 
 class _BandedNewton:
     """One direction's Newton matrix I - dt2*J in LAPACK band storage.
 
     Fixed at construction: ``band[q]``, the band row of packed unknown q,
-    and ``index``, the flat position in column-major band storage of every
-    Jacobian entry in the order :meth:`assemble` evaluates them. The
-    wall-row v unknowns keep a unit row and column: their entries go to a
-    spare slot past the end, so a solve returns the right-hand side there.
+    ``A``, the derivative along the direction's axis, and ``index``, the
+    flat position in column-major band storage of every Jacobian entry in
+    the order :meth:`assemble` evaluates them. The wall-row v unknowns keep
+    a unit row and column: their entries go to a spare slot past the end,
+    so a solve returns the right-hand side there.
+
+    :meth:`factorize` solves with two triangular ``dtbsv`` calls when
+    ``dgbtrf`` interchanged no row and with ``dgbtrs`` otherwise. At a wave
+    CFL indicator up to 2.86 no grid tried (31x23 to 241x177) interchanges
+    a row; at 2.98 the y direction of 61x45 does, and at 241x177 with
+    dt = 960 s (5.7) every factorization does, up to 1,062 rows.
     """
 
     def __init__(self, grid: Grid, ops: DifferenceOperators, f: np.ndarray, terms, axis: str):
@@ -109,17 +121,20 @@ class _BandedNewton:
         line_pos = (j * nx + np.minimum(2 * i, 2 * (nx - 1 - i) + 1) if axis == "x"
                     else i * grid.ny + j)
         self.band = (3 * line_pos + np.arange(3)[:, None]).ravel()
-        self.order = np.argsort(self.band)
+        self.order = np.empty_like(self.band)  # the inverse permutation
+        self.order[self.band] = np.arange(3 * n)
+        # every product of a direction's terms differentiates along its axis
+        self.A = ops.Ax if axis == "x" else ops.Ay
+        coo = self.A.tocoo()
+        self._row, self._data = coo.row, coo.data
         self._products = []
         rows, cols = [], []
         for name in terms:
             eq = _VAR_SLOT[TERM_EQUATION[name]] * n
-            for coef, avar, bvar, paxis in TERMS[name]:
-                A = ops.Ax if paxis == "x" else ops.Ay
-                coo = A.tocoo()
+            for coef, avar, bvar, _ in TERMS[name]:
                 rows += [eq + nodes, eq + coo.row]
                 cols += [_VAR_SLOT[avar] * n + nodes, _VAR_SLOT[bvar] * n + coo.col]
-                self._products.append((coef, avar, bvar, A, coo.row, coo.data))
+                self._products.append((coef, avar, bvar))
         # trapezoidal Coriolis: each half-step carries half of it implicitly
         rows += [nodes, n + nodes]
         cols += [n + nodes, nodes]
@@ -127,21 +142,24 @@ class _BandedNewton:
 
         rows = self.band[np.concatenate(rows)]
         cols = self.band[np.concatenate(cols)]
-        walls = self.band[n + boundary_row_indices(grid)]
-        keep = ~(np.isin(rows, walls) | np.isin(cols, walls))
+        wall = np.zeros(3 * n, dtype=bool)
+        wall[self.band[n + boundary_row_indices(grid)]] = True
+        keep = ~(wall[rows] | wall[cols])
         self.kl = int(np.max(rows - cols, where=keep, initial=0))
         self.ku = int(np.max(cols - rows, where=keep, initial=0))
         self.ldab = 2 * self.kl + self.ku + 1
         self.size = self.ldab * 3 * n
         self.index = np.where(keep, self.kl + self.ku + rows - cols + self.ldab * cols, self.size)
         self.diagonal = self.kl + self.ku + self.ldab * np.arange(3 * n)
+        self._unpivoted = np.arange(3 * n, dtype=np.int32)
 
     def assemble(self, fields: dict[str, np.ndarray], dt2: float) -> np.ndarray:
         """I - dt2*J at the given fields, as a Fortran-ordered band array; J
         is d/dw of the direction's terms plus half the Coriolis term."""
+        deriv = {var: self.A @ fields[var] for var in _VAR_SLOT}
         values = []
-        for coef, avar, bvar, A, row, data in self._products:
-            values += [-coef * (A @ fields[bvar]), (-coef * fields[avar])[row] * data]
+        for coef, avar, bvar in self._products:
+            values += [-coef * deriv[bvar], (-coef * fields[avar])[self._row] * self._data]
         J = np.bincount(self.index, weights=np.concatenate(values + [self._coriolis]),
                         minlength=self.size + 1)
         ab = J[:self.size]
@@ -150,18 +168,33 @@ class _BandedNewton:
         return ab.reshape(-1, self.ldab).T
 
     def factorize(self, ab: np.ndarray):
-        """LU-factorize ``ab`` in place; returns the solve in packed order."""
+        """LU-factorize ``ab`` in place; returns the solve in packed order and
+        whether ``dgbtrf`` interchanged a row.
+
+        Without interchanges L is a unit lower band triangle: one ``dtbsv``
+        applies it from a (kl+1)-row copy of its rows, and one applies U in
+        place, the call ``dgbtrs`` makes for U. ``dgbtrs``, whose one
+        ``dger`` per column of L costs more than its arithmetic, is kept
+        for pivoted factors.
+        """
         kl, ku, order, band = self.kl, self.ku, self.order, self.band
         lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
         if info > 0:
             raise NonConvergenceError(
                 f"Newton matrix is singular (zero pivot in band row {info - 1})",
                 residual=float("nan"), iterations=0)
+        if not np.array_equal(piv, self._unpivoted):
+            def solve(rhs):
+                x, _ = dgbtrs(lu, kl, ku, rhs[order], piv, overwrite_b=True)
+                return x[band]
+            return solve, True
+
+        L = np.asfortranarray(lu[kl + ku:])  # unit diagonal row, then the multipliers
 
         def solve(rhs):
-            x, _ = dgbtrs(lu, kl, ku, rhs[order], piv, overwrite_b=True)
-            return x[band]
-        return solve
+            y = dtbsv(kl, L, rhs[order], lower=1, diag=1, overwrite_x=1)
+            return dtbsv(kl + ku, lu, y, overwrite_x=1)[band]
+        return solve, False
 
 
 class FullSolver:
@@ -197,13 +230,14 @@ class FullSolver:
         term, packed."""
         n = self.n
         fields = self._fields(w)
+        A = self._bands[terms].A
+        deriv = {var: A @ fields[var] for var in _VAR_SLOT}
         out = np.zeros(3 * n)
         for name in terms:
             slot = _VAR_SLOT[TERM_EQUATION[name]]
             acc = out[slot * n:(slot + 1) * n]
-            for coef, avar, bvar, axis in TERMS[name]:
-                A = self.ops.Ax if axis == "x" else self.ops.Ay
-                acc -= coef * fields[avar] * (A @ fields[bvar])
+            for coef, avar, bvar, _ in TERMS[name]:
+                acc -= coef * fields[avar] * deriv[bvar]
         out[:n] += 0.5 * self.f * fields["v"]
         out[n:2 * n] -= 0.5 * self.f * fields["u"]
         return out
@@ -217,8 +251,9 @@ class FullSolver:
         ab = band.assemble(self._fields(w), dt2)
         timings.assembly_s += time.perf_counter() - t0
         t0 = time.perf_counter()
-        solve = band.factorize(ab)
+        solve, pivoted = band.factorize(ab)
         timings.factorization_s += time.perf_counter() - t0
+        timings.pivoted_factorizations += pivoted
         return solve
 
     # -- Newton ----------------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from swerom import bench
 from swerom.bench import (
     ExperimentConfig,
     RunReport,
@@ -149,21 +150,28 @@ def test_diagnostic_tables_match_csv_writer(small_sweep, name):
 
 
 def test_one_svd_per_snapshot_matrix(tmp_path, monkeypatch):
-    # 3 state + 6 term matrices per grid, shared by every row, the spectra
-    # and the DEIM-point export
-    svd = np.linalg.svd
-    calls = []
+    # 3 state + 6 term matrices per grid and one point selection per term,
+    # shared by every row, the spectra and the DEIM-point export
+    svd, select = np.linalg.svd, bench.deim_select_points
+    calls, selections = [], []
 
     def counting_svd(*args, **kwargs):
         calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
+    def counting_select(V):
+        selections.append(V.shape)
+        return select(V)
+
     grid = dict(grids=[(13, 11)], window="custom", dt=300.0, nt=10, k=5)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(bench, "deim_select_points", counting_select)
     reports, _ = run_experiment(ExperimentConfig(**grid, m_values=[6, 8],
                                                  out_dir=str(tmp_path / "all")))
     monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(bench, "deim_select_points", select)
     assert len(calls) == 9
+    assert selections == [(13 * 11, 8)] * 6
     assert [(r.mode, r.m) for r in reports] == [
         ("full", None), ("standard-pod", None), ("tensorial-pod", None),
         ("pod-deim", 6), ("pod-deim", 8)]
@@ -177,6 +185,29 @@ def test_one_svd_per_snapshot_matrix(tmp_path, monkeypatch):
         for f in fields(RunReport):
             if not f.name.endswith("_s"):  # wall-clock columns
                 assert getattr(alone[0], f.name) == getattr(rep, f.name), (rep.mode, f.name)
+
+
+def test_rows_select_own_points_when_shared_selection_fails(tmp_path, monkeypatch):
+    select = bench.deim_select_points
+
+    def failing_at_8(V):
+        if V.shape[1] == 8:
+            raise np.linalg.LinAlgError("singular interpolation system")
+        return select(V)
+
+    grid = dict(grids=[(13, 11)], window="custom", dt=300.0, nt=10, k=5,
+                modes=["pod-deim"], m_values=[6, 8])
+    shared, _ = run_experiment(ExperimentConfig(**grid, out_dir=str(tmp_path / "shared")))
+    monkeypatch.setattr(bench, "deim_select_points", failing_at_8)
+    own, _ = run_experiment(ExperimentConfig(**grid, out_dir=str(tmp_path / "own")))
+    assert [r.status for r in shared] == ["ok", "ok"]
+    assert own[0].status == "ok" and own[1].status.startswith("failed: LinAlgError")
+    assert own[0].deim_points_s > 0.0
+    for f in fields(RunReport):
+        if not f.name.endswith("_s"):
+            assert getattr(own[0], f.name) == getattr(shared[0], f.name), f.name
+    with open(tmp_path / "own" / "deim_points.csv", newline="") as fh:
+        assert {row["deim_order"] for row in csv.DictReader(fh)} == {"0"}
 
 
 def test_failed_rows_recorded_and_sweep_continues(tmp_path):

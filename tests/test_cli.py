@@ -61,6 +61,7 @@ def test_run_full_outputs(full_run_dir):
     assert meta["nt"] == 8 and meta["wall_s"] > 0
     # per step: one explicit part, then per half-step one residual per iterate
     assert meta["rhs_evals"] >= meta["newton_iters"] + 3 * 8
+    assert meta["pivoted_factorizations"] == 0
 
 
 def test_run_full_rejects_partial_window(capsys):

@@ -312,6 +312,19 @@ def test_nonlinear_oracle_on_7x7():
         assert np.max(np.abs(got - want)) / denom <= 1e-13
 
 
+@pytest.mark.parametrize("shape", [(31, 23), (8, 7)])
+def test_all_nonlinear_equals_per_term_evaluation(shape):
+    # one derivative per (axis, variable) must give each term's exact bits
+    rng = np.random.default_rng(37)
+    grid = build_grid(*shape)
+    ops = build_operators(grid)
+    state = random_state(grid, rng)
+    got = model.all_nonlinear(state, ops)
+    assert list(got) == list(model.TERM_NAMES)
+    for term in model.TERM_NAMES:
+        assert got[term].tobytes() == eval_nonlinear(term, state, ops).tobytes(), term
+
+
 def test_rhs_rest_state_is_steady():
     grid = build_grid(7, 7)
     ops = build_operators(grid)

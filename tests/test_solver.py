@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from swerom.errors import NonConvergenceError
 from swerom.model import (
@@ -131,6 +132,49 @@ def test_singular_newton_matrix_raises_nonconvergence(setup):
     band = FullSolver(grid, ops, f, SolverConfig(dt=120.0, nt=1))._bands[X_TERMS]
     with pytest.raises(NonConvergenceError, match="singular"):
         band.factorize(np.zeros((band.ldab, 3 * grid.n), order="F"))
+
+
+def _newton_matrices(grid, ops, f, cfg):
+    """Run cfg.nt steps from the initial state; returns a copy of every
+    Newton matrix assembled, with its band, and the run's timings."""
+    solver = FullSolver(grid, ops, f, cfg)
+    captured = []
+    for band in solver._bands.values():
+        def capturing(fields, dt2, band=band, assemble=band.assemble):
+            ab = assemble(fields, dt2)
+            captured.append((band, ab.copy(order="F")))
+            return ab
+        band.assemble = capturing
+    tm = PhaseTimings()
+    state = initial_state(grid, ops)
+    for k in range(cfg.nt):
+        state = solver.step(state, k, tm)
+    assert np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.phi))
+    return captured, tm
+
+
+@pytest.mark.parametrize("dt, nt, pivoted", [(960.0, 8, False), (6000.0, 4, True)])
+def test_band_solve_equals_dgbtrs_on_same_factors(setup, dt, nt, pivoted):
+    # at dt=960 s dgbtrf interchanges no row and the triangular route runs;
+    # at dt=6000 s (wave CFL 4.5) every factorization interchanges rows and
+    # keeps dgbtrs. Either way the solve returns dgbtrs's bits.
+    grid, ops, f = setup
+    captured, tm = _newton_matrices(grid, ops, f,
+                                    SolverConfig(dt=dt, nt=nt, newton_max_iters=60))
+    assert (tm.pivoted_factorizations > 0) == pivoted
+    rng = np.random.default_rng(7)
+    routes = []
+    for band, ab in captured:
+        rhs = rng.standard_normal(3 * grid.n)
+        lu, piv, info = dgbtrf(ab.copy(order="F"), band.kl, band.ku)
+        assert info == 0
+        expected = dgbtrs(lu, band.kl, band.ku, rhs[band.order], piv)[0][band.band]
+        solve, used_dgbtrs = band.factorize(ab)
+        assert used_dgbtrs == (not np.array_equal(piv, np.arange(3 * grid.n)))
+        assert solve(rhs).tobytes() == expected.tobytes()
+        routes.append(used_dgbtrs)
+    assert sum(routes) == tm.pivoted_factorizations
+    assert routes == [pivoted] * len(captured)
 
 
 def test_cfl_warning_emitted(setup):
