@@ -76,7 +76,6 @@ class ExperimentConfig:
     modes: list[str] = field(default_factory=lambda: list(ALL_MODES))
     out_dir: str = "bench_out"
     center: bool = True
-    grammeltvedt_literal: bool = False
     newton_tol: float = 1e-10
     newton_max_iters: int = 25
     lu_refresh_every: int = 6
@@ -358,7 +357,7 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
     grid = build_grid(nx, ny, consts)
     ops = build_operators(grid)
     f = coriolis_field(grid, consts)
-    ic = initial_state(grid, ops, consts, literal=cfg.grammeltvedt_literal)
+    ic = initial_state(grid, ops, consts)
     scfg = SolverConfig(dt=dt, nt=nt, newton_tol=cfg.newton_tol,
                         newton_max_iters=cfg.newton_max_iters,
                         lu_refresh_every=cfg.lu_refresh_every)

@@ -32,8 +32,7 @@ from swerom.bench import (
     run_experiment,
 )
 from swerom.deim import (
-    build_deim_term_operator,
-    deim_select_points,
+    deim_operators_from_snapshots,
     deim_tensor_coefficients,
     load_deim_operator,
     save_deim_operator,
@@ -128,7 +127,7 @@ def cmd_run_full(args) -> int:
     grid = build_grid(nx, ny)
     ops = build_operators(grid)
     f = coriolis_field(grid)
-    ic = initial_state(grid, ops, literal=args.grammeltvedt_literal)
+    ic = initial_state(grid, ops)
     cfg = _solver_config(args, dt, nt)
     print(f"grid {nx}x{ny} (n={grid.n}), dt={dt:g}s, nt={nt}, "
           f"CFL indicator {cfl_indicator(ic, grid, dt):.4f}")
@@ -174,10 +173,8 @@ def cmd_build_rom(args) -> int:
                              "re-run run-full with recording enabled")
         if args.m is None:
             raise ValueError("pod-deim needs --m")
-        for term in TERM_NAMES:
-            V, s, _ = np.linalg.svd(snaps.nonlinear[term], full_matrices=False)
-            op = build_deim_term_operator(space, term, V[:, :args.m],
-                                          deim_select_points(V[:, :args.m]), sigma=s)
+        for term, op in deim_operators_from_snapshots(space, snaps.nonlinear,
+                                                      args.m).items():
             save_deim_operator(op, out / f"{term}.deim")
     meta = {"nx": grid.nx, "ny": grid.ny, "L": grid.L, "D": grid.D,
             "dt": snaps.dt, "nt": snaps.nt, "k": k_shared, "m": args.m,
@@ -328,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="31x23")
     _add_window_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--grammeltvedt-literal", action="store_true",
-                   help="audit switch: reproduce the degenerate printed form "
-                        "of the initial height")
     p.add_argument("--out", default="full_out")
     p.set_defaults(func=cmd_run_full)
 

@@ -168,26 +168,17 @@ def coriolis_field(grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS) ->
     return consts.f_hat + consts.beta * (grid.y_coords() - consts.D / 2.0)
 
 
-def grammeltvedt_height(
-    grid: Grid,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
-    literal: bool = False,
-) -> np.ndarray:
+def grammeltvedt_height(grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """Initial height field (Grammeltvedt No. 1 zonal flow).
 
     h = H0 + H1*tanh(theta) + H2*sech^2(theta)*sin(2 pi x / L) with
-    theta = 9*(D/2 - y)/(2 D). ``literal=True`` reproduces the variant
-    H0 + H1 + tanh(theta) + ... for auditability; it is physically
-    meaningless (the shear amplitude degenerates to an additive constant)
-    and exists only so the two forms can be diffed.
+    theta = 9*(D/2 - y)/(2 D).
     """
     x = grid.x_coords()
     y = grid.y_coords()
     theta = 9.0 * (consts.D / 2.0 - y) / (2.0 * consts.D)
     sech2 = 1.0 / np.cosh(theta) ** 2
     wave = consts.H2 * sech2 * np.sin(2.0 * np.pi * x / consts.L)
-    if literal:
-        return consts.H0 + consts.H1 + np.tanh(theta) + wave
     return consts.H0 + consts.H1 * np.tanh(theta) + wave
 
 
@@ -242,10 +233,9 @@ def initial_state(
     grid: Grid,
     ops: DifferenceOperators,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
-    literal: bool = False,
 ) -> FieldState:
     """Grammeltvedt height with geostrophic winds, as a FieldState."""
-    h = grammeltvedt_height(grid, consts, literal=literal)
+    h = grammeltvedt_height(grid, consts)
     f = coriolis_field(grid, consts)
     u, v = geostrophic_wind(h, ops, f, grid, consts)
     phi = geopotential_from_height(h, consts.g)

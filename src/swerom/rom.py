@@ -15,8 +15,9 @@ The nonlinear right-hand side can then be evaluated three ways:
   number of sample points).
 
 The coefficient tensors double as the analytic reduced Jacobian in all
-modes, and the reduced ADI stepper mirrors the full solver's split exactly
-so that reduced-versus-full differences isolate projection error.
+modes, and the reduced model steps through the full solver's own ADI
+quasi-Newton loop (:class:`swerom.solver.AdiNewton`) so that
+reduced-versus-full differences isolate projection error.
 
 The per-term functions (:func:`standard_pod_nonlinear`,
 :func:`tensorial_nonlinear`, :func:`reduced_jacobian`) are the reference
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from swerom.errors import FileFormatError, NonConvergenceError
+from swerom.errors import FileFormatError
 from swerom.model import (
     DifferenceOperators,
     FieldState,
@@ -57,7 +58,7 @@ from swerom.model import (
     Y_TERMS,
 )
 from swerom.pod import PodBasis
-from swerom.solver import SolverConfig
+from swerom.solver import AdiNewton, SolverConfig
 
 # LAPACK's solve with an LU factorization, as lu_solve calls it
 _getrs = scipy.linalg.lapack.dgetrs
@@ -77,8 +78,6 @@ __all__ = [
     "reduced_jacobian",
     "PackedDirection",
     "pack_directions",
-    "build_power_tensor",
-    "contract_power",
     "RomTimings",
     "ReducedModel",
     "MODES",
@@ -266,29 +265,6 @@ def reduced_jacobian(term: str, xt, tensors: TensorCoefficients) -> dict[str, np
     return blocks
 
 
-# --- generic degree-p power tensors ------------------------------------------------
-
-_LETTERS = "pqrs"
-
-
-def build_power_tensor(W: np.ndarray, U: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients for a componentwise power nonlinearity (U x)^p:
-    M[i, i1..ip] = sum_l W[l,i] U[l,i1] ... U[l,ip]."""
-    if not 2 <= p <= len(_LETTERS):
-        raise ValueError(f"p must be in [2, {len(_LETTERS)}]")
-    idx = _LETTERS[:p]
-    subscripts = "li," + ",".join(f"l{c}" for c in idx) + "->i" + idx
-    return np.einsum(subscripts, W, *([U] * p), optimize=True)
-
-
-def contract_power(M: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """Frobenius contraction of a degree-p tensor stack against xt ⊗ ... ⊗ xt."""
-    out = M
-    while out.ndim > 1:
-        out = out @ xt
-    return out
-
-
 # --- packed on-line evaluation -------------------------------------------------------
 
 def _contraction(quad, ga, gb, rows, K):
@@ -465,8 +441,9 @@ class RomTimings:
     worst_residual: float = 0.0  # largest accepted relative residual
 
 
-class ReducedModel:
-    """Reduced ADI stepper mirroring the full solver's directional split.
+class ReducedModel(AdiNewton):
+    """Reduced ADI stepper: the full solver's quasi-Newton loop over the
+    stacked reduced vector, with a dense LU in place of the band LU.
 
     The right-hand side nonlinear terms come from the selected mode
     (lift-project, tensor contraction, or a sampled evaluator); the Newton
@@ -492,7 +469,7 @@ class ReducedModel:
                         "phi": slice(ku + kv, ku + kv + self.k["phi"])}
         self.k_total = ku + kv + self.k["phi"]
         self._directions: dict[str, PackedDirection] | None = None
-        self._lu: dict[str, tuple] = {}
+        self._solves = {}  # axis -> solve with the current factorization
 
     # -- packing -----------------------------------------------------------
 
@@ -504,111 +481,44 @@ class ReducedModel:
         return ReducedState(u=z[s["u"]].copy(), v=z[s["v"]].copy(),
                             phi=z[s["phi"]].copy(), time=t)
 
-    def _rhs(self, d: PackedDirection, z: np.ndarray, timings: RomTimings) -> np.ndarray:
+    # -- the two hooks of the quasi-Newton loop ------------------------------
+
+    def _rhs(self, axis: str, z: np.ndarray, timings: RomTimings) -> np.ndarray:
         t0 = time.perf_counter()
-        out = d.rhs(z)
+        out = self._directions[axis].rhs(z)
         timings.nonlinear_s += time.perf_counter() - t0
         timings.rhs_evals += 1
         return out
 
-    def _factor(self, d: PackedDirection, z: np.ndarray, dt2: float,
-                timings: RomTimings) -> tuple:
+    def _factor(self, axis: str, z: np.ndarray, dt2: float, timings: RomTimings):
+        """Dense LU of I - dt2*J at ``z``; returns the solve."""
         t0 = time.perf_counter()
-        A = np.eye(self.k_total) - dt2 * d.jacobian(z)
+        A = np.eye(self.k_total) - dt2 * self._directions[axis].jacobian(z)
         timings.jacobian_s += time.perf_counter() - t0
         t0 = time.perf_counter()
-        lu = scipy.linalg.lu_factor(A)
+        lu, piv = scipy.linalg.lu_factor(A)
         timings.factorization_s += time.perf_counter() - t0
-        return lu
 
-    # -- Newton loop -----------------------------------------------------------
-
-    def _half_step(self, z0, explicit_part, name, dt2, refresh, timings):
-        """Solve z - dt2 * rhs(z) = explicit_part for direction ``name``
-        by quasi-Newton from z0. Returns the accepted z and rhs(z), which
-        its last residual evaluated."""
-        cfg = self.cfg
-        d = self._directions[name]
-        if not np.all(np.isfinite(explicit_part)):
-            raise NonConvergenceError(
-                f"reduced explicit half-step part is not finite ({self.mode})",
-                residual=float("inf"), iterations=0)
-        if refresh or name not in self._lu:
-            self._lu[name] = self._factor(d, z0, dt2, timings)
-        lu, piv = self._lu[name]
-        z = z0.copy()
-        scale = np.linalg.norm(z0)
-        if scale == 0.0:
-            scale = 1.0
-
-        def residual(zk):
-            r = self._rhs(d, zk, timings)
-            return zk - explicit_part - dt2 * r, r
-
-        G, r = residual(z)
-        res = np.linalg.norm(G)
-        if not np.isfinite(res):
-            raise NonConvergenceError(
-                f"reduced quasi-Newton residual is not finite ({self.mode})",
-                residual=float("inf"), iterations=0)
-        slow = 0
-        for it in range(cfg.newton_max_iters):
-            if res <= cfg.newton_tol * scale:
-                timings.newton_iters += it
-                timings.worst_residual = max(timings.worst_residual, res / scale)
-                return z, r
-            t0 = time.perf_counter()
-            # lu_solve without its finiteness check and batching wrapper (G is finite)
-            delta, info = _getrs(lu, piv, -G, overwrite_b=True)
-            timings.solve_s += time.perf_counter() - t0
+        def solve(rhs):
+            # lu_solve without its finiteness check and batching wrapper: the
+            # Newton loop solves only for finite residuals
+            x, info = _getrs(lu, piv, rhs, overwrite_b=True)
             if info != 0:
                 raise ValueError(f"getrs: illegal value in argument {-info}")
-            alpha = 1.0
-            z_try = z + delta
-            G_try, r_try = residual(z_try)
-            res_try = np.linalg.norm(G_try)
-            while alpha > 0.015 and (not np.isfinite(res_try) or res_try >= res):
-                alpha *= 0.5
-                z_try = z + alpha * delta
-                G_try, r_try = residual(z_try)
-                res_try = np.linalg.norm(G_try)
-            if not np.isfinite(res_try):
-                raise NonConvergenceError(
-                    "reduced quasi-Newton residual is not finite",
-                    residual=float("inf"), iterations=it + 1)
-            slow = slow + 1 if res_try > 0.25 * res else 0
-            z, G, res, r = z_try, G_try, res_try, r_try
-            if slow >= 2:
-                lu, piv = self._lu[name] = self._factor(d, z, dt2, timings)
-                slow = 0
-        if res <= cfg.newton_tol * scale:
-            timings.newton_iters += cfg.newton_max_iters
-            timings.worst_residual = max(timings.worst_residual, res / scale)
-            return z, r
-        raise NonConvergenceError(
-            f"reduced quasi-Newton stalled at relative residual {res / scale:.3e} "
-            f"after {cfg.newton_max_iters} iterations ({self.mode})",
-            residual=float(res), iterations=cfg.newton_max_iters)
+            return x
+        return solve
 
     def step(self, state: ReducedState, step_index: int,
              timings: RomTimings | None = None) -> ReducedState:
-        cfg = self.cfg
+        """Advance one full dt; see :meth:`swerom.solver.AdiNewton._adi_step`."""
         timings = timings if timings is not None else RomTimings()
         if self._directions is None:
             self._directions = pack_directions(self.space, self.tensors, self.mode,
                                                self.deim_ops)
-        dt2 = 0.5 * cfg.dt
-        refresh = (step_index % cfg.lu_refresh_every == 0)
-        z = self._pack(state)
         # a blown-up state ends in NonConvergenceError, without overflow warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            # x implicit with the y terms explicit, then the reverse; the x
-            # half-step's accepted rhs_x(z) is the second one's explicit part
-            r = self._rhs(self._directions["y"], z, timings)
-            for implicit in ("x", "y"):
-                z, r = self._half_step(z, z + dt2 * r, implicit, dt2, refresh, timings)
-        timings.steps += 1
-        return self._unpack(z, state.time + cfg.dt)
+            z = self._adi_step(self._pack(state), step_index, timings)
+        return self._unpack(z, state.time + self.cfg.dt)
 
     def run(self, x0: ReducedState, nt: int | None = None
             ) -> tuple[ReducedState, dict[str, np.ndarray], RomTimings]:

@@ -10,7 +10,9 @@ factors of a step, which keeps the amplification factor of the linearized
 scheme at unit modulus for any dt. The model equations stay coupled: every
 half-step solves one nonlinear system in all 3n unknowns by quasi-Newton,
 where the Newton matrix is assembled and LU-factorized only every
-``lu_refresh_every`` steps and reused (stale) in between.
+``lu_refresh_every`` steps and reused (stale) in between. That loop,
+:class:`AdiNewton`, also steps the reduced model (:mod:`swerom.rom`); each
+model supplies only its right-hand side and its factorization.
 
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
@@ -47,7 +49,7 @@ from swerom.model import (
 )
 from swerom.snapshots import SnapshotSet
 
-__all__ = ["SolverConfig", "RecordFlags", "PhaseTimings", "FullSolver", "run_full"]
+__all__ = ["SolverConfig", "RecordFlags", "PhaseTimings", "AdiNewton", "FullSolver", "run_full"]
 
 CFL_LIMIT = 8.9301
 
@@ -100,7 +102,8 @@ class PhaseTimings:
 class _BandedNewton:
     """One direction's Newton matrix I - dt2*J in LAPACK band storage.
 
-    Fixed at construction: ``band[q]``, the band row of packed unknown q,
+    Fixed at construction: ``terms``, the direction's implicit terms,
+    ``band[q]``, the band row of packed unknown q,
     ``A``, the derivative along the direction's axis, and ``index``, the
     flat position in column-major band storage of every Jacobian entry in
     the order :meth:`assemble` evaluates them. The wall-row v unknowns keep
@@ -114,8 +117,9 @@ class _BandedNewton:
     dt = 960 s (5.7) every factorization does, up to 1,062 rows.
     """
 
-    def __init__(self, grid: Grid, ops: DifferenceOperators, f: np.ndarray, terms, axis: str):
+    def __init__(self, grid: Grid, ops: DifferenceOperators, f: np.ndarray, axis: str):
         n, nx = grid.n, grid.nx
+        self.terms = terms = X_TERMS if axis == "x" else Y_TERMS
         nodes = np.arange(n)
         j, i = np.divmod(nodes, nx)
         line_pos = (j * nx + np.minimum(2 * i, 2 * (nx - 1 - i) + 1) if axis == "x"
@@ -197,99 +201,55 @@ class _BandedNewton:
         return solve, False
 
 
-class FullSolver:
-    """Stateful stepper holding operators and cached LU factorizations."""
+class AdiNewton:
+    """Quasi-Newton stepping of the ADI split, shared by the full and the
+    reduced model.
 
-    def __init__(self, grid: Grid, ops: DifferenceOperators, f: np.ndarray, cfg: SolverConfig):
-        self.ops = ops
-        self.f = f
-        self.cfg = cfg
-        self.n = grid.n
-        self._vrows = self.n + boundary_row_indices(grid)  # v block offset
-        self._bands = {terms: _BandedNewton(grid, ops, f, terms, axis)
-                       for terms, axis in ((X_TERMS, "x"), (Y_TERMS, "y"))}
-        self._solves = {}  # implicit terms -> solve with the current factorization
+    A model supplies ``cfg`` (a :class:`SolverConfig`), ``_solves`` (axis ->
+    the cached solve), ``_fixed`` (the rows whose residual is the unknown
+    itself, or None) and two hooks, each keyed by the implicit axis "x" or
+    "y": ``_rhs(axis, w, timings)``, that direction's part of dw/dt plus half
+    the Coriolis term, and ``_factor(axis, w, dt2, timings)``, which
+    factorizes I - dt2*J at w and returns the solve. Each hook times and
+    counts its own work in ``timings``.
+    """
 
-    # -- state packing ---------------------------------------------------
+    _fixed = None
 
-    def _pack(self, state: FieldState) -> np.ndarray:
-        return np.concatenate([state.u, state.v, state.phi])
-
-    def _unpack(self, w: np.ndarray, t: float) -> FieldState:
-        n = self.n
-        return FieldState(u=w[:n].copy(), v=w[n:2 * n].copy(), phi=w[2 * n:].copy(), time=t)
-
-    def _fields(self, w: np.ndarray) -> dict[str, np.ndarray]:
-        n = self.n
-        return {"u": w[:n], "v": w[n:2 * n], "phi": w[2 * n:]}
-
-    # -- right-hand side ----------------------------------------------------
-
-    def _rhs(self, w: np.ndarray, terms) -> np.ndarray:
-        """The given F-terms' part of (u', v', phi') plus half the Coriolis
-        term, packed."""
-        n = self.n
-        fields = self._fields(w)
-        A = self._bands[terms].A
-        deriv = {var: A @ fields[var] for var in _VAR_SLOT}
-        out = np.zeros(3 * n)
-        for name in terms:
-            slot = _VAR_SLOT[TERM_EQUATION[name]]
-            acc = out[slot * n:(slot + 1) * n]
-            for coef, avar, bvar, _ in TERMS[name]:
-                acc -= coef * fields[avar] * deriv[bvar]
-        out[:n] += 0.5 * self.f * fields["v"]
-        out[n:2 * n] -= 0.5 * self.f * fields["u"]
-        return out
-
-    # -- Newton matrices ---------------------------------------------------
-
-    def _factorize(self, w: np.ndarray, terms, dt2: float, timings: PhaseTimings):
-        """Assemble and LU-factorize I - dt2*J at ``w``; returns the solve."""
-        band = self._bands[terms]
-        t0 = time.perf_counter()
-        ab = band.assemble(self._fields(w), dt2)
-        timings.assembly_s += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        solve, pivoted = band.factorize(ab)
-        timings.factorization_s += time.perf_counter() - t0
-        timings.pivoted_factorizations += pivoted
-        return solve
-
-    # -- Newton ----------------------------------------------------------------
-
-    def _half_step(self, w0: np.ndarray, explicit_part: np.ndarray, terms,
-                   dt2: float, solve, timings: PhaseTimings):
-        """Solve w = explicit_part + dt2*_rhs(w, terms) by quasi-Newton.
+    def _half_step(self, w0: np.ndarray, explicit_part: np.ndarray, axis: str,
+                   dt2: float, solve, timings):
+        """Solve w = explicit_part + dt2*_rhs(axis, w) by quasi-Newton from w0.
 
         ``solve`` applies the current (possibly stale) factorization, or is
-        None to factorize at w0. Refactoring mid-iteration happens only as a
-        safeguard when the stale iteration stops contracting, which stays
-        dormant at the CFL numbers of normal runs.
+        None to factorize at w0 once the first residual is known to be
+        finite. Refactoring mid-iteration happens only as a safeguard when
+        the stale iteration stops contracting, which stays dormant at the
+        CFL numbers of normal runs.
 
         Returns (solution, solve, rhs): ``solve`` reflects any safeguard
         refactorization so the caller can keep reusing it, and ``rhs`` is
-        _rhs(solution, terms), which the last residual evaluated.
+        _rhs(axis, solution), which the last residual evaluated.
         """
-        cfg = self.cfg
-        if solve is None:
-            solve = self._factorize(w0, terms, dt2, timings)
-        w = w0.copy()
+        cfg, fixed = self.cfg, self._fixed
+
+        def residual(wk):
+            r = self._rhs(axis, wk, timings)
+            G = wk - explicit_part - dt2 * r
+            if fixed is not None:
+                G[fixed] = wk[fixed]
+            return G, r
+
+        w = w0
         scale = np.linalg.norm(w0)
         if scale == 0.0:
             scale = 1.0
-
-        def residual(wk):
-            t0 = time.perf_counter()
-            r = self._rhs(wk, terms)
-            G = wk - explicit_part - dt2 * r
-            G[self._vrows] = wk[self._vrows]
-            timings.assembly_s += time.perf_counter() - t0
-            timings.rhs_evals += 1
-            return G, r
-
         G, r = residual(w)
         res = np.linalg.norm(G)
+        if not np.isfinite(res):
+            raise NonConvergenceError("quasi-Newton residual is not finite",
+                                      residual=float("inf"), iterations=0)
+        if solve is None:
+            solve = self._factor(axis, w0, dt2, timings)
         slow = 0
         for it in range(cfg.newton_max_iters + 1):
             if res <= cfg.newton_tol * scale:
@@ -318,35 +278,96 @@ class FullSolver:
             slow = slow + 1 if res_try > 0.25 * res else 0
             w, G, res, r = w_try, G_try, res_try, r_try
             if slow >= 2:
-                solve = self._factorize(w, terms, dt2, timings)
+                solve = self._factor(axis, w, dt2, timings)
                 slow = 0
         raise NonConvergenceError(
             f"quasi-Newton stalled at relative residual {res / scale:.3e} "
             f"after {cfg.newton_max_iters} iterations",
             residual=float(res), iterations=cfg.newton_max_iters)
 
-    def step(self, state: FieldState, step_index: int,
-             timings: PhaseTimings | None = None) -> FieldState:
-        """Advance one full dt (two half-steps). Factorizations refresh when
-        ``step_index % lu_refresh_every == 0`` and are reused otherwise."""
+    def _adi_step(self, w: np.ndarray, step_index: int, timings) -> np.ndarray:
+        """Advance the packed state one full dt (two half-steps).
+        Factorizations refresh when ``step_index % lu_refresh_every == 0``
+        and are reused otherwise."""
         cfg = self.cfg
-        timings = timings if timings is not None else PhaseTimings()
         dt2 = 0.5 * cfg.dt
         refresh = (step_index % cfg.lu_refresh_every == 0)
+        # x implicit with the y terms explicit, then the reverse; the x
+        # half-step's accepted _rhs("x", w) is the second one's explicit part
+        r = self._rhs("y", w, timings)
+        for axis in ("x", "y"):
+            solve = None if refresh else self._solves.get(axis)
+            w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
+                                                       solve, timings)
+        timings.steps += 1
+        return w
 
-        w = self._pack(state)
+
+class FullSolver(AdiNewton):
+    """Stateful stepper holding operators and cached LU factorizations."""
+
+    def __init__(self, grid: Grid, ops: DifferenceOperators, f: np.ndarray, cfg: SolverConfig):
+        self.ops = ops
+        self.f = f
+        self.cfg = cfg
+        self.n = grid.n
+        self._fixed = self.n + boundary_row_indices(grid)  # wall-row v, v block offset
+        self._bands = {axis: _BandedNewton(grid, ops, f, axis) for axis in ("x", "y")}
+        self._solves = {}  # axis -> solve with the current factorization
+
+    # -- state packing ---------------------------------------------------
+
+    def _pack(self, state: FieldState) -> np.ndarray:
+        return np.concatenate([state.u, state.v, state.phi])
+
+    def _unpack(self, w: np.ndarray, t: float) -> FieldState:
+        n = self.n
+        return FieldState(u=w[:n].copy(), v=w[n:2 * n].copy(), phi=w[2 * n:].copy(), time=t)
+
+    def _fields(self, w: np.ndarray) -> dict[str, np.ndarray]:
+        n = self.n
+        return {"u": w[:n], "v": w[n:2 * n], "phi": w[2 * n:]}
+
+    # -- the two hooks of the quasi-Newton loop ------------------------------
+
+    def _rhs(self, axis: str, w: np.ndarray, timings: PhaseTimings) -> np.ndarray:
+        """The direction's F-terms' part of (u', v', phi') plus half the
+        Coriolis term, packed."""
         t0 = time.perf_counter()
-        r = self._rhs(w, Y_TERMS)
+        n = self.n
+        fields = self._fields(w)
+        band = self._bands[axis]
+        deriv = {var: band.A @ fields[var] for var in _VAR_SLOT}
+        out = np.zeros(3 * n)
+        for name in band.terms:
+            slot = _VAR_SLOT[TERM_EQUATION[name]]
+            acc = out[slot * n:(slot + 1) * n]
+            for coef, avar, bvar, _ in TERMS[name]:
+                acc -= coef * fields[avar] * deriv[bvar]
+        out[:n] += 0.5 * self.f * fields["v"]
+        out[n:2 * n] -= 0.5 * self.f * fields["u"]
         timings.assembly_s += time.perf_counter() - t0
         timings.rhs_evals += 1
-        # x implicit with the y terms explicit, then the reverse; the x
-        # half-step's accepted _rhs(w, X_TERMS) is the second one's explicit part
-        for implicit in (X_TERMS, Y_TERMS):
-            solve = None if refresh else self._solves.get(implicit)
-            w, self._solves[implicit], r = self._half_step(w, w + dt2 * r, implicit,
-                                                          dt2, solve, timings)
-        timings.steps += 1
-        return self._unpack(w, state.time + cfg.dt)
+        return out
+
+    def _factor(self, axis: str, w: np.ndarray, dt2: float, timings: PhaseTimings):
+        """Assemble and LU-factorize I - dt2*J at ``w``; returns the solve."""
+        band = self._bands[axis]
+        t0 = time.perf_counter()
+        ab = band.assemble(self._fields(w), dt2)
+        timings.assembly_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        solve, pivoted = band.factorize(ab)
+        timings.factorization_s += time.perf_counter() - t0
+        timings.pivoted_factorizations += pivoted
+        return solve
+
+    def step(self, state: FieldState, step_index: int,
+             timings: PhaseTimings | None = None) -> FieldState:
+        """Advance one full dt; see :meth:`AdiNewton._adi_step`."""
+        timings = timings if timings is not None else PhaseTimings()
+        w = self._adi_step(self._pack(state), step_index, timings)
+        return self._unpack(w, state.time + self.cfg.dt)
 
 
 def run_full(

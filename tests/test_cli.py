@@ -111,6 +111,15 @@ def test_build_rom_needs_one_selector(full_run_dir, tmp_path, capsys):
     assert code == 2
 
 
+def test_build_rom_m_above_snapshot_count_exit_2(full_run_dir, tmp_path, capsys):
+    # 8 snapshots admit at most 8 points per term, as in bench
+    code = main(["build-rom", "--snapshots", str(full_run_dir / "snapshots.snap"),
+                 "--k", "4", "--mode", "pod-deim", "--m", "50", "--out", str(tmp_path)])
+    assert code == 2
+    assert "m=50 exceeds" in capsys.readouterr().err
+    assert not (tmp_path / "rom_meta.json").exists()
+
+
 @pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
 def test_run_rom_all_modes(rom_dir, full_run_dir, tmp_path, mode, capsys):
     out = tmp_path / mode

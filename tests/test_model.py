@@ -150,15 +150,6 @@ def test_height_against_scalar_oracle():
             assert h[j, i] == pytest.approx(scalar_height(i * grid.dx, j * grid.dy), rel=1e-13)
 
 
-def test_height_literal_variant_differs():
-    grid = build_grid(5, 5)
-    h = grammeltvedt_height(grid)
-    h_lit = grammeltvedt_height(grid, literal=True)
-    # the literal form turns the shear term into the constant H1 + tanh
-    assert not np.allclose(h, h_lit)
-    assert np.max(h_lit) < C.H0 + C.H1 + 1.0 + C.H2
-
-
 def test_geopotential_values():
     assert geopotential_from_height(np.array([2000.0]))[0] == pytest.approx(2 * math.sqrt(20000.0))
     assert geopotential_from_height(np.array([0.025]))[0] == pytest.approx(1.0)

@@ -31,9 +31,7 @@ from swerom.rom import (
     ReducedSpace,
     ReducedState,
     RomTimings,
-    build_power_tensor,
     build_tensor_coefficients,
-    contract_power,
     lift_state,
     load_tensors,
     pack_directions,
@@ -228,14 +226,6 @@ def test_tensor_matches_quadruple_loop_oracle(k):
                                        coef)
 
 
-def test_frobenius_product_unit():
-    A = np.ones((2, 2))
-    # <A, B>_F over a (1, 2, 2) tensor stack equals the plain entrywise sum
-    M = A[None, :, :]
-    xt = np.ones(2)
-    assert contract_power(M, xt)[0] == pytest.approx(4.0)
-
-
 def test_tensorial_zero_at_origin_no_centering():
     rng = np.random.default_rng(9)
     grid = build_grid(5, 5)
@@ -324,21 +314,6 @@ def test_jacobian_matches_finite_differences(centered):
                                 - tensorial_nonlinear(term, minus, tensors)) / (2 * h)
                 denom = np.max(np.abs(fd)) + 1e-12
                 assert np.max(np.abs(block - fd)) / denom < 1e-5
-
-
-# --- degree-p power tensors ----------------------------------------------------------
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_power_tensor_contraction_identity(p):
-    rng = np.random.default_rng(15)
-    n, k = 12, 3
-    W = orthonormal_basis(n, k, rng)
-    U = orthonormal_basis(n, k, rng)
-    M = build_power_tensor(W, U, p)
-    assert M.shape == (k,) + (k,) * p
-    xt = rng.standard_normal(k)
-    want = W.T @ ((U @ xt) ** p)
-    assert np.allclose(contract_power(M, xt), want, rtol=1e-11)
 
 
 # --- reduced stepping ------------------------------------------------------------------
@@ -490,27 +465,27 @@ def test_one_rhs_per_accepted_iterate(pipeline31, mode):
     inside = False
     half_steps = []
 
-    def counting_rhs(d, z, timings):
+    def counting_rhs(axis, z, timings):
         calls["all"] += 1
         calls["residual"] += inside
-        return rhs(d, z, timings)
+        return rhs(axis, z, timings)
 
-    def recording_half_step(z0, explicit_part, name, *args):
+    def recording_half_step(z0, explicit_part, axis, *args):
         nonlocal inside
         inside = True
         try:
-            z, r = half_step(z0, explicit_part, name, *args)
+            z, solve, r = half_step(z0, explicit_part, axis, *args)
         finally:
             inside = False
-        half_steps.append((z0.copy(), explicit_part.copy(), name, z.copy(), r.copy()))
-        return z, r
+        half_steps.append((z0.copy(), explicit_part.copy(), axis, z.copy(), r.copy()))
+        return z, solve, r
 
     model._rhs, model._half_step = counting_rhs, recording_half_step
     _, _, timings = model.run(project_initial(pipeline31.ic, space))
     assert timings.rhs_evals == calls["all"] == calls["residual"] + cfg.nt
 
     def fresh(name, z):
-        return rhs(model._directions[name], z, RomTimings())
+        return rhs(name, z, RomTimings())
 
     assert len(half_steps) == 2 * cfg.nt
     for _, _, name, z, r in half_steps:

@@ -5,8 +5,6 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from swerom.errors import NonConvergenceError
 from swerom.model import (
     FieldState,
-    X_TERMS,
-    Y_TERMS,
     boundary_row_indices,
     build_grid,
     build_operators,
@@ -14,6 +12,7 @@ from swerom.model import (
     eval_nonlinear,
     initial_state,
 )
+from swerom.rom import ReducedModel
 from swerom.solver import (
     FullSolver,
     PhaseTimings,
@@ -116,11 +115,10 @@ def test_newton_solve_inverts_residual_derivative(shape, axis):
     d[walls] = 0.0
     dt2, h = 480.0, 1e-3
     solver = FullSolver(grid, ops, f, SolverConfig(dt=2 * dt2, nt=1))
-    terms = X_TERMS if axis == "x" else Y_TERMS
     # the line order keeps the band narrow whatever the grid size
-    band = solver._bands[terms]
+    band = solver._bands[axis]
     assert (band.kl, band.ku) == ((8, 11) if axis == "x" else (4, 4))
-    solve = solver._factorize(w, terms, dt2, PhaseTimings())
+    solve = solver._factor(axis, w, dt2, PhaseTimings())
     jd = (_half_step_residual(w + h * d, grid, ops, f, axis, dt2)
           - _half_step_residual(w - h * d, grid, ops, f, axis, dt2)) / (2 * h)
     got = solve(jd)
@@ -129,7 +127,7 @@ def test_newton_solve_inverts_residual_derivative(shape, axis):
 
 def test_singular_newton_matrix_raises_nonconvergence(setup):
     grid, ops, f = setup
-    band = FullSolver(grid, ops, f, SolverConfig(dt=120.0, nt=1))._bands[X_TERMS]
+    band = FullSolver(grid, ops, f, SolverConfig(dt=120.0, nt=1))._bands["x"]
     with pytest.raises(NonConvergenceError, match="singular"):
         band.factorize(np.zeros((band.ldab, 3 * grid.n), order="F"))
 
@@ -230,14 +228,14 @@ def test_factorization_cadence(setup):
     cfg = SolverConfig(dt=120.0, nt=1, lu_refresh_every=6)
     solver = FullSolver(grid, ops, f, cfg)
     count = 0
-    orig = solver._factorize
+    orig = solver._factor
 
     def counting(*args, **kwargs):
         nonlocal count
         count += 1
         return orig(*args, **kwargs)
 
-    solver._factorize = counting
+    solver._factor = counting
     state = ic
     for k in range(12):
         state = solver.step(state, k)
@@ -294,19 +292,19 @@ def test_one_rhs_per_accepted_iterate(setup):
     inside = False
     half_steps = []
 
-    def counting_rhs(w, terms):
+    def counting_rhs(axis, w, timings):
         calls["all"] += 1
         calls["residual"] += inside
-        return rhs(w, terms)
+        return rhs(axis, w, timings)
 
-    def recording_half_step(w0, explicit_part, terms, *args):
+    def recording_half_step(w0, explicit_part, axis, *args):
         nonlocal inside
         inside = True
         try:
-            w, solve, r = half_step(w0, explicit_part, terms, *args)
+            w, solve, r = half_step(w0, explicit_part, axis, *args)
         finally:
             inside = False
-        half_steps.append((w0.copy(), explicit_part.copy(), terms, w.copy(), r.copy()))
+        half_steps.append((w0.copy(), explicit_part.copy(), axis, w.copy(), r.copy()))
         return w, solve, r
 
     solver._rhs, solver._half_step = counting_rhs, recording_half_step
@@ -316,10 +314,40 @@ def test_one_rhs_per_accepted_iterate(setup):
         state = solver.step(state, k, tm)
     assert tm.rhs_evals == calls["all"] == calls["residual"] + cfg.nt
 
+    def fresh(axis, w):
+        return rhs(axis, w, PhaseTimings())
+
     assert len(half_steps) == 2 * cfg.nt
-    for _, _, terms, w, r in half_steps:
-        assert np.array_equal(r, rhs(w, terms))
+    for _, _, axis, w, r in half_steps:
+        assert np.array_equal(r, fresh(axis, w))
     dt2 = 0.5 * cfg.dt
-    for (_, _, terms, w, _), (w0, b, next_terms, _, _) in zip(half_steps[::2], half_steps[1::2]):
-        assert (terms, next_terms) == (X_TERMS, Y_TERMS) and np.array_equal(w0, w)
-        assert np.array_equal(b, w + dt2 * rhs(w, X_TERMS))
+    for (_, _, axis, w, _), (w0, b, next_axis, _, _) in zip(half_steps[::2], half_steps[1::2]):
+        assert (axis, next_axis) == ("x", "y") and np.array_equal(w0, w)
+        assert np.array_equal(b, w + dt2 * fresh("x", w))
+
+
+def test_full_and_reduced_models_share_one_newton_loop():
+    assert FullSolver._half_step is ReducedModel._half_step
+    assert FullSolver._adi_step is ReducedModel._adi_step
+
+
+def test_non_finite_state_raises_before_factorization():
+    grid = build_grid(9, 7)
+    ops = build_operators(grid)
+    ic = initial_state(grid, ops)
+    solver = FullSolver(grid, ops, coriolis_field(grid), SolverConfig(dt=120.0, nt=1))
+    factored = []
+    factor = solver._factor
+
+    def counting(*args):
+        factored.append(args)
+        return factor(*args)
+
+    solver._factor = counting
+    blown_up = FieldState(u=1e160 * ic.u, v=1e160 * ic.v, phi=1e160 * ic.phi)
+    tm = PhaseTimings()
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the input here
+        with pytest.raises(NonConvergenceError, match="not finite") as err:
+            solver.step(blown_up, 0, tm)
+    assert err.value.iterations == 0
+    assert factored == [] and tm.newton_iters == 0 and tm.solve_s == 0.0
