@@ -29,7 +29,7 @@ from swerom.model import (
     coriolis_field,
     initial_state,
 )
-from swerom.pod import PodBasis, center_snapshots, compute_pod_basis, energy_index, pod_from_snapshots
+from swerom.pod import PodBasis, build_state_bases, center_snapshots, energy_index
 from swerom.rom import (
     ReducedModel,
     ReducedSpace,
@@ -73,9 +73,9 @@ __all__ = [
     "build_deim_term_operator",
     "build_grid",
     "build_operators",
+    "build_state_bases",
     "build_tensor_coefficients",
     "center_snapshots",
-    "compute_pod_basis",
     "coriolis_field",
     "deim_operators_from_snapshots",
     "deim_select_points",
@@ -85,7 +85,6 @@ __all__ = [
     "initial_state",
     "lift_state",
     "load_snapshots",
-    "pod_from_snapshots",
     "project_initial",
     "reduced_jacobian",
     "relative_error_series",

@@ -25,11 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from swerom.deim import (
-    build_deim_term_operator,
-    deim_select_points,
-    deim_tensor_coefficients,
-)
+from swerom.deim import deim_operators, deim_select_points, deim_tensor_coefficients
 from swerom.errors import NonConvergenceError
 from swerom.flops import flop_count
 from swerom.metrics import trajectory_errors
@@ -43,7 +39,7 @@ from swerom.model import (
     coriolis_field,
     initial_state,
 )
-from swerom.pod import PodBasis, center_snapshots, fix_mode_signs, numerical_rank, select_mode_count
+from swerom.pod import build_state_bases, center_snapshots
 from swerom.rom import MODES, ReducedModel, ReducedSpace, build_tensor_coefficients, project_initial
 from swerom.solver import RecordFlags, SolverConfig, run_full
 
@@ -51,7 +47,6 @@ __all__ = [
     "WINDOWS",
     "ExperimentConfig",
     "RunReport",
-    "build_state_bases",
     "run_experiment",
     "write_run_report",
     "read_run_report",
@@ -159,36 +154,6 @@ class RunReport:
 REPORT_COLUMNS = [f.name for f in fields(RunReport)]
 
 
-def build_state_bases(states: dict[str, np.ndarray], k: int | None = None,
-                      gamma: float | None = None, center: bool = True
-                      ) -> dict[str, PodBasis]:
-    """Per-variable bases with a shared mode count.
-
-    With ``gamma`` the count is the largest of the per-variable energy
-    selections; either way each variable is clamped to its numerical rank.
-    """
-    if (k is None) == (gamma is None):
-        raise ValueError("pass exactly one of k or gamma")
-    decomposed = {}
-    for var in VARIABLES:
-        X = states[var]
-        if center:
-            Xc, xbar = center_snapshots(X)
-        else:
-            Xc, xbar = X, np.zeros(X.shape[0])
-        U, s, _ = np.linalg.svd(Xc, full_matrices=False)
-        decomposed[var] = (U, s, xbar, numerical_rank(s, Xc.shape))
-    if gamma is not None:
-        k = max(select_mode_count(s ** 2, gamma) for (_, s, _, _) in decomposed.values())
-    bases = {}
-    for var, (U, s, xbar, rank) in decomposed.items():
-        k_var = min(int(k), rank)
-        Uk = fix_mode_signs(U[:, :k_var].copy())
-        bases[var] = PodBasis(var=var, U=Uk, W=Uk, xbar=xbar, sigma=s ** 2,
-                              k=k_var, gamma=gamma)
-    return bases
-
-
 def _base_report(cfg: ExperimentConfig, grid, dt: float, nt: int, mode: str) -> RunReport:
     return RunReport(grid=f"{grid.nx}x{grid.ny}", nx=grid.nx, ny=grid.ny, n=grid.n,
                      window=cfg.window, dt=dt, nt=nt, mode=mode)
@@ -250,25 +215,21 @@ def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
 
     deim_ops = None
     if mode == "pod-deim":
-        bound = min(min(snaps.nonlinear[t].shape) for t in TERM_NAMES)
-        if m > bound:
-            raise ValueError(f"m={m} exceeds snapshot count/rank bound {bound}")
-        report.svd_nonlinear_s = shared["term_s"]
-        svds = {term: (U[:, :m], s) for term, (U, s) in shared["term_svds"].items()}
-        shared_s = report.svd_state_s + report.svd_nonlinear_s
-        if "points" in shared:
-            points = {term: p[:m] for term, p in shared["points"].items()}
-            report.deim_points_s = shared["points_s"]
-            shared_s += report.deim_points_s
-        else:
+        term_svds = shared["term_svds"]
+        points, points_s = shared.get("points"), shared.get("points_s")
+        if points is None:
             t0 = time.perf_counter()
-            points = {term: deim_select_points(svds[term][0]) for term in TERM_NAMES}
-            report.deim_points_s = time.perf_counter() - t0
+            points = {term: deim_select_points(U[:, :m]) for term, (U, _) in term_svds.items()}
+            points_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        deim_ops = {term: build_deim_term_operator(space, term, svds[term][0],
-                                                   points[term], sigma=svds[term][1])
-                    for term in TERM_NAMES}
+        deim_ops = deim_operators(space, term_svds, points, m)
         report.deim_projector_s = time.perf_counter() - t0
+        # a row whose operators fail (m above the bound) leaves these columns empty
+        report.svd_nonlinear_s = shared["term_s"]
+        report.deim_points_s = points_s
+        shared_s = report.svd_state_s + report.svd_nonlinear_s
+        if "points" in shared:  # selected before this row's clock started
+            shared_s += points_s
         t0 = time.perf_counter()
         tensors = deim_tensor_coefficients(deim_ops, space)
         report.tensors_s = time.perf_counter() - t0
@@ -290,7 +251,7 @@ def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
                     report.deim_projector_s, report.tensors_s) if t is not None)
 
     errors = trajectory_errors(snaps.states, {
-        var: b.xbar[:, None] + b.U @ traj[var] for var, b in space.bases.items()})
+        var: b.lift(traj[var]) for var, b in space.bases.items()})
     for var in VARIABLES:
         setattr(report, f"relerr_{var}", errors[var]["relerr"])
         setattr(report, f"rmse_{var}", errors[var]["rmse"])

@@ -27,7 +27,6 @@ from swerom.bench import (
     ALL_MODES,
     WINDOWS,
     ExperimentConfig,
-    build_state_bases,
     read_run_report,
     run_experiment,
 )
@@ -51,7 +50,7 @@ from swerom.model import (
     initial_state,
 )
 from swerom.plots import emit_plot_data
-from swerom.pod import load_basis, save_basis
+from swerom.pod import build_state_bases, load_basis, save_basis
 from swerom.rom import (
     ReducedModel,
     ReducedSpace,
@@ -214,8 +213,7 @@ def cmd_run_rom(args) -> int:
     t0 = time.perf_counter()
     _, traj, tm = model.run(x0, nt)
     elapsed = time.perf_counter() - t0
-    lifted = {var: bases[var].xbar[:, None] + bases[var].U @ traj[var]
-              for var in VARIABLES}
+    lifted = {var: bases[var].lift(traj[var]) for var in VARIABLES}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     times = float(meta["dt"]) * np.arange(1, nt + 1)

@@ -2,14 +2,15 @@
 
 Each nonlinear term gets its own orthonormal basis V (left singular vectors
 of its raw, uncentered snapshot matrix), its own greedily selected sample
-points, and a precomputed oblique projector E = W^T V (P^T V)^{-1}. On-line
-evaluation then needs the term's componentwise products only at the m
-sampled mesh rows. Selection matrices are never formed; P^T is row
-gathering throughout.
+points, and a precomputed oblique projector E = U^T V (P^T V)^{-1}, with U
+the basis of the term's equation. On-line evaluation then needs the term's
+componentwise products only at the m sampled mesh rows. Selection matrices
+are never formed; P^T is row gathering throughout. Every route builds its
+operators through :func:`deim_operators`.
 
 The same sampled factors also yield coefficient tensors by summing over
 the m sampled rows instead of all n mesh rows (the full-sum build's GEMM
-routine, :func:`swerom.rom.product_tensors`, with P = E in place of W^T),
+routine, :func:`swerom.rom.product_tensors`, with P = E in place of U^T),
 which is what makes the off-line stage cheap: the contraction of those
 tensors reproduces the sampled evaluation exactly (same algebra,
 reordered), even though the tensors themselves differ from the full-sum ones.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swerom.errors import FileFormatError
+from swerom.errors import FileFormatError, read_exact
 from swerom.model import TERMS, TERM_EQUATION, TERM_NAMES
 from swerom.rom import ReducedSpace, TensorCoefficients, TermTensors, product_tensors
 
@@ -36,6 +37,7 @@ __all__ = [
     "SampledProduct",
     "DeimTermOperator",
     "build_deim_term_operator",
+    "deim_operators",
     "deim_operators_from_snapshots",
     "deim_tensor_coefficients",
     "save_deim_operator",
@@ -136,8 +138,7 @@ def build_deim_term_operator(space: ReducedSpace, term: str, V: np.ndarray,
         raise ValueError("sample points must be distinct")
     if points.min() < 0 or points.max() >= space.n:
         raise ValueError("sample points out of mesh range")
-    W = space.bases[TERM_EQUATION[term]].W
-    E, cond = deim_projection(W, V, points)
+    E, cond = deim_projection(space.bases[TERM_EQUATION[term]].U, V, points)
     products = []
     for coef, avar, bvar, axis in TERMS[term]:
         ba = space.bases[avar]
@@ -153,21 +154,31 @@ def build_deim_term_operator(space: ReducedSpace, term: str, V: np.ndarray,
                             products=products, n=space.n)
 
 
+def _check_m(bound: int, m: int) -> None:
+    # m modes and points per term: at most the smaller snapshot matrix dimension
+    if m > bound:
+        raise ValueError(f"m={m} exceeds snapshot count/rank bound {bound}")
+
+
+def deim_operators(space: ReducedSpace, term_svds: dict[str, tuple[np.ndarray, np.ndarray]],
+                   points: dict[str, np.ndarray], m: int) -> dict[str, DeimTermOperator]:
+    """One operator per term from the first m columns of ``U`` in its thin SVD
+    ``term_svds[term] = (U, s)`` and the first m of its greedy ``points``,
+    which may be selected at a larger m: selection is nested."""
+    _check_m(min(U.shape[1] for U, _ in term_svds.values()), m)
+    return {term: build_deim_term_operator(space, term, U[:, :m], points[term][:m], sigma=s)
+            for term, (U, s) in term_svds.items()}
+
+
 def deim_operators_from_snapshots(space: ReducedSpace,
                                   nonlinear_snaps: dict[str, np.ndarray],
                                   m: int) -> dict[str, DeimTermOperator]:
     """One operator per term: SVD of its raw snapshots, then greedy points."""
-    ops = {}
-    for term in TERM_NAMES:
-        snaps = nonlinear_snaps[term]
-        if m > min(snaps.shape):
-            raise ValueError(f"m={m} exceeds snapshot count/rank bound "
-                             f"{min(snaps.shape)} for {term}")
-        Vfull, s, _ = np.linalg.svd(snaps, full_matrices=False)
-        V = Vfull[:, :m]
-        points = deim_select_points(V)
-        ops[term] = build_deim_term_operator(space, term, V, points, sigma=s)
-    return ops
+    _check_m(min(min(F.shape) for F in nonlinear_snaps.values()), m)
+    term_svds = {term: np.linalg.svd(nonlinear_snaps[term], full_matrices=False)[:2]
+                 for term in TERM_NAMES}
+    points = {term: deim_select_points(U[:, :m]) for term, (U, _) in term_svds.items()}
+    return deim_operators(space, term_svds, points, m)
 
 
 def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
@@ -188,7 +199,7 @@ def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
         terms=terms,
         coriolis_uv=space.coriolis_uv, coriolis_vu=space.coriolis_vu,
         coriolis_u0=space.coriolis_u0, coriolis_v0=space.coriolis_v0,
-        k={var: space.k(var) for var in ("u", "v", "phi")}, built_from="sampled")
+        k={var: space.k(var) for var in ("u", "v", "phi")})
 
 
 # --- operator file ---------------------------------------------------------------
@@ -220,10 +231,7 @@ def save_deim_operator(op: DeimTermOperator, path) -> None:
 def load_deim_operator(path) -> DeimTermOperator:
     with open(path, "rb") as fh:
         def read(nbytes, what):
-            data = fh.read(nbytes)
-            if len(data) != nbytes:
-                raise FileFormatError(f"truncated operator file while reading {what}")
-            return data
+            return read_exact(fh, nbytes, what, "operator")
 
         def read_f8(count, what, shape=None):
             arr = np.frombuffer(read(8 * count, what), dtype="<f8").copy()

@@ -93,10 +93,13 @@ class Grid:
 def build_grid(nx: int, ny: int, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> Grid:
     """Build the mesh of n = nx*ny equidistant points.
 
-    Both directions need at least 3 points for the difference stencils.
+    Both directions need at least 3 points for the difference stencils, and
+    the domain a finite, positive length L and width D.
     """
     if nx < 3 or ny < 3:
         raise ValueError(f"grid needs nx >= 3 and ny >= 3, got {nx}x{ny}")
+    if not (0.0 < consts.L < np.inf and 0.0 < consts.D < np.inf):
+        raise ValueError(f"domain needs finite L > 0 and D > 0, got {consts.L} x {consts.D}")
     dx = consts.L / (nx - 1)
     dy = consts.D / (ny - 1)
     return Grid(nx=nx, ny=ny, L=consts.L, D=consts.D, dx=dx, dy=dy, n=nx * ny)

@@ -1,11 +1,12 @@
 """Basis construction from snapshots by proper orthogonal decomposition.
 
-The working route is a thin SVD of the (optionally centered) snapshot
-matrix; the retained columns are the leading left singular vectors and the
-stored spectrum holds the squared singular values, which coincide with the
-eigenvalues of the snapshot correlation matrix from the method of
-snapshots. Note the correlation matrix is nt-by-nt (snapshots correlated
-against snapshots); forming it n-by-n would be ill-posed for n >> nt.
+:func:`build_state_bases`, the builder of every pipeline, takes a thin SVD
+of each (optionally centered) snapshot matrix; the retained columns are the
+leading left singular vectors and the stored spectrum holds the squared
+singular values, which coincide with the eigenvalues of the snapshot
+correlation matrix from the method of snapshots. Note the correlation
+matrix is nt-by-nt (snapshots correlated against snapshots); forming it
+n-by-n would be ill-posed for n >> nt.
 
 Basis file layout (little-endian):
 
@@ -15,8 +16,6 @@ Basis file layout (little-endian):
     float64[n]        centering vector xbar
     float64[n*k]      U, column-major
     float64[nsigma]   spectrum (squared singular values)
-
-Only Galerkin bases (test basis equal to trial basis) are serialized.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swerom.errors import FileFormatError
+from swerom.errors import FileFormatError, read_exact
 
 __all__ = [
     "PodBasis",
     "center_snapshots",
-    "compute_pod_basis",
-    "pod_from_snapshots",
+    "build_state_bases",
     "energy_index",
     "select_mode_count",
     "numerical_rank",
@@ -47,30 +45,30 @@ _HEADER = struct.Struct("<8sqqq8s")
 
 @dataclass
 class PodBasis:
-    """Orthonormal trial/test bases for one variable, plus its spectrum.
+    """Orthonormal basis of one variable, its centering vector and spectrum.
 
     ``sigma`` is the full nonincreasing spectrum of squared singular values;
-    ``U`` keeps only the leading ``k`` modes. Projection is Galerkin:
-    every pipeline builds or loads the basis with ``W is U``.
+    ``U`` keeps only the leading ``k`` modes. Projection is Galerkin: ``U``
+    is the test basis too.
     """
 
     var: str
     U: np.ndarray
-    W: np.ndarray
     xbar: np.ndarray
     sigma: np.ndarray
     k: int
-    gamma: float | None = None
 
     @property
     def n(self) -> int:
         return self.U.shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return self.W.T @ (x - self.xbar)
+        return self.U.T @ (x - self.xbar)
 
     def lift(self, xt: np.ndarray) -> np.ndarray:
-        return self.xbar + self.U @ xt
+        """xbar + U xt for a k-vector, column by column for a k-by-nt trajectory."""
+        xbar = self.xbar if xt.ndim == 1 else self.xbar[:, None]
+        return xbar + self.U @ xt
 
 
 def center_snapshots(snaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,61 +119,37 @@ def fix_mode_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def compute_pod_basis(
-    centered: np.ndarray,
-    k: int | None = None,
-    gamma: float | None = None,
-    var: str = "x",
-) -> PodBasis:
-    """Leading left singular vectors of a centered snapshot matrix.
+def build_state_bases(states: dict[str, np.ndarray], k: int | None = None,
+                      gamma: float | None = None, center: bool = True
+                      ) -> dict[str, PodBasis]:
+    """One basis per snapshot matrix of ``states``, with a shared mode count.
 
-    Exactly one of ``k`` (fixed mode count) or ``gamma`` (energy fraction)
-    selects the dimension. The returned ``xbar`` is zero; use
-    :func:`pod_from_snapshots` to carry the centering vector along.
+    Exactly one of ``k`` (fixed count) or ``gamma`` (energy fraction, then the
+    largest per-matrix selection) sets the count; each basis is clamped to
+    its matrix's numerical rank. ``center=False`` keeps ``xbar`` zero, so the
+    basis itself has to represent the mean.
     """
     if (k is None) == (gamma is None):
         raise ValueError("pass exactly one of k or gamma")
-    if centered.ndim != 2:
-        raise ValueError("snapshot matrix must be two-dimensional")
-    n = centered.shape[0]
-
-    Ufull, s, _ = np.linalg.svd(centered, full_matrices=False)
-    lam = s ** 2
-    rank = numerical_rank(s, centered.shape)
+    decomposed = {}
+    for var, X in states.items():
+        if center:
+            Xc, xbar = center_snapshots(X)
+        else:
+            Xc, xbar = X, np.zeros(X.shape[0])
+        U, s, _ = np.linalg.svd(Xc, full_matrices=False)
+        decomposed[var] = (U, s, xbar, numerical_rank(s, Xc.shape))
     if gamma is not None:
-        if rank == 0:
-            raise ValueError("cannot select by energy: snapshot matrix is zero")
-        k = min(select_mode_count(lam, gamma), rank)
-    if k > rank:
-        raise ValueError(f"requested k={k} exceeds numerical rank {rank}")
-    U = fix_mode_signs(Ufull[:, :k].copy())
-    return PodBasis(var=var, U=U, W=U, xbar=np.zeros(n), sigma=lam, k=int(k), gamma=gamma)
-
-
-def pod_from_snapshots(
-    snaps: np.ndarray,
-    k: int | None = None,
-    gamma: float | None = None,
-    var: str = "x",
-    center: bool = True,
-) -> PodBasis:
-    """POD basis of a raw snapshot matrix, with optional centering.
-
-    ``center=False`` reproduces the absorbed-mean variant where the lift is
-    plain U @ xt (the basis itself then has to represent the mean).
-    """
-    if center:
-        centered, xbar = center_snapshots(snaps)
-    else:
-        centered, xbar = snaps, np.zeros(snaps.shape[0])
-    basis = compute_pod_basis(centered, k=k, gamma=gamma, var=var)
-    basis.xbar = xbar
-    return basis
+        k = max(select_mode_count(s ** 2, gamma) for (_, s, _, _) in decomposed.values())
+    bases = {}
+    for var, (U, s, xbar, rank) in decomposed.items():
+        k_var = min(int(k), rank)
+        bases[var] = PodBasis(var=var, U=fix_mode_signs(U[:, :k_var].copy()), xbar=xbar,
+                              sigma=s ** 2, k=k_var)
+    return bases
 
 
 def save_basis(basis: PodBasis, path) -> None:
-    if basis.W is not basis.U and not np.array_equal(basis.W, basis.U):
-        raise ValueError("only Galerkin bases (W == U) can be serialized")
     tag = basis.var.encode()[:8].ljust(8, b"\0")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, basis.n, basis.k, basis.sigma.shape[0], tag))
@@ -186,18 +160,13 @@ def save_basis(basis: PodBasis, path) -> None:
 
 def load_basis(path) -> PodBasis:
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise FileFormatError("truncated basis file")
-        magic, n, k, nsigma, tag = _HEADER.unpack(header)
+        magic, n, k, nsigma, tag = _HEADER.unpack(
+            read_exact(fh, _HEADER.size, "header", "basis"))
         if magic != _MAGIC:
             raise FileFormatError(f"bad basis magic {magic!r}")
 
         def read(count, what):
-            data = fh.read(8 * count)
-            if len(data) != 8 * count:
-                raise FileFormatError(f"truncated basis file while reading {what}")
-            return np.frombuffer(data, dtype="<f8").copy()
+            return np.frombuffer(read_exact(fh, 8 * count, what, "basis"), dtype="<f8").copy()
 
         xbar = read(n, "xbar")
         # row-major like a built basis, so products with it round the same way
@@ -205,5 +174,4 @@ def load_basis(path) -> PodBasis:
         sigma = read(nsigma, "sigma")
         if fh.read(1):
             raise FileFormatError("trailing bytes after basis payload")
-    return PodBasis(var=tag.rstrip(b"\0").decode(), U=U, W=U, xbar=xbar,
-                    sigma=sigma, k=int(k))
+    return PodBasis(var=tag.rstrip(b"\0").decode(), U=U, xbar=xbar, sigma=sigma, k=int(k))

@@ -9,7 +9,7 @@ The nonlinear right-hand side can then be evaluated three ways:
   lifted field (cost grows with the full dimension n),
 * contraction against precomputed coefficient tensors (cost depends only
   on the basis sizes; both builds share the GEMM routine
-  :func:`product_tensors`, with P = W^T over all n rows here and the DEIM
+  :func:`product_tensors`, with P = U^T over all n rows here and the DEIM
   projector P = E over the m sampled rows in :mod:`swerom.deim`),
 * sampled interpolation (built in :mod:`swerom.deim`; cost depends on the
   number of sample points).
@@ -39,6 +39,7 @@ matrices, constant vector).
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from swerom.errors import FileFormatError
+from swerom.errors import FileFormatError, read_exact
 from swerom.model import (
     DifferenceOperators,
     FieldState,
@@ -123,11 +124,11 @@ class ReducedSpace:
                 self.dbasis[var, axis] = A @ basis.U
                 self.dmean[var, axis] = A @ basis.xbar
         # reduced Coriolis coupling (projected exactly; it is linear)
-        Wu, Wv = bases["u"].W, bases["v"].W
-        self.coriolis_uv = Wu.T @ (f[:, None] * bases["v"].U)
-        self.coriolis_vu = Wv.T @ (f[:, None] * bases["u"].U)
-        self.coriolis_u0 = Wu.T @ (f * bases["v"].xbar)
-        self.coriolis_v0 = Wv.T @ (f * bases["u"].xbar)
+        Uu, Uv = bases["u"].U, bases["v"].U
+        self.coriolis_uv = Uu.T @ (f[:, None] * Uv)
+        self.coriolis_vu = Uv.T @ (f[:, None] * Uu)
+        self.coriolis_u0 = Uu.T @ (f * bases["v"].xbar)
+        self.coriolis_v0 = Uv.T @ (f * bases["u"].xbar)
 
     def k(self, var: str) -> int:
         return self.bases[var].k
@@ -138,7 +139,7 @@ class ReducedSpace:
 
 
 def project_initial(state: FieldState, space: ReducedSpace) -> ReducedState:
-    """Reduced coordinates of a full state: per variable W^T (x - xbar)."""
+    """Reduced coordinates of a full state: per variable U^T (x - xbar)."""
     return ReducedState(
         u=space.bases["u"].project(state.u),
         v=space.bases["v"].project(state.v),
@@ -159,13 +160,13 @@ def lift_state(xt: ReducedState, space: ReducedSpace) -> FieldState:
 def standard_pod_nonlinear(term: str, xt, space: ReducedSpace) -> np.ndarray:
     """Lift, evaluate the term componentwise in full space, project back."""
     eq = TERM_EQUATION[term]
-    W = space.bases[eq].W
+    U = space.bases[eq].U
     out = np.zeros(space.k(eq))
     for coef, avar, bvar, axis in TERMS[term]:
         ba = space.bases[avar]
         a_full = ba.xbar + ba.U @ xt[avar]
         bx_full = space.dmean[bvar, axis] + space.dbasis[bvar, axis] @ xt[bvar]
-        out += coef * (W.T @ (a_full * bx_full))
+        out += coef * (U.T @ (a_full * bx_full))
     return out
 
 
@@ -200,7 +201,6 @@ class TensorCoefficients:
     coriolis_u0: np.ndarray
     coriolis_v0: np.ndarray
     k: dict[str, int]
-    built_from: str = "full"  # "full": summed over all n rows; "sampled": DEIM rows
 
 
 def product_tensors(P, Ua, abar, Ubx, bxbar, coef, a_var, b_var) -> ProductTensors:
@@ -218,10 +218,11 @@ def product_tensors(P, Ua, abar, Ubx, bxbar, coef, a_var, b_var) -> ProductTenso
 
 
 def build_tensor_coefficients(space: ReducedSpace) -> TensorCoefficients:
-    """Sum the projected triple products over all n mesh rows (P = W^T)."""
+    """Sum the projected triple products over all n mesh rows (P = U^T of the
+    term's equation)."""
     terms: dict[str, TermTensors] = {}
     for name in TERM_NAMES:
-        P = space.bases[TERM_EQUATION[name]].W.T
+        P = space.bases[TERM_EQUATION[name]].U.T
         products = []
         for coef, avar, bvar, axis in TERMS[name]:
             ba = space.bases[avar]
@@ -234,7 +235,7 @@ def build_tensor_coefficients(space: ReducedSpace) -> TensorCoefficients:
         terms=terms,
         coriolis_uv=space.coriolis_uv, coriolis_vu=space.coriolis_vu,
         coriolis_u0=space.coriolis_u0, coriolis_v0=space.coriolis_v0,
-        k={var: space.k(var) for var in VARIABLES}, built_from="full")
+        k={var: space.k(var) for var in VARIABLES})
 
 
 def tensorial_nonlinear(term: str, xt, tensors: TensorCoefficients) -> np.ndarray:
@@ -305,11 +306,10 @@ def _lift_project(terms, space, sl, K):
     """One lift of each variable and of its derivative: U @ x + xbar, then
     the direction's sparse difference operator applied to the lifted field.
     Each equation's products are summed in place over all n rows and
-    projected with W^T; W is U, so the projection reads the arrays the lift
-    just read."""
+    projected with U^T, which reads the arrays the lift just read."""
     A = space.ops.Ax if TERMS[terms[0]][0][3] == "x" else space.ops.Ay
     lifts = [(sl(var), space.bases[var].U, space.bases[var].xbar) for var in VARIABLES]
-    equations = [(sl(eq), space.bases[eq].W.T,
+    equations = [(sl(eq), space.bases[eq].U.T,
                   [(coef, VARIABLES.index(avar), VARIABLES.index(bvar))
                    for t in terms if TERM_EQUATION[t] == eq
                    for coef, avar, bvar, _ in TERMS[t]]) for eq in VARIABLES]
@@ -515,9 +515,7 @@ class ReducedModel(AdiNewton):
         if self._directions is None:
             self._directions = pack_directions(self.space, self.tensors, self.mode,
                                                self.deim_ops)
-        # a blown-up state ends in NonConvergenceError, without overflow warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = self._adi_step(self._pack(state), step_index, timings)
+        z = self._adi_step(self._pack(state), step_index, timings)
         return self._unpack(z, state.time + self.cfg.dt)
 
     def run(self, x0: ReducedState, nt: int | None = None
@@ -572,13 +570,10 @@ def save_tensors(tensors: TensorCoefficients, path) -> None:
 def load_tensors(path) -> TensorCoefficients:
     with open(path, "rb") as fh:
         def read_bytes(nbytes, what):
-            data = fh.read(nbytes)
-            if len(data) != nbytes:
-                raise FileFormatError(f"truncated tensor file while reading {what}")
-            return data
+            return read_exact(fh, nbytes, what, "tensor")
 
         def read(shape, what):
-            data = read_bytes(8 * int(np.prod(shape)), what)
+            data = read_bytes(8 * math.prod(shape), what)
             return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
         magic, k, p, n_terms = _HEADER.unpack(read_bytes(_HEADER.size, "header"))
@@ -586,6 +581,8 @@ def load_tensors(path) -> TensorCoefficients:
             raise FileFormatError(f"bad tensor magic {magic!r}")
         if p != 2:
             raise FileFormatError(f"unsupported tensor degree {p}")
+        if k < 0:
+            raise FileFormatError(f"negative basis size {k} in tensor file")
 
         cor_uv = read((k, k), "coriolis")
         cor_vu = read((k, k), "coriolis")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swerom.errors import FileFormatError
+from swerom.errors import FileFormatError, read_exact
 from swerom.model import Grid, PhysicalConstants, TERM_NAMES, VARIABLES, build_grid
 
 __all__ = ["SnapshotSet", "save_snapshots", "load_snapshots"]
@@ -53,15 +53,8 @@ def _write_matrix(fh, m: np.ndarray) -> None:
     fh.write(np.asarray(m, dtype="<f8").tobytes(order="F"))
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FileFormatError(f"truncated snapshot file while reading {what}")
-    return data
-
-
 def _read_matrix(fh, n: int, nt: int, what: str) -> np.ndarray:
-    data = _read_exact(fh, 8 * n * nt, what)
+    data = read_exact(fh, 8 * n * nt, what, "snapshot")
     return np.frombuffer(data, dtype="<f8").reshape((n, nt), order="F").copy()
 
 
@@ -88,13 +81,13 @@ def load_snapshots(path, nonlinear: bool = True) -> SnapshotSet:
     """Read a snapshot file; ``nonlinear=False`` skips the term matrices."""
     with open(path, "rb") as fh:
         magic, nx, ny, nt, n, dt, flags, L, D = _HEADER.unpack(
-            _read_exact(fh, _HEADER.size, "header"))
+            read_exact(fh, _HEADER.size, "header", "snapshot"))
         if magic != _MAGIC:
             raise FileFormatError(f"bad snapshot magic {magic!r}")
         if n != nx * ny:
             raise FileFormatError(f"stored n={n} does not match {nx}x{ny}")
         grid = build_grid(nx, ny, PhysicalConstants(L=L, D=D))
-        times = np.frombuffer(_read_exact(fh, 8 * nt, "times"), dtype="<f8").copy()
+        times = np.frombuffer(read_exact(fh, 8 * nt, "times", "snapshot"), dtype="<f8").copy()
         states = None
         if flags & _FLAG_STATES:
             states = {var: _read_matrix(fh, n, nt, var) for var in VARIABLES}

@@ -293,12 +293,14 @@ class AdiNewton:
         dt2 = 0.5 * cfg.dt
         refresh = (step_index % cfg.lu_refresh_every == 0)
         # x implicit with the y terms explicit, then the reverse; the x
-        # half-step's accepted _rhs("x", w) is the second one's explicit part
-        r = self._rhs("y", w, timings)
-        for axis in ("x", "y"):
-            solve = None if refresh else self._solves.get(axis)
-            w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
-                                                       solve, timings)
+        # half-step's accepted _rhs("x", w) is the second one's explicit part.
+        # A blown-up state ends in NonConvergenceError, without overflow warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self._rhs("y", w, timings)
+            for axis in ("x", "y"):
+                solve = None if refresh else self._solves.get(axis)
+                w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
+                                                           solve, timings)
         timings.steps += 1
         return w
 

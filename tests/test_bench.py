@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from swerom import bench
-from swerom.bench import (
-    ExperimentConfig,
-    RunReport,
-    build_state_bases,
-    read_run_report,
-    run_experiment,
-)
+from swerom.bench import ExperimentConfig, RunReport, read_run_report, run_experiment
 from swerom.plots import emit_plot_data, svg_line_plot
+from swerom.pod import build_state_bases
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,10 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from swerom.bench import build_state_bases
 from swerom.cli import main
 from swerom.deim import deim_operators_from_snapshots, deim_tensor_coefficients
 from swerom.model import (
@@ -14,6 +14,7 @@ from swerom.model import (
     coriolis_field,
     initial_state,
 )
+from swerom.pod import build_state_bases
 from swerom.rom import ReducedModel, ReducedSpace, build_tensor_coefficients, project_initial
 from swerom.snapshots import load_snapshots, save_snapshots
 from swerom.solver import SolverConfig, run_full
@@ -146,6 +147,27 @@ def test_run_rom_truncated_operator_exit_2(rom_dir, tmp_path, capsys):
     assert main(["run-rom", "--rom", str(romdir), "--mode", "pod-deim",
                  "--out", str(tmp_path / "o")]) == 2
     assert "truncated operator file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, offset, code, value", [
+    ("F21.deim", 16, "<q", 8),          # m: every later count shifts
+    ("u.pod", 16, "<q", 2 ** 40),       # k
+    ("snapshots.snap", 56, "<d", 0.0),  # L
+])
+def test_malformed_header_exit_2(rom_dir, full_run_dir, tmp_path, capsys, name, offset,
+                                 code, value):
+    src = full_run_dir if name.endswith(".snap") else rom_dir
+    shutil.copytree(src, tmp_path / "in")
+    path = tmp_path / "in" / name
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 8] = struct.pack(code, value)
+    path.write_bytes(bytes(data))
+    if name.endswith(".snap"):
+        argv = ["build-rom", "--snapshots", str(path), "--k", "4"]
+    else:
+        argv = ["run-rom", "--rom", str(tmp_path / "in"), "--mode", "pod-deim"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_rom_missing_dir_exit_2(tmp_path):

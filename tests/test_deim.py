@@ -280,7 +280,7 @@ def test_deim_operator_bad_magic(tmp_path):
 def test_deim_error_band_over_sample_counts(pipeline31):
     """Mean trajectory approximation error is nonincreasing in m within a
     10% tolerance band (greedy selection is not strictly monotone)."""
-    from swerom.bench import build_state_bases
+    from swerom.pod import build_state_bases
     from swerom.rom import ReducedSpace
 
     pipe = pipeline31

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from swerom.deim import (
 )
 from swerom.errors import FileFormatError
 from swerom.model import TERM_NAMES, build_grid
+from swerom.pod import load_basis, save_basis
 from swerom.rom import build_tensor_coefficients, load_tensors, save_tensors
 from swerom.snapshots import SnapshotSet, load_snapshots, save_snapshots
 
@@ -106,16 +109,26 @@ def test_snapshot_load_without_nonlinear_terms(tmp_path):
         load_snapshots(path, nonlinear=False)
 
 
-def test_operator_and_tensor_files_truncated_at_every_offset(tmp_path):
-    rng = np.random.default_rng(6)
+LOADERS = {"s.snap": load_snapshots, "b.pod": load_basis,
+           "op.deim": load_deim_operator, "t.tpod": load_tensors}
+
+
+def write_every_format(tmp_path, rng):
+    """One small file of each format, named as in LOADERS."""
+    save_snapshots(make_snapshots(rng, nt=2), tmp_path / "s.snap")
     grid = build_grid(4, 3)
     space = make_space(grid, rng, k=2)
+    save_basis(space.bases["u"], tmp_path / "b.pod")
     V = orthonormal_basis(grid.n, 3, rng)
     save_deim_operator(build_deim_term_operator(space, "F22", V, deim_select_points(V)),
                        tmp_path / "op.deim")
     save_tensors(build_tensor_coefficients(space), tmp_path / "t.tpod")
+
+
+def test_files_truncated_at_every_offset(tmp_path):
+    write_every_format(tmp_path, np.random.default_rng(6))
     cut = tmp_path / "cut"
-    for name, load in (("op.deim", load_deim_operator), ("t.tpod", load_tensors)):
+    for name, load in LOADERS.items():
         data = (tmp_path / name).read_bytes()
         load(tmp_path / name)
         for size in range(len(data)):
@@ -125,3 +138,38 @@ def test_operator_and_tensor_files_truncated_at_every_offset(tmp_path):
     cut.write_bytes((tmp_path / "op.deim").read_bytes() + b"\0")
     with pytest.raises(FileFormatError, match="trailing"):
         load_deim_operator(cut)
+
+
+HUGE = 2 ** 40
+
+
+@pytest.mark.parametrize("name, offset, code, value, error", [
+    ("s.snap", 24, "<q", HUGE, FileFormatError),            # nt
+    ("s.snap", 24, "<q", -1, FileFormatError),
+    ("s.snap", 56, "<d", 0.0, ValueError),                  # L
+    ("s.snap", 64, "<d", 0.0, ValueError),                  # D
+    ("s.snap", 56, "<d", float("nan"), ValueError),
+    ("s.snap", 64, "<d", float("inf"), ValueError),
+    ("b.pod", 8, "<q", HUGE, FileFormatError),              # n
+    ("b.pod", 16, "<q", HUGE, FileFormatError),             # k
+    ("b.pod", 24, "<q", HUGE, FileFormatError),             # nsigma
+    ("b.pod", 16, "<q", -1, FileFormatError),
+    ("op.deim", 8, "<q", HUGE, FileFormatError),            # n
+    ("op.deim", 16, "<q", HUGE, FileFormatError),           # m
+    ("op.deim", 16, "<q", 5, FileFormatError),              # m: later counts shift
+    ("op.deim", 24, "<q", HUGE, FileFormatError),           # k
+    ("op.deim", 40 + 8 * 3, "<q", HUGE, FileFormatError),   # spectrum length
+    ("t.tpod", 8, "<q", 2 ** 21, FileFormatError),          # k: k**3 wraps in int64
+    ("t.tpod", 8, "<q", -2, FileFormatError),
+])
+def test_malformed_header_rejected_before_reading(tmp_path, name, offset, code, value,
+                                                  error):
+    # header counts are checked against the bytes left before anything is
+    # allocated, and the domain size against the stencils' needs
+    write_every_format(tmp_path, np.random.default_rng(9))
+    path = tmp_path / name
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 8] = struct.pack(code, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(error):
+        LOADERS[name](path)

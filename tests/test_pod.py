@@ -4,15 +4,19 @@ import scipy.linalg
 
 from swerom.errors import FileFormatError
 from swerom.pod import (
+    build_state_bases,
     center_snapshots,
-    compute_pod_basis,
     energy_index,
     load_basis,
     numerical_rank,
-    pod_from_snapshots,
     save_basis,
     select_mode_count,
 )
+
+
+def pod_basis(X, var="x", **kwargs):
+    """The pipeline builder's basis of the single snapshot matrix X."""
+    return build_state_bases({var: X}, **kwargs)[var]
 
 
 def correlation_route_basis(snaps, k):
@@ -77,7 +81,7 @@ def test_rank_one_snapshots():
     direction = rng.standard_normal(8)
     coeffs = rng.standard_normal(5)
     snaps = np.outer(direction, coeffs)
-    basis = compute_pod_basis(snaps, gamma=0.99)
+    basis = pod_basis(snaps, gamma=0.99, center=False)
     assert basis.k == 1
     assert energy_index(basis.sigma, 1) == pytest.approx(1.0)
     unit = direction / np.linalg.norm(direction)
@@ -89,7 +93,7 @@ def test_energy_selection_two_modes():
     X = np.zeros((6, 2))
     X[0, 0] = 3.0
     X[1, 1] = 1.0
-    basis = compute_pod_basis(X, gamma=0.99)
+    basis = pod_basis(X, gamma=0.99, center=False)
     assert basis.k == 2
     assert energy_index(basis.sigma, 1) == pytest.approx(0.9)
 
@@ -99,7 +103,7 @@ def test_matches_correlation_matrix_oracle():
     snaps = rng.standard_normal((20, 8))
     k = 5
     centered, _ = center_snapshots(snaps)
-    basis = compute_pod_basis(centered, k=k)
+    basis = pod_basis(centered, k=k, center=False)
     U_oracle, lam_oracle = correlation_route_basis(snaps, k)
     U_oracle = align_signs(basis.U, U_oracle)
     assert np.max(np.abs(basis.U - U_oracle)) < 1e-10
@@ -112,7 +116,7 @@ def test_subspace_equivalence_many_shapes():
         snaps = rng.standard_normal((n, nt))
         k = min(4, min(n, nt) - 1)
         centered, _ = center_snapshots(snaps)
-        basis = compute_pod_basis(centered, k=k)
+        basis = pod_basis(centered, k=k, center=False)
         U_oracle, _ = correlation_route_basis(snaps, k)
         angles = scipy.linalg.subspace_angles(basis.U, U_oracle)
         assert np.max(angles) < 1e-8
@@ -120,7 +124,7 @@ def test_subspace_equivalence_many_shapes():
 
 def test_orthonormality_and_spectrum_order():
     rng = np.random.default_rng(5)
-    basis = compute_pod_basis(rng.standard_normal((40, 12)), k=6)
+    basis = pod_basis(rng.standard_normal((40, 12)), k=6, center=False)
     dev = np.max(np.abs(basis.U.T @ basis.U - np.eye(6)))
     assert dev <= 1e-12
     assert np.all(np.diff(basis.sigma) <= 1e-12)
@@ -132,7 +136,7 @@ def test_projection_optimality():
     X = rng.standard_normal((25, 10))
     centered, _ = center_snapshots(X)
     k = 4
-    basis = compute_pod_basis(centered, k=k)
+    basis = pod_basis(centered, k=k, center=False)
     residual = centered - basis.U @ (basis.U.T @ centered)
     tail = basis.sigma[k:].sum()
     assert np.linalg.norm(residual, "fro") ** 2 == pytest.approx(tail, rel=1e-8)
@@ -140,7 +144,7 @@ def test_projection_optimality():
 
 def test_energy_monotone_and_bounds():
     rng = np.random.default_rng(7)
-    basis = compute_pod_basis(rng.standard_normal((15, 9)), k=3)
+    basis = pod_basis(rng.standard_normal((15, 9)), k=3, center=False)
     values = [energy_index(basis.sigma, m) for m in range(1, 10)]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(1.0)
@@ -164,8 +168,9 @@ def test_k_exceeding_rank_reports_rank():
     X = np.zeros((10, 4))
     X[0, 0] = 1.0
     X[1, 1] = 2.0
-    with pytest.raises(ValueError, match="rank 2"):
-        compute_pod_basis(X, k=3)
+    basis = pod_basis(X, k=3, center=False)
+    assert basis.k == 2 and basis.U.shape == (10, 2)
+    assert np.allclose(np.abs(basis.U), np.eye(10, 2)[:, ::-1], atol=1e-15)
 
 
 def test_numerical_rank():
@@ -177,7 +182,7 @@ def test_numerical_rank():
 def test_no_centering_variant():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((12, 5)) + 3.0
-    basis = pod_from_snapshots(X, k=2, center=False)
+    basis = pod_basis(X, k=2, center=False)
     assert np.all(basis.xbar == 0.0)
     xt = basis.project(X[:, 0])
     assert np.allclose(basis.lift(xt), basis.U @ xt)
@@ -186,19 +191,25 @@ def test_no_centering_variant():
 def test_project_lift_consistency():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((12, 6))
-    basis = pod_from_snapshots(X, k=3)
+    basis = pod_basis(X, k=3)
     # projecting the mean gives the origin of reduced coordinates
     assert np.allclose(basis.project(basis.xbar), 0.0, atol=1e-12)
     # lift respects orthonormality: project(lift(xt)) == xt
     xt = rng.standard_normal(3)
     assert np.allclose(basis.project(basis.lift(xt)), xt, atol=1e-12)
+    # a k-by-nt trajectory lifts column by column
+    traj = rng.standard_normal((3, 4))
+    lifted = basis.lift(traj)
+    assert lifted.shape == (12, 4)
+    for t in range(4):
+        assert np.allclose(lifted[:, t], basis.lift(traj[:, t]), rtol=0.0, atol=1e-13)
 
 
 # --- file round trip ---------------------------------------------------------------
 
 def test_basis_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
-    basis = pod_from_snapshots(rng.standard_normal((14, 7)), k=4, var="phi")
+    basis = pod_basis(rng.standard_normal((14, 7)), var="phi", k=4)
     path = tmp_path / "b.pod"
     save_basis(basis, path)
     back = load_basis(path)
@@ -216,7 +227,7 @@ def test_loaded_basis_projects_bitwise_like_built(tmp_path):
     # the CLI projects with a loaded basis and the library with a built one;
     # both must round the same way
     rng = np.random.default_rng(13)
-    basis = pod_from_snapshots(rng.standard_normal((713, 16)), k=6)
+    basis = pod_basis(rng.standard_normal((713, 16)), k=6)
     save_basis(basis, tmp_path / "b.pod")
     back = load_basis(tmp_path / "b.pod")
     x = rng.standard_normal(713)
@@ -227,7 +238,7 @@ def test_loaded_basis_projects_bitwise_like_built(tmp_path):
 
 def test_basis_bad_magic(tmp_path):
     rng = np.random.default_rng(12)
-    basis = pod_from_snapshots(rng.standard_normal((6, 4)), k=2)
+    basis = pod_basis(rng.standard_normal((6, 4)), k=2)
     path = tmp_path / "bad.pod"
     save_basis(basis, path)
     data = bytearray(path.read_bytes())

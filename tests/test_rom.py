@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from swerom.bench import build_state_bases
 from swerom.deim import (
     build_deim_term_operator,
     deim_operators_from_snapshots,
@@ -25,7 +24,7 @@ from swerom.model import (
     coriolis_field,
     eval_nonlinear,
 )
-from swerom.pod import PodBasis
+from swerom.pod import PodBasis, build_state_bases
 from swerom.rom import (
     ReducedModel,
     ReducedSpace,
@@ -64,8 +63,7 @@ def make_space(grid, rng, k=3, centered=True, phi_has_constant=False):
         else:
             U = orthonormal_basis(grid.n, k, rng)
         xbar = rng.standard_normal(grid.n) if centered else np.zeros(grid.n)
-        bases[var] = PodBasis(var=var, U=U, W=U, xbar=xbar,
-                              sigma=np.ones(k), k=k)
+        bases[var] = PodBasis(var=var, U=U, xbar=xbar, sigma=np.ones(k), k=k)
     return ReducedSpace(bases, ops, f)
 
 
@@ -137,7 +135,7 @@ def test_project_matches_dense_oracle():
     xt = project_initial(state, space)
     for var in ("u", "v", "phi"):
         b = space.bases[var]
-        want = b.W.T @ (state[var] - b.xbar)
+        want = b.U.T @ (state[var] - b.xbar)
         assert np.allclose(xt[var], want, atol=1e-13)
 
 
@@ -162,7 +160,7 @@ def test_standard_rank_one_scalar_formula():
     xt = ReducedState(u=ut, v=vt, phi=np.zeros(1))
     u1 = space.bases["u"].U[:, 0]
     v1 = space.bases["v"].U[:, 0]
-    W = space.bases["u"].W[:, 0]
+    W = space.bases["u"].U[:, 0]
     # F12 = v ⊙ (Ay u): reduces to vt*ut * W^T(v1 ⊙ Ay u1)
     want = vt[0] * ut[0] * (W @ (v1 * (ops.Ay @ u1)))
     got = standard_pod_nonlinear("F12", xt, space)
@@ -177,7 +175,7 @@ def test_standard_equals_lifted_full_evaluation(term):
     space = make_space(grid, rng)
     xt = random_reduced(space, rng)
     lifted = lift_state(xt, space)
-    want = space.bases[TERM_EQUATION[term]].W.T @ eval_nonlinear(term, lifted, ops)
+    want = space.bases[TERM_EQUATION[term]].U.T @ eval_nonlinear(term, lifted, ops)
     got = standard_pod_nonlinear(term, xt, space)
     assert np.allclose(got, want, rtol=1e-11, atol=1e-12)
 
@@ -193,7 +191,6 @@ def test_tensor_zero_for_constant_basis_zero_derivative():
     ones = np.ones(grid.n) / np.sqrt(grid.n)
     for var in ("u", "v", "phi"):
         space.bases[var].U[:, 0] = ones
-        space.bases[var].W[:, 0] = ones
     space = ReducedSpace(space.bases, space.ops, space.f)  # rebuild derived arrays
     tensors = build_tensor_coefficients(space)
     assert np.allclose(tensors.terms["F11"].products[0].quad, 0.0, atol=1e-15)
@@ -204,7 +201,7 @@ def test_tensor_k1_matches_direct_sum():
     grid = build_grid(5, 5)
     space = make_space(grid, rng, k=1, centered=False)
     tensors = build_tensor_coefficients(space)
-    W = space.bases["u"].W[:, 0]
+    W = space.bases["u"].U[:, 0]
     Ua = space.bases["u"].U[:, 0]
     Ux = space.dbasis["u", "x"][:, 0]
     want = float(np.sum(W * Ua * Ux))
@@ -218,7 +215,7 @@ def test_tensor_matches_quadruple_loop_oracle(k):
     space = make_space(grid, rng, k=k)
     tensors = build_tensor_coefficients(space)
     for name in TERM_NAMES:
-        W = space.bases[TERM_EQUATION[name]].W
+        W = space.bases[TERM_EQUATION[name]].U
         for j, (coef, avar, bvar, axis) in enumerate(TERMS[name]):
             ba = space.bases[avar]
             check_product_against_loop(tensors.terms[name].products[j], W, ba.U, ba.xbar,

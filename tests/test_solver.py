@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -346,8 +348,10 @@ def test_non_finite_state_raises_before_factorization():
     solver._factor = counting
     blown_up = FieldState(u=1e160 * ic.u, v=1e160 * ic.v, phi=1e160 * ic.phi)
     tm = PhaseTimings()
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the input here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(NonConvergenceError, match="not finite") as err:
             solver.step(blown_up, 0, tm)
+    assert [str(w.message) for w in caught] == []
     assert err.value.iterations == 0
     assert factored == [] and tm.newton_iters == 0 and tm.solve_s == 0.0
