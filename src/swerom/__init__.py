@@ -43,7 +43,7 @@ from swerom.rom import (
     tensorial_nonlinear,
 )
 from swerom.snapshots import SnapshotSet, load_snapshots, save_snapshots
-from swerom.solver import FullSolver, RecordFlags, SolverConfig, run_full
+from swerom.solver import FullSolver, SolverConfig, run_full
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "NonConvergenceError",
     "PhysicalConstants",
     "PodBasis",
-    "RecordFlags",
     "ReducedModel",
     "ReducedSpace",
     "ReducedState",

@@ -41,7 +41,7 @@ from swerom.model import (
 )
 from swerom.pod import build_state_bases, center_snapshots
 from swerom.rom import MODES, ReducedModel, ReducedSpace, build_tensor_coefficients, project_initial
-from swerom.solver import RecordFlags, SolverConfig, run_full
+from swerom.solver import SolverConfig, run_full
 
 __all__ = [
     "WINDOWS",
@@ -314,19 +314,17 @@ def _deim_point_lines(cfg, grid_name, grid, snaps, shared) -> list[str]:
 
 def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
     dt, nt = cfg.resolve_window()
-    consts = cfg.constants()
-    grid = build_grid(nx, ny, consts)
+    grid = build_grid(nx, ny, cfg.constants())
     ops = build_operators(grid)
-    f = coriolis_field(grid, consts)
-    ic = initial_state(grid, ops, consts)
+    f = coriolis_field(grid)
+    ic = initial_state(grid, ops)
     scfg = SolverConfig(dt=dt, nt=nt, newton_tol=cfg.newton_tol,
                         newton_max_iters=cfg.newton_max_iters,
                         lu_refresh_every=cfg.lu_refresh_every)
 
     t0 = time.perf_counter()
     try:
-        _, snaps, full_tm = run_full(ic, scfg, ops, f, grid,
-                                     RecordFlags(states=True, nonlinear=True))
+        _, snaps, full_tm = run_full(ic, scfg, ops, f, grid)
     except NonConvergenceError as err:
         rep = _base_report(cfg, grid, dt, nt, "full")
         rep.status = (f"nonconverged: residual {err.residual:.3e} "

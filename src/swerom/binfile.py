@@ -1,0 +1,94 @@
+"""The byte layout of the four artifact files, read and written in one place.
+
+Each file starts with its kind's 8-byte :data:`MAGIC`, then little-endian
+``struct`` fields, NUL-padded 8-byte tags, and int64 or float64 arrays in C
+or F element order. :func:`reading` checks the magic; each counted read is
+checked against the bytes left before it allocates, so a corrupt size fails
+as a truncation, not an allocation.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import struct
+from contextlib import contextmanager
+
+import numpy as np
+
+from swerom.errors import FileFormatError
+
+MAGIC = {"snapshot": b"SWESNAP1", "basis": b"PODBAS1\0", "operator": b"DEIMOP1\0",
+         "tensor": b"TPODCF1\0"}
+
+
+class Writer:
+    def __init__(self, fh, kind: str):
+        self._fh = fh
+        fh.write(MAGIC[kind])
+
+    def fields(self, fmt: str, *values) -> None:
+        self._fh.write(struct.pack("<" + fmt, *values))
+
+    def tag(self, name: str) -> None:
+        if len(name.encode()) > 8:
+            raise ValueError(f"tag {name!r} is longer than 8 bytes")
+        self._fh.write(name.encode().ljust(8, b"\0"))
+
+    def array(self, arr, dtype: str = "<f8", order: str = "C") -> None:
+        self._fh.write(np.asarray(arr, dtype=dtype).tobytes(order=order))
+
+
+class Reader:
+    def __init__(self, fh, kind: str):
+        self._fh = fh
+        self._left = os.fstat(fh.fileno()).st_size
+        self._kind = kind
+        got = self._read(8, "magic")
+        self.require(got == MAGIC[kind], f"bad {kind} magic {got!r}")
+
+    def require(self, ok: bool, message: str) -> None:
+        if not ok:
+            raise FileFormatError(message)
+
+    def _read(self, nbytes: int, what: str) -> bytes:
+        if nbytes > self._left:
+            raise FileFormatError(f"truncated {self._kind} file while reading {what}")
+        self._left -= nbytes
+        return self._fh.read(nbytes)
+
+    def fields(self, fmt: str, what: str) -> tuple:
+        return struct.unpack("<" + fmt, self._read(struct.calcsize("<" + fmt), what))
+
+    def tag(self, what: str, known=None) -> str:
+        """An 8-byte tag; with ``known``, it must be one of those names."""
+        name = self._read(8, what).rstrip(b"\0").decode()
+        self.require(known is None or name in known, f"bad {what} {name!r} in {self._kind} file")
+        return name
+
+    def array(self, shape: tuple, what: str, dtype: str = "<f8", order: str = "C",
+              layout: str = "C") -> np.ndarray:
+        """A copy, in memory order ``layout``, of an array stored in ``order``."""
+        self.require(min(shape) >= 0, f"negative size of {what} in {self._kind} file")
+        data = self._read(np.dtype(dtype).itemsize * math.prod(shape), what)
+        return np.frombuffer(data, dtype=dtype).reshape(shape, order=order).copy(order=layout)
+
+    def skip(self, nbytes: int, what: str) -> None:
+        self.require(0 <= nbytes <= self._left, f"truncated {self._kind} file in {what}")
+        self._left -= nbytes
+        self._fh.seek(nbytes, os.SEEK_CUR)
+
+    def end(self) -> None:
+        self.require(self._left == 0, f"trailing bytes after {self._kind} payload")
+
+
+@contextmanager
+def writing(path, kind: str):
+    with open(path, "wb") as fh:
+        yield Writer(fh, kind)
+
+
+@contextmanager
+def reading(path, kind: str):
+    with open(path, "rb") as fh:
+        yield Reader(fh, kind)

@@ -60,7 +60,7 @@ from swerom.rom import (
     save_tensors,
 )
 from swerom.snapshots import SnapshotSet, load_snapshots, save_snapshots
-from swerom.solver import RecordFlags, SolverConfig, run_full
+from swerom.solver import SolverConfig, run_full
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -131,7 +131,7 @@ def cmd_run_full(args) -> int:
     print(f"grid {nx}x{ny} (n={grid.n}), dt={dt:g}s, nt={nt}, "
           f"CFL indicator {cfl_indicator(ic, grid, dt):.4f}")
     t0 = time.perf_counter()
-    final, snaps, tm = run_full(ic, cfg, ops, f, grid, RecordFlags())
+    final, snaps, tm = run_full(ic, cfg, ops, f, grid)
     elapsed = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,7 +154,7 @@ def cmd_build_rom(args) -> int:
     snaps = load_snapshots(args.snapshots, nonlinear=args.mode == "pod-deim")
     grid = snaps.grid
     ops = build_operators(grid)
-    f = coriolis_field(grid, PhysicalConstants(L=grid.L, D=grid.D))
+    f = coriolis_field(grid)
     bases = build_state_bases(snaps.states, k=args.k, gamma=args.gamma,
                               center=not args.no_center)
     space = ReducedSpace(bases, ops, f)
@@ -169,7 +169,7 @@ def cmd_build_rom(args) -> int:
     if args.mode == "pod-deim":
         if snaps.nonlinear is None:
             raise ValueError("snapshot file has no nonlinear-term matrices; "
-                             "re-run run-full with recording enabled")
+                             "pod-deim needs the snapshots of run-full")
         if args.m is None:
             raise ValueError("pod-deim needs --m")
         for term, op in deim_operators_from_snapshots(space, snaps.nonlinear,
@@ -189,10 +189,10 @@ def cmd_run_rom(args) -> int:
     if "L" not in meta or "D" not in meta:
         raise ValueError(f"{romdir / 'rom_meta.json'} has no domain size L, D; "
                          "rerun build-rom")
-    consts = PhysicalConstants(L=float(meta["L"]), D=float(meta["D"]))
-    grid = build_grid(meta["nx"], meta["ny"], consts)
+    grid = build_grid(meta["nx"], meta["ny"],
+                      PhysicalConstants(L=float(meta["L"]), D=float(meta["D"])))
     ops = build_operators(grid)
-    f = coriolis_field(grid, consts)
+    f = coriolis_field(grid)
     bases = {var: load_basis(romdir / f"{var}.pod") for var in VARIABLES}
     space = ReducedSpace(bases, ops, f)
     mode = args.mode
@@ -207,7 +207,7 @@ def cmd_run_rom(args) -> int:
                    else build_tensor_coefficients(space))
     nt = args.nt if args.nt is not None else int(meta["nt"])
     cfg = _solver_config(args, float(meta["dt"]), nt)
-    ic = initial_state(grid, ops, consts)
+    ic = initial_state(grid, ops)
     model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
     x0 = project_initial(ic, space)
     t0 = time.perf_counter()

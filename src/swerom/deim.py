@@ -22,12 +22,11 @@ and per product the variable tags, scale factor, and sampled arrays.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from swerom.errors import FileFormatError, read_exact
+from swerom import binfile
 from swerom.model import TERMS, TERM_EQUATION, TERM_NAMES
 from swerom.rom import ReducedSpace, TensorCoefficients, TermTensors, product_tensors
 
@@ -204,60 +203,47 @@ def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
 
 # --- operator file ---------------------------------------------------------------
 
-_MAGIC = b"DEIMOP1\0"
-_HEADER = struct.Struct("<8sqqq8s")
-
-
 def save_deim_operator(op: DeimTermOperator, path) -> None:
-    k = op.E.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, op.n, op.m, k, op.term.encode().ljust(8, b"\0")))
-        fh.write(np.asarray(op.points, dtype="<i8").tobytes())
-        fh.write(struct.pack("<qd", op.sigma.shape[0], op.cond))
-        fh.write(np.asarray(op.sigma, dtype="<f8").tobytes())
-        fh.write(np.asarray(op.V, dtype="<f8").tobytes(order="F"))
-        fh.write(np.asarray(op.E, dtype="<f8").tobytes(order="F"))
-        fh.write(struct.pack("<q", len(op.products)))
+    with binfile.writing(path, "operator") as w:
+        w.fields("qqq", op.n, op.m, op.E.shape[0])
+        w.tag(op.term)
+        w.array(op.points, "<i8")
+        w.fields("qd", op.sigma.shape[0], op.cond)
+        w.array(op.sigma)
+        w.array(op.V, order="F")
+        w.array(op.E, order="F")
+        w.fields("q", len(op.products))
         for p in op.products:
-            fh.write(p.a_var.encode().ljust(8, b"\0"))
-            fh.write(p.b_var.encode().ljust(8, b"\0"))
-            fh.write(struct.pack("<dqq", p.coef, p.Uam.shape[1], p.Ubxm.shape[1]))
-            fh.write(np.asarray(p.Uam, dtype="<f8").tobytes(order="F"))
-            fh.write(np.asarray(p.Ubxm, dtype="<f8").tobytes(order="F"))
-            fh.write(np.asarray(p.am, dtype="<f8").tobytes())
-            fh.write(np.asarray(p.bxm, dtype="<f8").tobytes())
+            w.tag(p.a_var)
+            w.tag(p.b_var)
+            w.fields("dqq", p.coef, p.Uam.shape[1], p.Ubxm.shape[1])
+            w.array(p.Uam, order="F")
+            w.array(p.Ubxm, order="F")
+            w.array(p.am)
+            w.array(p.bxm)
 
 
 def load_deim_operator(path) -> DeimTermOperator:
-    with open(path, "rb") as fh:
-        def read(nbytes, what):
-            return read_exact(fh, nbytes, what, "operator")
-
-        def read_f8(count, what, shape=None):
-            arr = np.frombuffer(read(8 * count, what), dtype="<f8").copy()
-            return arr.reshape(shape, order="F") if shape else arr
-
-        magic, n, m, k, tag = _HEADER.unpack(read(_HEADER.size, "header"))
-        if magic != _MAGIC:
-            raise FileFormatError(f"bad operator magic {magic!r}")
-        points = np.frombuffer(read(8 * m, "points"), dtype="<i8").copy()
-        nsigma, cond = struct.unpack("<qd", read(16, "sigma header"))
-        sigma = read_f8(nsigma, "sigma")
-        V = read_f8(n * m, "V", (n, m))
-        E = read_f8(k * m, "E", (k, m))
-        (n_products,) = struct.unpack("<q", read(8, "product count"))
+    with binfile.reading(path, "operator") as r:
+        n, m, k = r.fields("qqq", "header")
+        term = r.tag("term tag", TERM_NAMES)
+        points = r.array((m,), "points", "<i8")
+        nsigma, cond = r.fields("qd", "sigma header")
+        sigma = r.array((nsigma,), "sigma")
+        # column-major like the E the library builds, so E @ samples rounds the same way
+        V = r.array((n, m), "V", order="F", layout="F")
+        E = r.array((k, m), "E", order="F", layout="F")
+        r.require(r.fields("q", "count") == (len(TERMS[term]),), f"bad product count of {term}")
         products = []
-        for _ in range(n_products):
-            a_var = read(8, "variable tag").rstrip(b"\0").decode()
-            b_var = read(8, "variable tag").rstrip(b"\0").decode()
-            coef, ka, kb = struct.unpack("<dqq", read(24, "product header"))
-            Uam = read_f8(m * ka, "Uam", (m, ka))
-            Ubxm = read_f8(m * kb, "Ubxm", (m, kb))
-            am = read_f8(m, "am")
-            bxm = read_f8(m, "bxm")
-            products.append(SampledProduct(a_var=a_var, b_var=b_var, coef=coef,
-                                           Uam=Uam, Ubxm=Ubxm, am=am, bxm=bxm))
-        if fh.read(1):
-            raise FileFormatError("trailing bytes after operator payload")
-    return DeimTermOperator(term=tag.rstrip(b"\0").decode(), V=V, points=points,
-                            E=E, cond=cond, sigma=sigma, products=products, n=n)
+        for _, a_var, b_var, _ in TERMS[term]:
+            r.tag("variable tag", (a_var,))
+            r.tag("variable tag", (b_var,))
+            coef, ka, kb = r.fields("dqq", "product header")
+            products.append(SampledProduct(
+                a_var=a_var, b_var=b_var, coef=coef,
+                Uam=r.array((m, ka), "Uam", order="F", layout="F"),
+                Ubxm=r.array((m, kb), "Ubxm", order="F", layout="F"),
+                am=r.array((m,), "am"), bxm=r.array((m,), "bxm")))
+        r.end()
+    return DeimTermOperator(term=term, V=V, points=points, E=E, cond=cond, sigma=sigma,
+                            products=products, n=n)

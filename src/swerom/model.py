@@ -66,15 +66,22 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 
 @dataclass(frozen=True)
 class Grid:
-    """Equidistant nx-by-ny mesh covering [0, L] x [0, D]."""
+    """Equidistant nx-by-ny mesh covering [0, L] x [0, D], with that domain's constants."""
 
     nx: int
     ny: int
-    L: float
-    D: float
+    consts: PhysicalConstants
     dx: float
     dy: float
     n: int
+
+    @property
+    def L(self) -> float:
+        return self.consts.L
+
+    @property
+    def D(self) -> float:
+        return self.consts.D
 
     def node_index(self, i: int, j: int) -> int:
         return i + j * self.nx
@@ -102,7 +109,7 @@ def build_grid(nx: int, ny: int, consts: PhysicalConstants = DEFAULT_CONSTANTS) 
         raise ValueError(f"domain needs finite L > 0 and D > 0, got {consts.L} x {consts.D}")
     dx = consts.L / (nx - 1)
     dy = consts.D / (ny - 1)
-    return Grid(nx=nx, ny=ny, L=consts.L, D=consts.D, dx=dx, dy=dy, n=nx * ny)
+    return Grid(nx=nx, ny=ny, consts=consts, dx=dx, dy=dy, n=nx * ny)
 
 
 @dataclass(frozen=True)
@@ -166,17 +173,18 @@ def boundary_row_indices(grid: Grid) -> np.ndarray:
     return np.concatenate([south, north])
 
 
-def coriolis_field(grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+def coriolis_field(grid: Grid) -> np.ndarray:
     """Beta-plane Coriolis parameter f(y) = f_hat + beta*(y - D/2), flat."""
-    return consts.f_hat + consts.beta * (grid.y_coords() - consts.D / 2.0)
+    return grid.consts.f_hat + grid.consts.beta * (grid.y_coords() - grid.D / 2.0)
 
 
-def grammeltvedt_height(grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+def grammeltvedt_height(grid: Grid) -> np.ndarray:
     """Initial height field (Grammeltvedt No. 1 zonal flow).
 
     h = H0 + H1*tanh(theta) + H2*sech^2(theta)*sin(2 pi x / L) with
     theta = 9*(D/2 - y)/(2 D).
     """
+    consts = grid.consts
     x = grid.x_coords()
     y = grid.y_coords()
     theta = 9.0 * (consts.D / 2.0 - y) / (2.0 * consts.D)
@@ -190,7 +198,6 @@ def geostrophic_wind(
     ops: DifferenceOperators,
     f: np.ndarray,
     grid: Grid,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Wind field in geostrophic balance with the height field.
 
@@ -199,8 +206,8 @@ def geostrophic_wind(
     """
     if np.any(np.abs(f) < 1e-12):
         raise ValueError("geostrophic wind undefined: |f| < 1e-12 somewhere")
-    u = -(consts.g / f) * (ops.Ay @ h)
-    v = (consts.g / f) * (ops.Ax @ h)
+    u = -(grid.consts.g / f) * (ops.Ay @ h)
+    v = (grid.consts.g / f) * (ops.Ax @ h)
     v[boundary_row_indices(grid)] = 0.0
     return u, v
 
@@ -232,16 +239,12 @@ class FieldState:
         return replace(self, u=self.u.copy(), v=self.v.copy(), phi=self.phi.copy())
 
 
-def initial_state(
-    grid: Grid,
-    ops: DifferenceOperators,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> FieldState:
+def initial_state(grid: Grid, ops: DifferenceOperators) -> FieldState:
     """Grammeltvedt height with geostrophic winds, as a FieldState."""
-    h = grammeltvedt_height(grid, consts)
-    f = coriolis_field(grid, consts)
-    u, v = geostrophic_wind(h, ops, f, grid, consts)
-    phi = geopotential_from_height(h, consts.g)
+    h = grammeltvedt_height(grid)
+    f = coriolis_field(grid)
+    u, v = geostrophic_wind(h, ops, f, grid)
+    phi = geopotential_from_height(h, grid.consts.g)
     return FieldState(u=u, v=v, phi=phi, time=0.0)
 
 
@@ -304,7 +307,8 @@ def full_rhs(
     return du, dv, dphi
 
 
-def cfl_indicator(state: FieldState, grid: Grid, dt: float, g: float = DEFAULT_CONSTANTS.g) -> float:
+def cfl_indicator(state: FieldState, grid: Grid, dt: float) -> float:
     """Wave-speed stability number sqrt(g*h_max)*dt/dx; stable up to 8.9301."""
+    g = grid.consts.g
     h_max = float(np.max(state.phi)) ** 2 / (4.0 * g)
     return np.sqrt(g * h_max) * dt / grid.dx

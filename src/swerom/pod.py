@@ -20,12 +20,11 @@ Basis file layout (little-endian):
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from swerom.errors import FileFormatError, read_exact
+from swerom import binfile
 
 __all__ = [
     "PodBasis",
@@ -38,9 +37,6 @@ __all__ = [
     "save_basis",
     "load_basis",
 ]
-
-_MAGIC = b"PODBAS1\0"
-_HEADER = struct.Struct("<8sqqq8s")
 
 
 @dataclass
@@ -150,28 +146,21 @@ def build_state_bases(states: dict[str, np.ndarray], k: int | None = None,
 
 
 def save_basis(basis: PodBasis, path) -> None:
-    tag = basis.var.encode()[:8].ljust(8, b"\0")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, basis.n, basis.k, basis.sigma.shape[0], tag))
-        fh.write(np.asarray(basis.xbar, dtype="<f8").tobytes())
-        fh.write(np.asarray(basis.U, dtype="<f8").tobytes(order="F"))
-        fh.write(np.asarray(basis.sigma, dtype="<f8").tobytes())
+    with binfile.writing(path, "basis") as w:
+        w.fields("qqq", basis.n, basis.k, basis.sigma.shape[0])
+        w.tag(basis.var)
+        w.array(basis.xbar)
+        w.array(basis.U, order="F")
+        w.array(basis.sigma)
 
 
 def load_basis(path) -> PodBasis:
-    with open(path, "rb") as fh:
-        magic, n, k, nsigma, tag = _HEADER.unpack(
-            read_exact(fh, _HEADER.size, "header", "basis"))
-        if magic != _MAGIC:
-            raise FileFormatError(f"bad basis magic {magic!r}")
-
-        def read(count, what):
-            return np.frombuffer(read_exact(fh, 8 * count, what, "basis"), dtype="<f8").copy()
-
-        xbar = read(n, "xbar")
+    with binfile.reading(path, "basis") as r:
+        n, k, nsigma = r.fields("qqq", "header")
+        var = r.tag("variable tag")
+        xbar = r.array((n,), "xbar")
         # row-major like a built basis, so products with it round the same way
-        U = np.ascontiguousarray(read(n * k, "U").reshape((n, k), order="F"))
-        sigma = read(nsigma, "sigma")
-        if fh.read(1):
-            raise FileFormatError("trailing bytes after basis payload")
-    return PodBasis(var=tag.rstrip(b"\0").decode(), U=U, xbar=xbar, sigma=sigma, k=int(k))
+        U = r.array((n, k), "U", order="F")
+        sigma = r.array((nsigma,), "sigma")
+        r.end()
+    return PodBasis(var=var, U=U, xbar=xbar, sigma=sigma, k=int(k))

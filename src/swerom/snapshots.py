@@ -12,24 +12,22 @@ Layout of a snapshot file (all little-endian):
     then, if bit 1 is set: F11, F12, F21, F22, F31, F32, same layout
 
 Column t of every matrix belongs to the same time instant ``times[t]``.
-Round-trips are bit exact.
+Round-trips are bit exact. A load rejects ``n != nx*ny``, a non-finite or
+nonpositive ``dt``, unknown flag bits and trailing bytes. Only L and D of
+the physical constants travel: a grid with other constants is not saved.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from swerom.errors import FileFormatError, read_exact
+from swerom import binfile
 from swerom.model import Grid, PhysicalConstants, TERM_NAMES, VARIABLES, build_grid
 
 __all__ = ["SnapshotSet", "save_snapshots", "load_snapshots"]
 
-_MAGIC = b"SWESNAP1"
-_HEADER = struct.Struct("<8sqqqqdQdd")
 _FLAG_STATES = 1
 _FLAG_NONLINEAR = 2
 
@@ -49,54 +47,41 @@ class SnapshotSet:
         return self.times.shape[0]
 
 
-def _write_matrix(fh, m: np.ndarray) -> None:
-    fh.write(np.asarray(m, dtype="<f8").tobytes(order="F"))
-
-
-def _read_matrix(fh, n: int, nt: int, what: str) -> np.ndarray:
-    data = read_exact(fh, 8 * n * nt, what, "snapshot")
-    return np.frombuffer(data, dtype="<f8").reshape((n, nt), order="F").copy()
-
-
 def save_snapshots(snaps: SnapshotSet, path) -> None:
     grid = snaps.grid
+    if grid.consts != PhysicalConstants(L=grid.L, D=grid.D):
+        raise ValueError(f"a snapshot file keeps only L and D of the constants {grid.consts}")
     flags = 0
     if snaps.states is not None:
         flags |= _FLAG_STATES
     if snaps.nonlinear is not None:
         flags |= _FLAG_NONLINEAR
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, grid.nx, grid.ny, snaps.nt, grid.n,
-                              snaps.dt, flags, grid.L, grid.D))
-        fh.write(np.asarray(snaps.times, dtype="<f8").tobytes())
-        if snaps.states is not None:
-            for var in VARIABLES:
-                _write_matrix(fh, snaps.states[var])
-        if snaps.nonlinear is not None:
-            for term in TERM_NAMES:
-                _write_matrix(fh, snaps.nonlinear[term])
+    with binfile.writing(path, "snapshot") as w:
+        w.fields("qqqqdQdd", grid.nx, grid.ny, snaps.nt, grid.n, snaps.dt, flags, grid.L, grid.D)
+        w.array(snaps.times)
+        for group, names in ((snaps.states, VARIABLES), (snaps.nonlinear, TERM_NAMES)):
+            if group is not None:
+                for name in names:
+                    w.array(group[name], order="F")
 
 
 def load_snapshots(path, nonlinear: bool = True) -> SnapshotSet:
     """Read a snapshot file; ``nonlinear=False`` skips the term matrices."""
-    with open(path, "rb") as fh:
-        magic, nx, ny, nt, n, dt, flags, L, D = _HEADER.unpack(
-            read_exact(fh, _HEADER.size, "header", "snapshot"))
-        if magic != _MAGIC:
-            raise FileFormatError(f"bad snapshot magic {magic!r}")
-        if n != nx * ny:
-            raise FileFormatError(f"stored n={n} does not match {nx}x{ny}")
+    with binfile.reading(path, "snapshot") as r:
+        nx, ny, nt, n, dt, flags, L, D = r.fields("qqqqdQdd", "header")
+        r.require(n == nx * ny, f"stored n={n} does not match {nx}x{ny}")
+        r.require(0.0 < dt < np.inf, f"snapshot dt={dt} is not finite and positive")
+        r.require(flags <= _FLAG_STATES | _FLAG_NONLINEAR, f"unknown snapshot flags {flags:#x}")
         grid = build_grid(nx, ny, PhysicalConstants(L=L, D=D))
-        times = np.frombuffer(read_exact(fh, 8 * nt, "times", "snapshot"), dtype="<f8").copy()
+        times = r.array((nt,), "times")
         states = None
         if flags & _FLAG_STATES:
-            states = {var: _read_matrix(fh, n, nt, var) for var in VARIABLES}
+            states = {var: r.array((n, nt), var, order="F") for var in VARIABLES}
         terms = None
         if flags & _FLAG_NONLINEAR:
             if nonlinear:
-                terms = {term: _read_matrix(fh, n, nt, term) for term in TERM_NAMES}
-            elif fh.seek(8 * n * nt * len(TERM_NAMES), 1) > os.fstat(fh.fileno()).st_size:
-                raise FileFormatError("truncated snapshot file while skipping nonlinear terms")
-        if fh.read(1):
-            raise FileFormatError("trailing bytes after snapshot payload")
+                terms = {term: r.array((n, nt), term, order="F") for term in TERM_NAMES}
+            else:
+                r.skip(8 * n * nt * len(TERM_NAMES), "nonlinear terms")
+        r.end()
     return SnapshotSet(grid=grid, dt=dt, times=times, states=states, nonlinear=terms)

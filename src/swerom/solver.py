@@ -49,7 +49,7 @@ from swerom.model import (
 )
 from swerom.snapshots import SnapshotSet
 
-__all__ = ["SolverConfig", "RecordFlags", "PhaseTimings", "AdiNewton", "FullSolver", "run_full"]
+__all__ = ["SolverConfig", "PhaseTimings", "AdiNewton", "FullSolver", "run_full"]
 
 CFL_LIMIT = 8.9301
 
@@ -67,20 +67,14 @@ class SolverConfig:
     lu_refresh_every: int = 6
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.nt < 1:
             raise ValueError("nt must be at least 1")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
         if self.lu_refresh_every < 1:
             raise ValueError("lu_refresh_every must be at least 1")
-
-
-@dataclass
-class RecordFlags:
-    states: bool = True
-    nonlinear: bool = True
 
 
 @dataclass
@@ -378,14 +372,12 @@ def run_full(
     ops: DifferenceOperators,
     f: np.ndarray,
     grid: Grid,
-    record: RecordFlags | None = None,
-) -> tuple[FieldState, SnapshotSet | None, PhaseTimings]:
-    """Integrate nt steps from the initial condition, recording snapshots.
+) -> tuple[FieldState, SnapshotSet, PhaseTimings]:
+    """Integrate nt steps from the initial condition, recording state and term snapshots.
 
     Snapshot column t holds the state after step t+1, i.e. at time (t+1)*dt;
     the initial condition itself is not a snapshot column.
     """
-    record = record if record is not None else RecordFlags()
     timings = PhaseTimings()
     t_start = time.perf_counter()
 
@@ -394,12 +386,8 @@ def run_full(
         warnings.warn(f"CFL indicator {ind:.4f} exceeds stability limit {CFL_LIMIT}",
                       RuntimeWarning, stacklevel=2)
 
-    states = None
-    nonlinear = None
-    if record.states:
-        states = {var: np.empty((grid.n, cfg.nt)) for var in ("u", "v", "phi")}
-    if record.nonlinear:
-        nonlinear = {term: np.empty((grid.n, cfg.nt)) for term in TERMS}
+    states = {var: np.empty((grid.n, cfg.nt)) for var in ("u", "v", "phi")}
+    nonlinear = {term: np.empty((grid.n, cfg.nt)) for term in TERMS}
     times = np.empty(cfg.nt)
 
     solver = FullSolver(grid, ops, f, cfg)
@@ -408,16 +396,12 @@ def run_full(
         state = solver.step(state, k, timings)
         times[k] = state.time
         t0 = time.perf_counter()
-        if states is not None:
-            for var in states:
-                states[var][:, k] = state[var]
-        if nonlinear is not None:
-            for term, value in all_nonlinear(state, ops).items():
-                nonlinear[term][:, k] = value
+        for var in states:
+            states[var][:, k] = state[var]
+        for term, value in all_nonlinear(state, ops).items():
+            nonlinear[term][:, k] = value
         timings.recording_s += time.perf_counter() - t0
 
     timings.total_s = time.perf_counter() - t_start
-    snaps = None
-    if record.states or record.nonlinear:
-        snaps = SnapshotSet(grid=grid, dt=cfg.dt, times=times, states=states, nonlinear=nonlinear)
-    return state, snaps, timings
+    return state, SnapshotSet(grid=grid, dt=cfg.dt, times=times, states=states,
+                              nonlinear=nonlinear), timings

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import pytest
 
 from swerom.model import build_grid, build_operators, coriolis_field, initial_state
-from swerom.solver import RecordFlags, SolverConfig, run_full
+from swerom.solver import SolverConfig, run_full
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +15,6 @@ def pipeline31():
     f = coriolis_field(grid)
     ic = initial_state(grid, ops)
     cfg = SolverConfig(dt=120.0, nt=91)
-    final, snaps, timings = run_full(ic, cfg, ops, f, grid, RecordFlags())
+    final, snaps, timings = run_full(ic, cfg, ops, f, grid)
     return SimpleNamespace(grid=grid, ops=ops, f=f, ic=ic, cfg=cfg,
                            final=final, snaps=snaps, timings=timings)

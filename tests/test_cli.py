@@ -153,6 +153,8 @@ def test_run_rom_truncated_operator_exit_2(rom_dir, tmp_path, capsys):
     ("F21.deim", 16, "<q", 8),          # m: every later count shifts
     ("u.pod", 16, "<q", 2 ** 40),       # k
     ("snapshots.snap", 56, "<d", 0.0),  # L
+    ("snapshots.snap", 40, "<d", float("nan")),  # dt
+    ("snapshots.snap", 48, "<q", 7),    # flags: bit 2 is unknown
 ])
 def test_malformed_header_exit_2(rom_dir, full_run_dir, tmp_path, capsys, name, offset,
                                  code, value):
@@ -183,8 +185,8 @@ def test_rom_verbs_use_the_snapshot_domain(tmp_path, mode):
     consts = PhysicalConstants(D=3.0e6)
     grid = build_grid(11, 9, consts)
     ops = build_operators(grid)
-    f = coriolis_field(grid, consts)
-    ic = initial_state(grid, ops, consts)
+    f = coriolis_field(grid)
+    ic = initial_state(grid, ops)
     cfg = SolverConfig(dt=300.0, nt=6)
     _, snaps, _ = run_full(ic, cfg, ops, f, grid)
     save_snapshots(snaps, tmp_path / "s.snap")
@@ -221,6 +223,24 @@ def test_run_rom_meta_without_domain_exit_2(rom_dir, tmp_path, capsys):
     assert main(["run-rom", "--rom", str(romdir), "--mode", "pod-deim",
                  "--out", str(tmp_path / "o")]) == 2
     assert "no domain size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0])
+def test_run_rom_bad_meta_step_exit_2(rom_dir, tmp_path, capsys, dt):
+    romdir = tmp_path / "rom"
+    shutil.copytree(rom_dir, romdir)
+    meta = json.loads((romdir / "rom_meta.json").read_text())
+    meta["dt"] = dt
+    (romdir / "rom_meta.json").write_text(json.dumps(meta))
+    assert main(["run-rom", "--rom", str(romdir), "--mode", "tensorial-pod",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+
+
+def test_run_rom_nan_newton_tol_exit_2(rom_dir, tmp_path, capsys):
+    assert main(["run-rom", "--rom", str(rom_dir), "--mode", "tensorial-pod",
+                 "--newton-tol", "nan", "--out", str(tmp_path / "o")]) == 2
+    assert "newton_tol" in capsys.readouterr().err
 
 
 def test_bench_with_config_and_overrides(tmp_path, capsys):

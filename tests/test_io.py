@@ -10,7 +10,7 @@ from swerom.deim import (
     save_deim_operator,
 )
 from swerom.errors import FileFormatError
-from swerom.model import TERM_NAMES, build_grid
+from swerom.model import TERM_NAMES, PhysicalConstants, build_grid
 from swerom.pod import load_basis, save_basis
 from swerom.rom import build_tensor_coefficients, load_tensors, save_tensors
 from swerom.snapshots import SnapshotSet, load_snapshots, save_snapshots
@@ -55,6 +55,18 @@ def test_snapshot_states_only(tmp_path):
     back = load_snapshots(path)
     assert back.nonlinear is None
     assert np.array_equal(back.states["phi"], snaps.states["phi"])
+
+
+def test_snapshot_refuses_constants_it_cannot_store(tmp_path):
+    # the header keeps only L and D; any other constant would load as its default
+    snaps = make_snapshots(np.random.default_rng(8))
+    snaps.grid = build_grid(5, 4, PhysicalConstants(beta=0.0))
+    with pytest.raises(ValueError, match="only L and D"):
+        save_snapshots(snaps, tmp_path / "c.snap")
+    assert not (tmp_path / "c.snap").exists()
+    snaps.grid = build_grid(5, 4, PhysicalConstants(L=1.0e6, D=2.0e6))
+    save_snapshots(snaps, tmp_path / "d.snap")
+    assert load_snapshots(tmp_path / "d.snap").grid == snaps.grid
 
 
 def test_snapshot_bad_magic(tmp_path):
@@ -111,6 +123,12 @@ def test_snapshot_load_without_nonlinear_terms(tmp_path):
 
 LOADERS = {"s.snap": load_snapshots, "b.pod": load_basis,
            "op.deim": load_deim_operator, "t.tpod": load_tensors}
+SAVERS = {"s.snap": save_snapshots, "b.pod": save_basis,
+          "op.deim": save_deim_operator, "t.tpod": save_tensors}
+# offsets of the 8-byte header fields after the magic: snap nx, ny, nt, n, dt,
+# flags, L, D; pod n, k, nsigma, tag; deim n, m, k, tag; tpod k, degree, terms
+HEADER_FIELDS = {"s.snap": range(8, 72, 8), "b.pod": range(8, 40, 8),
+                 "op.deim": range(8, 40, 8), "t.tpod": range(8, 32, 8)}
 
 
 def write_every_format(tmp_path, rng):
@@ -161,11 +179,22 @@ HUGE = 2 ** 40
     ("op.deim", 40 + 8 * 3, "<q", HUGE, FileFormatError),   # spectrum length
     ("t.tpod", 8, "<q", 2 ** 21, FileFormatError),          # k: k**3 wraps in int64
     ("t.tpod", 8, "<q", -2, FileFormatError),
+    ("s.snap", 48, "<q", 7, FileFormatError),               # flags: unknown bit 2
+    ("s.snap", 40, "<d", float("nan"), FileFormatError),    # dt
+    ("s.snap", 40, "<d", float("inf"), FileFormatError),
+    ("s.snap", 40, "<d", 0.0, FileFormatError),
+    ("s.snap", 40, "<d", -5.0, FileFormatError),
+    ("t.tpod", 24, "<q", 0, FileFormatError),               # term count
+    ("t.tpod", 24, "<q", 1, FileFormatError),
+    ("t.tpod", 24, "<q", -1, FileFormatError),
+    ("op.deim", 32, "<8s", b"u", FileFormatError),          # term tag
+    ("t.tpod", 128, "<8s", b"F12", FileFormatError),        # first term tag, out of order
 ])
 def test_malformed_header_rejected_before_reading(tmp_path, name, offset, code, value,
                                                   error):
     # header counts are checked against the bytes left before anything is
-    # allocated, and the domain size against the stencils' needs
+    # allocated, the domain size against the stencils' needs, and dt, the
+    # flags and the term count against the values a saved file can hold
     write_every_format(tmp_path, np.random.default_rng(9))
     path = tmp_path / name
     data = bytearray(path.read_bytes())
@@ -173,3 +202,24 @@ def test_malformed_header_rejected_before_reading(tmp_path, name, offset, code, 
     path.write_bytes(bytes(data))
     with pytest.raises(error):
         LOADERS[name](path)
+
+
+def test_header_field_sweep_loads_only_what_it_saves(tmp_path):
+    # every 8-byte header field set to each value: the load fails, or saving
+    # what it loaded gives back the mutated bytes (nothing changes meaning
+    # silently); dt has no byte-level witness and is covered above
+    write_every_format(tmp_path, np.random.default_rng(10))
+    values = [struct.pack("<q", v) for v in (0, 1, -1, 7, HUGE)]
+    values += [struct.pack("<d", v) for v in (float("nan"), float("inf"), 0.0, -5.0)]
+    path, resaved = tmp_path / "mutated", tmp_path / "resaved"
+    for name, offsets in HEADER_FIELDS.items():
+        data = (tmp_path / name).read_bytes()
+        for offset in offsets:
+            for value in values:
+                path.write_bytes(data[:offset] + value + data[offset + 8:])
+                try:
+                    loaded = LOADERS[name](path)
+                except (FileFormatError, ValueError):
+                    continue
+                SAVERS[name](loaded, resaved)
+                assert resaved.read_bytes() == path.read_bytes(), (name, offset, value)

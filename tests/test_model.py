@@ -347,11 +347,11 @@ def test_geostrophic_balance_residual_shrinks():
     for ny in (23, 45):
         grid = build_grid(5, ny, consts)
         ops = build_operators(grid)
-        f = coriolis_field(grid, consts)
+        f = coriolis_field(grid)
         y = grid.y_coords()
         theta = 9.0 * (consts.D / 2.0 - y) / (2.0 * consts.D)
         h = consts.H0 + consts.H1 * np.tanh(theta)  # no x-wave
-        u, v = geostrophic_wind(h, ops, f, grid, consts)
+        u, v = geostrophic_wind(h, ops, f, grid)
         phi = geopotential_from_height(h, consts.g)
         du, dv, _ = full_rhs(FieldState(u=u, v=v, phi=phi), ops, f)
         assert np.max(np.abs(du)) == 0.0

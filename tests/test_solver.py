@@ -18,7 +18,6 @@ from swerom.rom import ReducedModel
 from swerom.solver import (
     FullSolver,
     PhaseTimings,
-    RecordFlags,
     SolverConfig,
     run_full,
 )
@@ -35,6 +34,11 @@ def setup():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=-1.0, nt=10)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(dt=bad, nt=10)
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(dt=1.0, nt=10, newton_tol=bad)
     with pytest.raises(ValueError):
         SolverConfig(dt=1.0, nt=0)
     with pytest.raises(ValueError):
@@ -183,7 +187,7 @@ def test_cfl_warning_emitted(setup):
     cfg = SolverConfig(dt=2.0e4, nt=1, newton_max_iters=60)
     with pytest.warns(RuntimeWarning, match="CFL indicator"):
         try:
-            run_full(ic, cfg, ops, f, grid, RecordFlags(states=False, nonlinear=False))
+            run_full(ic, cfg, ops, f, grid)
         except NonConvergenceError:
             pass  # only the warning is under test here
 
@@ -201,12 +205,10 @@ def test_run_full_single_step_snapshot(setup):
 def test_run_full_time_spans(setup):
     grid, ops, f = setup
     ic = initial_state(grid, ops)
-    _, snaps, _ = run_full(ic, SolverConfig(dt=960.0, nt=91), ops, f, grid,
-                           RecordFlags(states=True, nonlinear=False))
+    _, snaps, _ = run_full(ic, SolverConfig(dt=960.0, nt=91), ops, f, grid)
     assert snaps.times[0] == 960.0
     assert snaps.times[-1] == 87360.0
-    _, snaps3, _ = run_full(ic, SolverConfig(dt=120.0, nt=91), ops, f, grid,
-                            RecordFlags(states=True, nonlinear=False))
+    _, snaps3, _ = run_full(ic, SolverConfig(dt=120.0, nt=91), ops, f, grid)
     assert snaps3.times[-1] == 10920.0
 
 
@@ -264,7 +266,7 @@ def test_nonconvergence_carries_residual(setup):
     cfg = SolverConfig(dt=5.0e4, nt=1, newton_max_iters=2, newton_tol=1e-14)
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NonConvergenceError) as err:
-            run_full(ic, cfg, ops, f, grid, RecordFlags(states=False, nonlinear=False))
+            run_full(ic, cfg, ops, f, grid)
     assert err.value.residual > 0.0
     assert err.value.iterations == 2
 
