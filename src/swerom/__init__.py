@@ -33,10 +33,8 @@ from swerom.pod import PodBasis, build_state_bases, center_snapshots, energy_ind
 from swerom.rom import (
     ReducedModel,
     ReducedSpace,
-    ReducedState,
     TensorCoefficients,
     build_tensor_coefficients,
-    lift_state,
     project_initial,
     reduced_jacobian,
     standard_pod_nonlinear,
@@ -64,7 +62,6 @@ __all__ = [
     "PodBasis",
     "ReducedModel",
     "ReducedSpace",
-    "ReducedState",
     "RunReport",
     "SnapshotSet",
     "SolverConfig",
@@ -82,7 +79,6 @@ __all__ = [
     "energy_index",
     "flop_count",
     "initial_state",
-    "lift_state",
     "load_snapshots",
     "project_initial",
     "reduced_jacobian",

@@ -86,6 +86,10 @@ class ExperimentConfig:
             raise ValueError("custom window needs dt and nt")
         if (self.k is None) == (self.gamma is None):
             raise ValueError("pass exactly one of k or gamma")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        if any(m < 1 for m in self.m_values):
+            raise ValueError(f"every m must be at least 1, got {self.m_values}")
         if not self.grids:
             raise ValueError("at least one grid is required")
 

@@ -376,13 +376,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # first: LinAlgError subclasses ValueError in recent NumPy
+    except (NonConvergenceError, np.linalg.LinAlgError) as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, FileFormatError, FileNotFoundError,
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, np.linalg.LinAlgError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

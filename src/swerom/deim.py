@@ -155,6 +155,8 @@ def build_deim_term_operator(space: ReducedSpace, term: str, V: np.ndarray,
 
 def _check_m(bound: int, m: int) -> None:
     # m modes and points per term: at most the smaller snapshot matrix dimension
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     if m > bound:
         raise ValueError(f"m={m} exceeds snapshot count/rank bound {bound}")
 

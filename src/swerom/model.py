@@ -13,7 +13,7 @@ and a zero-gradient closure for ``u`` and ``phi`` in y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -221,7 +221,8 @@ def geopotential_from_height(h: np.ndarray, g: float = DEFAULT_CONSTANTS.g) -> n
 
 @dataclass
 class FieldState:
-    """The three prognostic fields at one time instant, flat x-major."""
+    """The three prognostic fields, or their reduced coordinates, at one
+    time instant; full fields are flat x-major."""
 
     u: np.ndarray
     v: np.ndarray
@@ -234,9 +235,6 @@ class FieldState:
     @property
     def n(self) -> int:
         return self.u.shape[0]
-
-    def copy(self) -> "FieldState":
-        return replace(self, u=self.u.copy(), v=self.v.copy(), phi=self.phi.copy())
 
 
 def initial_state(grid: Grid, ops: DifferenceOperators) -> FieldState:

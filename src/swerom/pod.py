@@ -127,6 +127,8 @@ def build_state_bases(states: dict[str, np.ndarray], k: int | None = None,
     """
     if (k is None) == (gamma is None):
         raise ValueError("pass exactly one of k or gamma")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     decomposed = {}
     for var, X in states.items():
         if center:

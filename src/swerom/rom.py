@@ -63,10 +63,8 @@ from swerom.solver import AdiNewton, SolverConfig
 _getrs = scipy.linalg.lapack.dgetrs
 
 __all__ = [
-    "ReducedState",
     "ReducedSpace",
     "project_initial",
-    "lift_state",
     "standard_pod_nonlinear",
     "ProductTensors",
     "TermTensors",
@@ -76,7 +74,6 @@ __all__ = [
     "tensorial_nonlinear",
     "reduced_jacobian",
     "PackedDirection",
-    "pack_directions",
     "RomTimings",
     "ReducedModel",
     "MODES",
@@ -85,22 +82,6 @@ __all__ = [
 ]
 
 MODES = ("standard-pod", "tensorial-pod", "pod-deim")
-
-
-@dataclass
-class ReducedState:
-    """Per-variable reduced coordinates at one time instant."""
-
-    u: np.ndarray
-    v: np.ndarray
-    phi: np.ndarray
-    time: float = 0.0
-
-    def __getitem__(self, var: str) -> np.ndarray:
-        return getattr(self, var)
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"u": self.u, "v": self.v, "phi": self.phi}
 
 
 class ReducedSpace:
@@ -131,27 +112,14 @@ class ReducedSpace:
     def k(self, var: str) -> int:
         return self.bases[var].k
 
-    @property
-    def k_total(self) -> int:
-        return sum(self.k(var) for var in VARIABLES)
 
-
-def project_initial(state: FieldState, space: ReducedSpace) -> ReducedState:
+def project_initial(state: FieldState, space: ReducedSpace) -> FieldState:
     """Reduced coordinates of a full state: per variable U^T (x - xbar)."""
-    return ReducedState(
+    return FieldState(
         u=space.bases["u"].project(state.u),
         v=space.bases["v"].project(state.v),
         phi=space.bases["phi"].project(state.phi),
         time=state.time,
-    )
-
-
-def lift_state(xt: ReducedState, space: ReducedSpace) -> FieldState:
-    return FieldState(
-        u=space.bases["u"].lift(xt.u),
-        v=space.bases["v"].lift(xt.v),
-        phi=space.bases["phi"].lift(xt.phi),
-        time=xt.time,
     )
 
 
@@ -415,13 +383,6 @@ class PackedDirection:
         return self.jac_lin - J.reshape(K + 1, K + 1)[:K, :K]
 
 
-def pack_directions(space: ReducedSpace, tensors: TensorCoefficients, mode: str,
-                    deim_ops: dict | None = None) -> dict[str, PackedDirection]:
-    """The x and y directions of the reduced ADI split, packed for ``mode``."""
-    return {"x": PackedDirection(X_TERMS, space, tensors, mode, deim_ops),
-            "y": PackedDirection(Y_TERMS, space, tensors, mode, deim_ops)}
-
-
 # --- reduced ADI stepping -------------------------------------------------------------
 
 @dataclass
@@ -461,23 +422,9 @@ class ReducedModel(AdiNewton):
         self.mode = mode
         self.cfg = cfg
         self.deim_ops = deim_ops
-        self.k = {var: space.k(var) for var in VARIABLES}
-        ku, kv = self.k["u"], self.k["v"]
-        self._slices = {"u": slice(0, ku), "v": slice(ku, ku + kv),
-                        "phi": slice(ku + kv, ku + kv + self.k["phi"])}
-        self.k_total = ku + kv + self.k["phi"]
+        self._sizes = tuple(space.k(var) for var in VARIABLES)
         self._directions: dict[str, PackedDirection] | None = None
         self._solves = {}  # axis -> solve with the current factorization
-
-    # -- packing -----------------------------------------------------------
-
-    def _pack(self, state: ReducedState) -> np.ndarray:
-        return np.concatenate([state.u, state.v, state.phi])
-
-    def _unpack(self, z: np.ndarray, t: float) -> ReducedState:
-        s = self._slices
-        return ReducedState(u=z[s["u"]].copy(), v=z[s["v"]].copy(),
-                            phi=z[s["phi"]].copy(), time=t)
 
     # -- the two hooks of the quasi-Newton loop ------------------------------
 
@@ -491,7 +438,7 @@ class ReducedModel(AdiNewton):
     def _factor(self, axis: str, z: np.ndarray, dt2: float, timings: RomTimings):
         """Dense LU of I - dt2*J at ``z``; returns the solve."""
         t0 = time.perf_counter()
-        A = np.eye(self.k_total) - dt2 * self._directions[axis].jacobian(z)
+        A = np.eye(z.shape[0]) - dt2 * self._directions[axis].jacobian(z)
         timings.jacobian_s += time.perf_counter() - t0
         t0 = time.perf_counter()
         lu, piv = scipy.linalg.lu_factor(A)
@@ -506,24 +453,24 @@ class ReducedModel(AdiNewton):
             return x
         return solve
 
-    def step(self, state: ReducedState, step_index: int,
-             timings: RomTimings | None = None) -> ReducedState:
+    def step(self, state: FieldState, step_index: int,
+             timings: RomTimings | None = None) -> FieldState:
         """Advance one full dt; see :meth:`swerom.solver.AdiNewton._adi_step`."""
         timings = timings if timings is not None else RomTimings()
         if self._directions is None:
-            self._directions = pack_directions(self.space, self.tensors, self.mode,
-                                               self.deim_ops)
-        z = self._adi_step(self._pack(state), step_index, timings)
-        return self._unpack(z, state.time + self.cfg.dt)
+            self._directions = {
+                axis: PackedDirection(terms, self.space, self.tensors, self.mode, self.deim_ops)
+                for axis, terms in (("x", X_TERMS), ("y", Y_TERMS))}
+        return self._adi_step(state, step_index, timings)
 
-    def run(self, x0: ReducedState, nt: int | None = None
-            ) -> tuple[ReducedState, dict[str, np.ndarray], RomTimings]:
+    def run(self, x0: FieldState, nt: int | None = None
+            ) -> tuple[FieldState, dict[str, np.ndarray], RomTimings]:
         """Integrate nt steps; returns the reduced trajectory (k-by-nt per
         variable, column t at time (t+1)*dt, matching snapshot columns)."""
         nt = nt if nt is not None else self.cfg.nt
         timings = RomTimings()
         t_start = time.perf_counter()
-        traj = {var: np.empty((self.k[var], nt)) for var in VARIABLES}
+        traj = {var: np.empty((k, nt)) for var, k in zip(VARIABLES, self._sizes)}
         state = x0
         for step in range(nt):
             state = self.step(state, step, timings)

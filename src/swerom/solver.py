@@ -11,8 +11,9 @@ scheme at unit modulus for any dt. The model equations stay coupled: every
 half-step solves one nonlinear system in all 3n unknowns by quasi-Newton,
 where the Newton matrix is assembled and LU-factorized only every
 ``lu_refresh_every`` steps and reused (stale) in between. That loop,
-:class:`AdiNewton`, also steps the reduced model (:mod:`swerom.rom`); each
-model supplies only its right-hand side and its factorization.
+:class:`AdiNewton`, also steps the reduced model (:mod:`swerom.rom`) and
+packs the states of both; each model supplies only its block sizes, its
+right-hand side and its factorization.
 
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
@@ -73,6 +74,8 @@ class SolverConfig:
             raise ValueError("nt must be at least 1")
         if not 0.0 < self.newton_tol < np.inf:
             raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
+        if self.newton_max_iters < 1:
+            raise ValueError("newton_max_iters must be at least 1")
         if self.lu_refresh_every < 1:
             raise ValueError("lu_refresh_every must be at least 1")
 
@@ -199,16 +202,32 @@ class AdiNewton:
     """Quasi-Newton stepping of the ADI split, shared by the full and the
     reduced model.
 
-    A model supplies ``cfg`` (a :class:`SolverConfig`), ``_solves`` (axis ->
-    the cached solve), ``_fixed`` (the rows whose residual is the unknown
-    itself, or None) and two hooks, each keyed by the implicit axis "x" or
-    "y": ``_rhs(axis, w, timings)``, that direction's part of dw/dt plus half
-    the Coriolis term, and ``_factor(axis, w, dt2, timings)``, which
-    factorizes I - dt2*J at w and returns the solve. Each hook times and
-    counts its own work in ``timings``.
+    The driver owns the state layout: a :class:`FieldState` of either model
+    is packed into one vector w of its u, v and phi blocks, whose lengths the
+    model gives as ``_sizes``. A model also supplies ``cfg`` (a
+    :class:`SolverConfig`), ``_solves`` (axis -> the cached solve),
+    ``_fixed`` (the rows whose residual is the unknown itself, or None) and
+    two hooks, each keyed by the implicit axis "x" or "y": ``_rhs(axis, w,
+    timings)``, that direction's part of dw/dt plus half the Coriolis term,
+    and ``_factor(axis, w, dt2, timings)``, which factorizes I - dt2*J at w
+    and returns the solve. Each hook times and counts its own work in
+    ``timings``.
     """
 
     _fixed = None
+
+    def _pack(self, state: FieldState) -> np.ndarray:
+        return np.concatenate([state.u, state.v, state.phi])
+
+    def _fields(self, w: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of the u, v and phi blocks of the packed ``w``."""
+        ku, kv, _ = self._sizes
+        return {"u": w[:ku], "v": w[ku:ku + kv], "phi": w[ku + kv:]}
+
+    def _unpack(self, w: np.ndarray, t: float) -> FieldState:
+        """Copies of the three blocks, as the state at time ``t``."""
+        u, v, phi = self._fields(w).values()
+        return FieldState(u=u.copy(), v=v.copy(), phi=phi.copy(), time=t)
 
     def _half_step(self, w0: np.ndarray, explicit_part: np.ndarray, axis: str,
                    dt2: float, solve, timings):
@@ -279,11 +298,12 @@ class AdiNewton:
             f"after {cfg.newton_max_iters} iterations",
             residual=float(res), iterations=cfg.newton_max_iters)
 
-    def _adi_step(self, w: np.ndarray, step_index: int, timings) -> np.ndarray:
-        """Advance the packed state one full dt (two half-steps).
+    def _adi_step(self, state: FieldState, step_index: int, timings) -> FieldState:
+        """Advance the state one full dt (two half-steps on the packed w).
         Factorizations refresh when ``step_index % lu_refresh_every == 0``
         and are reused otherwise."""
         cfg = self.cfg
+        w = self._pack(state)
         dt2 = 0.5 * cfg.dt
         refresh = (step_index % cfg.lu_refresh_every == 0)
         # x implicit with the y terms explicit, then the reverse; the x
@@ -296,7 +316,7 @@ class AdiNewton:
                 w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
                                                            solve, timings)
         timings.steps += 1
-        return w
+        return self._unpack(w, state.time + cfg.dt)
 
 
 class FullSolver(AdiNewton):
@@ -307,22 +327,10 @@ class FullSolver(AdiNewton):
         self.f = f
         self.cfg = cfg
         self.n = grid.n
+        self._sizes = (grid.n, grid.n, grid.n)
         self._fixed = self.n + boundary_row_indices(grid)  # wall-row v, v block offset
         self._bands = {axis: _BandedNewton(grid, ops, f, axis) for axis in ("x", "y")}
         self._solves = {}  # axis -> solve with the current factorization
-
-    # -- state packing ---------------------------------------------------
-
-    def _pack(self, state: FieldState) -> np.ndarray:
-        return np.concatenate([state.u, state.v, state.phi])
-
-    def _unpack(self, w: np.ndarray, t: float) -> FieldState:
-        n = self.n
-        return FieldState(u=w[:n].copy(), v=w[n:2 * n].copy(), phi=w[2 * n:].copy(), time=t)
-
-    def _fields(self, w: np.ndarray) -> dict[str, np.ndarray]:
-        n = self.n
-        return {"u": w[:n], "v": w[n:2 * n], "phi": w[2 * n:]}
 
     # -- the two hooks of the quasi-Newton loop ------------------------------
 
@@ -362,8 +370,7 @@ class FullSolver(AdiNewton):
              timings: PhaseTimings | None = None) -> FieldState:
         """Advance one full dt; see :meth:`AdiNewton._adi_step`."""
         timings = timings if timings is not None else PhaseTimings()
-        w = self._adi_step(self._pack(state), step_index, timings)
-        return self._unpack(w, state.time + self.cfg.dt)
+        return self._adi_step(state, step_index, timings)
 
 
 def run_full(

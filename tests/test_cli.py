@@ -121,6 +121,37 @@ def test_build_rom_m_above_snapshot_count_exit_2(full_run_dir, tmp_path, capsys)
     assert not (tmp_path / "rom_meta.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build-rom", "--k", "-1"], "k must be at least 1"),
+    (["build-rom", "--k", "0"], "k must be at least 1"),
+    (["build-rom", "--k", "4", "--mode", "pod-deim", "--m", "0"], "m must be at least 1"),
+    (["bench", "--k", "-1"], "k must be at least 1"),
+    (["bench", "--k", "5", "--m", "-1"], "every m must be at least 1"),
+    (["run-full", "--newton-max-iters", "-1"], "newton_max_iters"),
+], ids=["build-rom-k-1", "build-rom-k0", "build-rom-m0", "bench-k-1", "bench-m-1",
+        "run-full-newton-max-iters-1"])
+def test_nonpositive_counts_exit_2(full_run_dir, tmp_path, capsys, argv, message):
+    # each count is rejected before a metadata or report file is written
+    argv = argv + {"build-rom": ["--snapshots", str(full_run_dir / "snapshots.snap")],
+                   "bench": ["--grid", "9x7", "--dt", "300", "--nt", "5"],
+                   "run-full": ["--grid", "9x7", "--dt", "300", "--nt", "2"]}[argv[0]]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.json")) + list(tmp_path.rglob("*.csv"))
+
+
+def test_linalg_failure_exit_3(full_run_dir, tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, so it must be caught ahead of exit 2
+    def singular(*args):
+        raise np.linalg.LinAlgError("sampled basis P^T V is singular")
+
+    monkeypatch.setattr("swerom.cli.deim_operators_from_snapshots", singular)
+    code = main(["build-rom", "--snapshots", str(full_run_dir / "snapshots.snap"),
+                 "--k", "4", "--mode", "pod-deim", "--m", "6", "--out", str(tmp_path)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
 def test_run_rom_all_modes(rom_dir, full_run_dir, tmp_path, mode, capsys):
     out = tmp_path / mode
@@ -261,6 +292,22 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"grids": [[11, 9]], "modes": ["magic"]}')
     assert main(["bench", "--config", str(cfg_path)]) == 2
+
+
+def test_bench_domain_km(tmp_path, capsys):
+    argv = ["bench", "--grid", "9x7", "--dt", "300", "--nt", "5", "--k", "3",
+            "--mode", "full"]
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    assert main(argv + ["--domain-km", "3000x2200", "--out", str(tmp_path / "half")]) == 0
+    spectra = [(tmp_path / name / "spectra.csv").read_bytes() for name in ("default", "half")]
+    assert spectra[0] != spectra[1]
+
+
+@pytest.mark.parametrize("domain", ["3000", "0x2200"])
+def test_bench_bad_domain_km_exit_2(tmp_path, capsys, domain):
+    assert main(["bench", "--grid", "9x7", "--dt", "300", "--nt", "5", "--k", "3",
+                 "--mode", "full", "--domain-km", domain, "--out", str(tmp_path)]) == 2
+    assert "domain" in capsys.readouterr().err
 
 
 def test_export_plots_csv_and_svg(tmp_path, capsys):

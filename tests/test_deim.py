@@ -11,9 +11,8 @@ from swerom.deim import (
     load_deim_operator,
     save_deim_operator,
 )
-from swerom.model import TERMS, TERM_NAMES, build_grid
+from swerom.model import TERMS, TERM_NAMES, FieldState, build_grid
 from swerom.rom import (
-    ReducedState,
     build_tensor_coefficients,
     standard_pod_nonlinear,
     tensorial_nonlinear,
@@ -131,7 +130,7 @@ def test_deim_zero_state_no_centering():
     for term in TERM_NAMES:
         V = term_span_basis(space, term, rng)
         op = build_deim_term_operator(space, term, V, deim_select_points(V))
-        zero = ReducedState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
+        zero = FieldState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
         assert np.allclose(op.evaluate(zero), 0.0)
 
 

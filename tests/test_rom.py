@@ -26,14 +26,12 @@ from swerom.model import (
 )
 from swerom.pod import PodBasis, build_state_bases
 from swerom.rom import (
+    PackedDirection,
     ReducedModel,
     ReducedSpace,
-    ReducedState,
     RomTimings,
     build_tensor_coefficients,
-    lift_state,
     load_tensors,
-    pack_directions,
     project_initial,
     reduced_jacobian,
     save_tensors,
@@ -68,9 +66,9 @@ def make_space(grid, rng, k=3, centered=True, phi_has_constant=False):
 
 
 def random_reduced(space, rng, scale=1.0):
-    return ReducedState(u=scale * rng.standard_normal(space.k("u")),
-                        v=scale * rng.standard_normal(space.k("v")),
-                        phi=scale * rng.standard_normal(space.k("phi")))
+    return FieldState(u=scale * rng.standard_normal(space.k("u")),
+                      v=scale * rng.standard_normal(space.k("v")),
+                      phi=scale * rng.standard_normal(space.k("phi")))
 
 
 def loop_tensor(W, Ua, Ubx, coef):
@@ -145,7 +143,7 @@ def test_standard_zero_state_no_centering():
     rng = np.random.default_rng(3)
     grid = build_grid(5, 5)
     space = make_space(grid, rng, centered=False)
-    zero = ReducedState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
+    zero = FieldState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
     for term in TERM_NAMES:
         assert np.allclose(standard_pod_nonlinear(term, zero, space), 0.0)
 
@@ -157,7 +155,7 @@ def test_standard_rank_one_scalar_formula():
     space = make_space(grid, rng, k=1, centered=False)
     ut = rng.standard_normal(1)
     vt = rng.standard_normal(1)
-    xt = ReducedState(u=ut, v=vt, phi=np.zeros(1))
+    xt = FieldState(u=ut, v=vt, phi=np.zeros(1))
     u1 = space.bases["u"].U[:, 0]
     v1 = space.bases["v"].U[:, 0]
     W = space.bases["u"].U[:, 0]
@@ -174,7 +172,8 @@ def test_standard_equals_lifted_full_evaluation(term):
     ops = build_operators(grid)
     space = make_space(grid, rng)
     xt = random_reduced(space, rng)
-    lifted = lift_state(xt, space)
+    lifted = FieldState(u=space.bases["u"].lift(xt.u), v=space.bases["v"].lift(xt.v),
+                        phi=space.bases["phi"].lift(xt.phi))
     want = space.bases[TERM_EQUATION[term]].U.T @ eval_nonlinear(term, lifted, ops)
     got = standard_pod_nonlinear(term, xt, space)
     assert np.allclose(got, want, rtol=1e-11, atol=1e-12)
@@ -228,7 +227,7 @@ def test_tensorial_zero_at_origin_no_centering():
     grid = build_grid(5, 5)
     space = make_space(grid, rng, centered=False)
     tensors = build_tensor_coefficients(space)
-    zero = ReducedState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
+    zero = FieldState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
     for term in TERM_NAMES:
         assert np.allclose(tensorial_nonlinear(term, zero, tensors), 0.0)
 
@@ -254,7 +253,7 @@ def test_quadratic_homogeneity_without_centering():
     tensors = build_tensor_coefficients(space)
     xt = random_reduced(space, rng)
     alpha = 1.7
-    scaled = ReducedState(u=alpha * xt.u, v=alpha * xt.v, phi=alpha * xt.phi)
+    scaled = FieldState(u=alpha * xt.u, v=alpha * xt.v, phi=alpha * xt.phi)
     for term in TERM_NAMES:
         a = tensorial_nonlinear(term, scaled, tensors)
         b = alpha ** 2 * tensorial_nonlinear(term, xt, tensors)
@@ -268,7 +267,7 @@ def test_jacobian_zero_state_quadratic_part():
     grid = build_grid(5, 5)
     space = make_space(grid, rng, centered=False)
     tensors = build_tensor_coefficients(space)
-    zero = ReducedState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
+    zero = FieldState(u=np.zeros(3), v=np.zeros(3), phi=np.zeros(3))
     blocks = reduced_jacobian("F11", zero, tensors)
     for block in blocks.values():
         assert np.allclose(block, 0.0)
@@ -280,7 +279,7 @@ def test_jacobian_k1_scalar_calculus():
     space = make_space(grid, rng, k=1, centered=False)
     tensors = build_tensor_coefficients(space)
     ut = np.array([0.7])
-    xt = ReducedState(u=ut, v=np.zeros(1), phi=np.zeros(1))
+    xt = FieldState(u=ut, v=np.zeros(1), phi=np.zeros(1))
     M = tensors.terms["F11"].products[0].quad[0, 0, 0]
     # d(M u^2)/du = 2 M u
     blocks = reduced_jacobian("F11", xt, tensors)
@@ -301,8 +300,8 @@ def test_jacobian_matches_finite_differences(centered):
             for var, block in blocks.items():
                 fd = np.zeros_like(block)
                 for j in range(block.shape[1]):
-                    plus = xt.as_dict().copy()
-                    minus = xt.as_dict().copy()
+                    plus = {"u": xt.u, "v": xt.v, "phi": xt.phi}
+                    minus = {"u": xt.u, "v": xt.v, "phi": xt.phi}
                     plus[var] = plus[var].copy()
                     minus[var] = minus[var].copy()
                     plus[var][j] += h
@@ -400,7 +399,8 @@ def test_packed_directions_equal_per_term_sums(mode, centered, k):
     rng = np.random.default_rng(21)
     space = make_space(build_grid(7, 5), rng, k=k, centered=centered)
     tensors, deim_ops = mode_operators(space, mode, rng)
-    packed = pack_directions(space, tensors, mode, deim_ops)
+    packed = {"x": PackedDirection(X_TERMS, space, tensors, mode, deim_ops),
+              "y": PackedDirection(Y_TERMS, space, tensors, mode, deim_ops)}
     for trial in range(3):
         xt = random_reduced(space, rng, scale=2.0)
         z = np.concatenate([xt.u, xt.v, xt.phi])
@@ -421,7 +421,8 @@ def test_packed_direction_freed_without_cycle_collector(mode):
     tensors, deim_ops = mode_operators(space, mode, rng)
     gc.disable()
     try:
-        packed = pack_directions(space, tensors, mode, deim_ops)
+        packed = {"x": PackedDirection(X_TERMS, space, tensors, mode, deim_ops),
+                  "y": PackedDirection(Y_TERMS, space, tensors, mode, deim_ops)}
         refs = [weakref.ref(d) for d in packed.values()]
         del packed
         assert all(ref() is None for ref in refs)

@@ -43,6 +43,9 @@ def test_config_validation():
         SolverConfig(dt=1.0, nt=0)
     with pytest.raises(ValueError):
         SolverConfig(dt=1.0, nt=1, lu_refresh_every=0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="newton_max_iters"):
+            SolverConfig(dt=1.0, nt=1, newton_max_iters=bad)
 
 
 def test_rest_state_is_fixed_point(setup):
