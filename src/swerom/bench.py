@@ -11,7 +11,7 @@ CSV outputs (written into the configured directory):
 
     run_report.csv    one row per (grid, mode, m) with timings and errors
     spectra.csv       state-variable and nonlinear-term singular values
-    deim_points.csv   per-node max-over-time term magnitude and selection order
+    deim_points.csv   each term's greedy DEIM points with their max-over-time magnitude
     timing_vs_n.csv   condensed cost-versus-size view of run_report
 """
 
@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("pass exactly one of k or gamma")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if any(m < 1 for m in self.m_values):
             raise ValueError(f"every m must be at least 1, got {self.m_values}")
         if not self.grids:
@@ -262,14 +264,9 @@ def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
     report.flops_model = flop_count(mode, n=grid.n, k=report.k, m=m)
 
 
-# spectra.csv and deim_points.csv are joined with ',' and ended with CRLF by
-# hand, which gives csv.writer's bytes: every field is a number (repr of a
-# float, str of an int) or a fixed token (grid, window, kind, variable or
-# term name), so none needs quoting.
-
 SPECTRA_COLUMNS = ["grid", "window", "kind", "name", "index", "sigma", "lambda"]
-DEIM_POINT_COLUMNS = ["grid", "window", "term", "index", "ix", "iy",
-                      "x_m", "y_m", "max_abs_over_time", "deim_order"]
+DEIM_POINT_COLUMNS = ["grid", "window", "term", "deim_order", "index", "ix", "iy",
+                      "x_m", "y_m", "max_abs_over_time"]
 
 
 def _spectra_rows(cfg, grid_name, snaps, shared) -> list[tuple]:
@@ -292,28 +289,19 @@ def _spectra_rows(cfg, grid_name, snaps, shared) -> list[tuple]:
             for i, (s, sq) in enumerate(zip(sigma.tolist(), lam.tolist()), start=1)]
 
 
-def _deim_point_lines(cfg, grid_name, grid, snaps, shared) -> list[str]:
-    """Per-node max-over-time statistic with greedy selection order.
-
-    The order is that of the shared points at the largest m (0 everywhere
-    when that selection failed); points for smaller m are prefixes of it, so
-    one export covers the whole m sweep.
+def _deim_point_rows(cfg, grid_name, grid, snaps, shared) -> list[tuple]:
+    """Each term's shared greedy points at the largest m, in selection order,
+    with the term's maximum magnitude over the trajectory there. The points
+    at a smaller m are a term's first m rows; none when that selection failed.
     """
-    points = shared.get("points")
-    nodes = np.arange(grid.n)
-    node_fields = [f"{i},{ix},{iy},{x!r},{y!r}" for i, ix, iy, x, y in zip(
-        nodes.tolist(), (nodes % grid.nx).tolist(), (nodes // grid.nx).tolist(),
-        grid.x_coords().tolist(), grid.y_coords().tolist())]
-    lines = []
-    for term in TERM_NAMES:
-        stat = np.max(np.abs(snaps.nonlinear[term]), axis=1)
-        order = np.zeros(grid.n, dtype=np.int64)
-        if points is not None:
-            order[points[term]] = np.arange(1, points[term].shape[0] + 1)
-        head = f"{grid_name},{cfg.window},{term},"
-        lines += [f"{head}{node},{s!r},{o}\r\n" for node, s, o in
-                  zip(node_fields, stat.tolist(), order.tolist())]
-    return lines
+    x, y = grid.x_coords(), grid.y_coords()
+    rows = []
+    for term, points in shared.get("points", {}).items():
+        stat = np.max(np.abs(snaps.nonlinear[term][points]), axis=1)
+        per_point = zip(points.tolist(), x[points].tolist(), y[points].tolist(), stat.tolist())
+        rows += [(grid_name, cfg.window, term, order, i, i % grid.nx, i // grid.nx, xi, yi, st)
+                 for order, (i, xi, yi, st) in enumerate(per_point, start=1)]
+    return rows
 
 
 def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
@@ -365,9 +353,7 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
     # diagnostics for plots (untimed): spectra and sampled-point statistics
     grid_name = f"{grid.nx}x{grid.ny}"
     spectra = _spectra_rows(cfg, grid_name, snaps, shared)
-    deim_lines = (_deim_point_lines(cfg, grid_name, grid, snaps, shared)
-                  if "pod-deim" in cfg.modes else [])
-    return reports, spectra, deim_lines
+    return reports, spectra, _deim_point_rows(cfg, grid_name, grid, snaps, shared)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -379,14 +365,12 @@ def run_experiment(cfg: ExperimentConfig):
     per_grid = [_run_grid(cfg, nx, ny) for nx, ny in cfg.grids]
     reports = [rep for grid_out in per_grid for rep in grid_out[0]]
     spectra = [row for grid_out in per_grid for row in grid_out[1]]
-    deim_lines = [line for grid_out in per_grid for line in grid_out[2]]
+    deim_points = [row for grid_out in per_grid for row in grid_out[2]]
 
     write_run_report(reports, out / "run_report.csv")
-    _write_lines([f"{g},{w},{kind},{name},{i},{s!r},{sq!r}\r\n"
-                  for g, w, kind, name, i, s, sq in spectra],
-                 SPECTRA_COLUMNS, out / "spectra.csv")
-    if deim_lines:
-        _write_lines(deim_lines, DEIM_POINT_COLUMNS, out / "deim_points.csv")
+    _write_csv(spectra, SPECTRA_COLUMNS, out / "spectra.csv")
+    if "pod-deim" in cfg.modes:
+        _write_csv(deim_points, DEIM_POINT_COLUMNS, out / "deim_points.csv")
     write_timing_vs_n(reports, out / "timing_vs_n.csv")
     return reports, {"spectra": [dict(zip(SPECTRA_COLUMNS, row)) for row in spectra]}
 
@@ -401,17 +385,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(lines: list[str], columns: list[str], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        fh.writelines(lines)
-
-
-def _write_reports(reports: list[RunReport], columns: list[str], path) -> None:
+def _write_csv(rows, columns: list[str], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([_fmt(getattr(rep, c)) for c in columns] for rep in reports)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def _write_reports(reports: list[RunReport], columns: list[str], path) -> None:
+    _write_csv(([getattr(rep, c) for c in columns] for rep in reports), columns, path)
 
 
 def write_run_report(reports: list[RunReport], path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from swerom.errors import FileFormatError
 
-MAGIC = {"snapshot": b"SWESNAP1", "basis": b"PODBAS1\0", "operator": b"DEIMOP1\0",
+MAGIC = {"snapshot": b"SWESNAP1", "basis": b"PODBAS1\0", "operator": b"DEIMOP2\0",
          "tensor": b"TPODCF1\0"}
 
 

@@ -151,30 +151,34 @@ def cmd_run_full(args) -> int:
 
 
 def cmd_build_rom(args) -> int:
+    if args.m is not None and args.m < 1:
+        raise ValueError(f"m must be at least 1, got {args.m}")
     snaps = load_snapshots(args.snapshots, nonlinear=args.mode == "pod-deim")
-    grid = snaps.grid
-    ops = build_operators(grid)
-    f = coriolis_field(grid)
-    bases = build_state_bases(snaps.states, k=args.k, gamma=args.gamma,
-                              center=not args.no_center)
-    space = ReducedSpace(bases, ops, f)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for var in VARIABLES:
-        save_basis(bases[var], out / f"{var}.pod")
-    k_shared = max(b.k for b in bases.values())
-    homogeneous = len({b.k for b in bases.values()}) == 1
-    if homogeneous and args.mode != "pod-deim":  # its run-rom uses sampled tensors
-        save_tensors(build_tensor_coefficients(space), out / "tensors.tpod")
     if args.mode == "pod-deim":
         if snaps.nonlinear is None:
             raise ValueError("snapshot file has no nonlinear-term matrices; "
                              "pod-deim needs the snapshots of run-full")
         if args.m is None:
             raise ValueError("pod-deim needs --m")
+    grid = snaps.grid
+    ops = build_operators(grid)
+    f = coriolis_field(grid)
+    bases = build_state_bases(snaps.states, k=args.k, gamma=args.gamma,
+                              center=not args.no_center)
+    space = ReducedSpace(bases, ops, f)
+    # everything is built before anything is written, so a failure leaves no file
+    artifacts = {f"{var}.pod": (save_basis, bases[var]) for var in VARIABLES}
+    k_shared = max(b.k for b in bases.values())
+    if args.mode == "pod-deim":  # no full-sum tensors: its run-rom uses sampled ones
         for term, op in deim_operators_from_snapshots(space, snaps.nonlinear,
                                                       args.m).items():
-            save_deim_operator(op, out / f"{term}.deim")
+            artifacts[f"{term}.deim"] = (save_deim_operator, op)
+    elif len({b.k for b in bases.values()}) == 1:  # the tensor file holds one shared k
+        artifacts["tensors.tpod"] = (save_tensors, build_tensor_coefficients(space))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (save, obj) in artifacts.items():
+        save(obj, out / name)
     meta = {"nx": grid.nx, "ny": grid.ny, "L": grid.L, "D": grid.D,
             "dt": snaps.dt, "nt": snaps.nt, "k": k_shared, "m": args.m,
             "center": not args.no_center, "mode": args.mode}

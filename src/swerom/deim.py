@@ -15,9 +15,10 @@ which is what makes the off-line stage cheap: the contraction of those
 tensors reproduces the sampled evaluation exactly (same algebra,
 reordered), even though the tensors themselves differ from the full-sum ones.
 
-Operator file layout (little-endian): header ``{magic b"DEIMOP1\\0", n, m,
-k, term tag}``, then the points as int64, the spectrum, V and E as float64,
-and per product the variable tags, scale factor, and sampled arrays.
+Operator file layout (little-endian): header ``{magic b"DEIMOP2\\0", n, m,
+k, term tag}``, then the points as int64, the condition number of P^T V and
+E as float64, and per product the variable tags, scale factor, and sampled
+arrays. Nothing in it has n entries: V is needed only to form E.
 """
 
 from __future__ import annotations
@@ -109,11 +110,9 @@ class DeimTermOperator:
     """Everything needed to evaluate one nonlinear term from m samples."""
 
     term: str
-    V: np.ndarray
     points: np.ndarray
     E: np.ndarray
     cond: float
-    sigma: np.ndarray
     products: list[SampledProduct]
     n: int
 
@@ -130,8 +129,7 @@ class DeimTermOperator:
 
 
 def build_deim_term_operator(space: ReducedSpace, term: str, V: np.ndarray,
-                             points: np.ndarray,
-                             sigma: np.ndarray | None = None) -> DeimTermOperator:
+                             points: np.ndarray) -> DeimTermOperator:
     points = np.asarray(points, dtype=np.int64)
     if len(np.unique(points)) != points.shape[0]:
         raise ValueError("sample points must be distinct")
@@ -147,10 +145,8 @@ def build_deim_term_operator(space: ReducedSpace, term: str, V: np.ndarray,
             Ubxm=space.dbasis[bvar, axis][points, :].copy(),
             am=ba.xbar[points].copy(),
             bxm=space.dmean[bvar, axis][points].copy()))
-    sigma = sigma if sigma is not None else np.zeros(0)
-    return DeimTermOperator(term=term, V=np.asarray(V, dtype=float), points=points,
-                            E=E, cond=cond, sigma=np.asarray(sigma, dtype=float),
-                            products=products, n=space.n)
+    return DeimTermOperator(term=term, points=points, E=E, cond=cond, products=products,
+                            n=space.n)
 
 
 def _check_m(bound: int, m: int) -> None:
@@ -167,8 +163,8 @@ def deim_operators(space: ReducedSpace, term_svds: dict[str, tuple[np.ndarray, n
     ``term_svds[term] = (U, s)`` and the first m of its greedy ``points``,
     which may be selected at a larger m: selection is nested."""
     _check_m(min(U.shape[1] for U, _ in term_svds.values()), m)
-    return {term: build_deim_term_operator(space, term, U[:, :m], points[term][:m], sigma=s)
-            for term, (U, s) in term_svds.items()}
+    return {term: build_deim_term_operator(space, term, U[:, :m], points[term][:m])
+            for term, (U, _) in term_svds.items()}
 
 
 def deim_operators_from_snapshots(space: ReducedSpace,
@@ -210,9 +206,7 @@ def save_deim_operator(op: DeimTermOperator, path) -> None:
         w.fields("qqq", op.n, op.m, op.E.shape[0])
         w.tag(op.term)
         w.array(op.points, "<i8")
-        w.fields("qd", op.sigma.shape[0], op.cond)
-        w.array(op.sigma)
-        w.array(op.V, order="F")
+        w.fields("d", op.cond)
         w.array(op.E, order="F")
         w.fields("q", len(op.products))
         for p in op.products:
@@ -230,10 +224,11 @@ def load_deim_operator(path) -> DeimTermOperator:
         n, m, k = r.fields("qqq", "header")
         term = r.tag("term tag", TERM_NAMES)
         points = r.array((m,), "points", "<i8")
-        nsigma, cond = r.fields("qd", "sigma header")
-        sigma = r.array((nsigma,), "sigma")
+        # n sizes no read, so hold the points to what build_deim_term_operator accepts
+        r.require(m >= 1 and len(np.unique(points)) == m and points.min() >= 0
+                  and points.max() < n, f"bad sample points of {term}: not distinct in [0, {n})")
+        (cond,) = r.fields("d", "condition number")
         # column-major like the E the library builds, so E @ samples rounds the same way
-        V = r.array((n, m), "V", order="F", layout="F")
         E = r.array((k, m), "E", order="F", layout="F")
         r.require(r.fields("q", "count") == (len(TERMS[term]),), f"bad product count of {term}")
         products = []
@@ -247,5 +242,4 @@ def load_deim_operator(path) -> DeimTermOperator:
                 Ubxm=r.array((m, kb), "Ubxm", order="F", layout="F"),
                 am=r.array((m,), "am"), bxm=r.array((m,), "bxm")))
         r.end()
-    return DeimTermOperator(term=term, V=V, points=points, E=E, cond=cond, sigma=sigma,
-                            products=products, n=n)
+    return DeimTermOperator(term=term, points=points, E=E, cond=cond, products=products, n=n)

@@ -7,6 +7,7 @@ import pytest
 
 from swerom import bench
 from swerom.bench import ExperimentConfig, RunReport, read_run_report, run_experiment
+from swerom.model import TERM_NAMES
 from swerom.plots import emit_plot_data, svg_line_plot
 from swerom.pod import build_state_bases
 
@@ -29,6 +30,10 @@ def test_config_validation():
         ExperimentConfig(window="custom").validate()
     with pytest.raises(ValueError, match="exactly one"):
         ExperimentConfig(k=5, gamma=0.99).validate()
+    for gamma in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            ExperimentConfig(k=None, gamma=gamma).validate()
+    ExperimentConfig(k=None, gamma=1.0).validate()
     ExperimentConfig().validate()
 
 
@@ -114,21 +119,26 @@ def test_csv_outputs_exist_and_parse(small_sweep):
 
 
 def test_deim_points_rows_complete(small_sweep):
+    # one row per selected point: m_max = 8 per term, in selection order
     cfg, reports, extras, out = small_sweep
     with open(out / "deim_points.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    n = 13 * 11
-    assert len(rows) == 6 * n
-    f11 = [r for r in rows if r["term"] == "F11"]
-    orders = sorted(int(r["deim_order"]) for r in f11 if int(r["deim_order"]) > 0)
-    assert orders == list(range(1, 9))  # m_max = 8 selected points
-    assert all(0 <= int(r["index"]) < n for r in f11)
+    nx, n = 13, 13 * 11
+    assert len(rows) == 6 * 8
+    assert [r["term"] for r in rows] == [t for t in TERM_NAMES for _ in range(8)]
+    for term in TERM_NAMES:
+        own = [r for r in rows if r["term"] == term]
+        assert [int(r["deim_order"]) for r in own] == list(range(1, 9))
+        index = [int(r["index"]) for r in own]
+        assert len(set(index)) == 8 and all(0 <= i < n for i in index)
+        assert [(int(r["ix"]), int(r["iy"])) for r in own] == [(i % nx, i // nx)
+                                                               for i in index]
 
 
 @pytest.mark.parametrize("name", ["deim_points.csv", "spectra.csv"])
 def test_diagnostic_tables_match_csv_writer(small_sweep, name):
-    # the tables are joined by hand; csv.writer with repr floats must give
-    # the same bytes (header, CRLF line ends, shortest-repr floats)
+    # csv.writer with repr floats gives the same bytes (header, CRLF line
+    # ends, shortest-repr floats), so the tables read back exactly
     _, _, _, out = small_sweep
     raw = (out / name).read_bytes()
     with open(out / name, newline="") as fh:
@@ -201,8 +211,9 @@ def test_rows_select_own_points_when_shared_selection_fails(tmp_path, monkeypatc
     for f in fields(RunReport):
         if not f.name.endswith("_s"):
             assert getattr(own[0], f.name) == getattr(shared[0], f.name), f.name
-    with open(tmp_path / "own" / "deim_points.csv", newline="") as fh:
-        assert {row["deim_order"] for row in csv.DictReader(fh)} == {"0"}
+    # no shared points to export: the table holds its header only
+    header = ",".join(bench.DEIM_POINT_COLUMNS) + "\r\n"
+    assert (tmp_path / "own" / "deim_points.csv").read_bytes() == header.encode()
 
 
 def test_failed_rows_recorded_and_sweep_continues(tmp_path):

@@ -118,26 +118,30 @@ def test_build_rom_m_above_snapshot_count_exit_2(full_run_dir, tmp_path, capsys)
                  "--k", "4", "--mode", "pod-deim", "--m", "50", "--out", str(tmp_path)])
     assert code == 2
     assert "m=50 exceeds" in capsys.readouterr().err
-    assert not (tmp_path / "rom_meta.json").exists()
+    assert not list(tmp_path.iterdir())  # every artifact is built before the first is written
 
 
 @pytest.mark.parametrize("argv, message", [
     (["build-rom", "--k", "-1"], "k must be at least 1"),
     (["build-rom", "--k", "0"], "k must be at least 1"),
     (["build-rom", "--k", "4", "--mode", "pod-deim", "--m", "0"], "m must be at least 1"),
+    (["build-rom", "--k", "4", "--mode", "tensorial-pod", "--m", "-1"],
+     "m must be at least 1"),
     (["bench", "--k", "-1"], "k must be at least 1"),
     (["bench", "--k", "5", "--m", "-1"], "every m must be at least 1"),
+    (["bench", "--gamma", "1.5"], "gamma must lie in [0, 1]"),
+    (["bench", "--gamma", "nan"], "gamma must lie in [0, 1]"),
     (["run-full", "--newton-max-iters", "-1"], "newton_max_iters"),
-], ids=["build-rom-k-1", "build-rom-k0", "build-rom-m0", "bench-k-1", "bench-m-1",
-        "run-full-newton-max-iters-1"])
+], ids=["build-rom-k-1", "build-rom-k0", "build-rom-m0", "build-rom-tpod-m-1", "bench-k-1",
+        "bench-m-1", "bench-gamma1.5", "bench-gamma-nan", "run-full-newton-max-iters-1"])
 def test_nonpositive_counts_exit_2(full_run_dir, tmp_path, capsys, argv, message):
-    # each count is rejected before a metadata or report file is written
+    # each count (or energy fraction) is rejected before any file is written
     argv = argv + {"build-rom": ["--snapshots", str(full_run_dir / "snapshots.snap")],
                    "bench": ["--grid", "9x7", "--dt", "300", "--nt", "5"],
                    "run-full": ["--grid", "9x7", "--dt", "300", "--nt", "2"]}[argv[0]]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.json")) + list(tmp_path.rglob("*.csv"))
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 def test_linalg_failure_exit_3(full_run_dir, tmp_path, capsys, monkeypatch):
@@ -172,8 +176,8 @@ def test_run_rom_truncated_operator_exit_2(rom_dir, tmp_path, capsys):
     romdir = tmp_path / "rom"
     shutil.copytree(rom_dir, romdir)
     data = (romdir / "F21.deim").read_bytes()
-    # cut inside the sigma-length/condition-number pair that follows the
-    # 40-byte header and the m=6 points
+    # cut inside the condition number that follows the 40-byte header and
+    # the m=6 points
     (romdir / "F21.deim").write_bytes(data[:40 + 8 * 6 + 4])
     assert main(["run-rom", "--rom", str(romdir), "--mode", "pod-deim",
                  "--out", str(tmp_path / "o")]) == 2
@@ -201,6 +205,17 @@ def test_malformed_header_exit_2(rom_dir, full_run_dir, tmp_path, capsys, name, 
         argv = ["run-rom", "--rom", str(tmp_path / "in"), "--mode", "pod-deim"]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_rom_old_operator_magic_exit_2(rom_dir, tmp_path, capsys):
+    # a DEIMOP1 file (which stored V and the spectrum) is refused, not misread
+    romdir = tmp_path / "rom"
+    shutil.copytree(rom_dir, romdir)
+    data = (romdir / "F21.deim").read_bytes()
+    (romdir / "F21.deim").write_bytes(b"DEIMOP1\0" + data[8:])
+    assert main(["run-rom", "--rom", str(romdir), "--mode", "pod-deim",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "bad operator magic" in capsys.readouterr().err
 
 
 def test_run_rom_missing_dir_exit_2(tmp_path):

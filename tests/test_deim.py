@@ -244,16 +244,14 @@ def test_deim_operator_roundtrip(tmp_path):
     grid = build_grid(5, 5)
     space = make_space(grid, rng)
     V = orthonormal_basis(grid.n, 3, rng)
-    op = build_deim_term_operator(space, "F22", V, deim_select_points(V),
-                                  sigma=np.array([3.0, 2.0, 1.0]))
+    op = build_deim_term_operator(space, "F22", V, deim_select_points(V))
     path = tmp_path / "f22.deim"
     save_deim_operator(op, path)
     back = load_deim_operator(path)
     assert back.term == "F22"
     assert np.array_equal(back.points, op.points)
     assert np.array_equal(back.E, op.E)
-    assert np.array_equal(back.V, op.V)
-    assert np.array_equal(back.sigma, op.sigma)
+    assert back.cond == op.cond and back.n == op.n
     xt = random_reduced(space, rng)
     assert np.array_equal(back.evaluate(xt), op.evaluate(xt))
     path2 = tmp_path / "f22b.deim"

@@ -172,11 +172,9 @@ HUGE = 2 ** 40
     ("b.pod", 16, "<q", HUGE, FileFormatError),             # k
     ("b.pod", 24, "<q", HUGE, FileFormatError),             # nsigma
     ("b.pod", 16, "<q", -1, FileFormatError),
-    ("op.deim", 8, "<q", HUGE, FileFormatError),            # n
     ("op.deim", 16, "<q", HUGE, FileFormatError),           # m
     ("op.deim", 16, "<q", 5, FileFormatError),              # m: later counts shift
     ("op.deim", 24, "<q", HUGE, FileFormatError),           # k
-    ("op.deim", 40 + 8 * 3, "<q", HUGE, FileFormatError),   # spectrum length
     ("t.tpod", 8, "<q", 2 ** 21, FileFormatError),          # k: k**3 wraps in int64
     ("t.tpod", 8, "<q", -2, FileFormatError),
     ("s.snap", 48, "<q", 7, FileFormatError),               # flags: unknown bit 2
@@ -202,6 +200,21 @@ def test_malformed_header_rejected_before_reading(tmp_path, name, offset, code, 
     path.write_bytes(bytes(data))
     with pytest.raises(error):
         LOADERS[name](path)
+
+
+def test_deim_operator_points_distinct_and_below_n(tmp_path):
+    # n sizes no read, so the loader holds the points to the builder's rule
+    write_every_format(tmp_path, np.random.default_rng(11))
+    path = tmp_path / "op.deim"
+    data = path.read_bytes()
+    points = np.frombuffer(data, dtype="<i8", count=3, offset=40)
+    top = int(points.max())
+    bad = [data[:8] + struct.pack("<q", n) + data[16:] for n in (top, top - 1)]
+    bad.append(data[:48] + data[40:48] + data[56:])  # second point repeats the first
+    for payload in bad:
+        path.write_bytes(payload)
+        with pytest.raises(FileFormatError, match="bad sample points"):
+            load_deim_operator(path)
 
 
 def test_header_field_sweep_loads_only_what_it_saves(tmp_path):
