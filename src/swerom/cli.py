@@ -40,6 +40,7 @@ from swerom.errors import FileFormatError, NonConvergenceError
 from swerom.flops import flop_count, reference_table
 from swerom.metrics import trajectory_errors
 from swerom.model import (
+    TERM_EQUATION,
     TERM_NAMES,
     VARIABLES,
     PhysicalConstants,
@@ -187,6 +188,26 @@ def cmd_build_rom(args) -> int:
     return 0
 
 
+def _check_deim_operator(op, term: str, bases: dict, n: int, path) -> None:
+    """A loaded operator must sample the grid's n nodes and project onto
+    the bases it runs with."""
+    eq = TERM_EQUATION[term]
+    problems = []
+    if op.term != term:
+        problems.append(f"it holds {op.term}")
+    if op.n != n:
+        problems.append(f"it samples n={op.n} nodes, the grid has n={n}")
+    if op.E.shape[0] != bases[eq].k:
+        problems.append(f"E has {op.E.shape[0]} rows, the {eq} basis k={bases[eq].k}")
+    for p in op.products:
+        for name, var, U in (("Uam", p.a_var, p.Uam), ("Ubxm", p.b_var, p.Ubxm)):
+            if U.shape[1] != bases[var].k:
+                problems.append(f"{name} of {p.a_var}*{p.b_var} has {U.shape[1]} columns, "
+                                f"the {var} basis k={bases[var].k}")
+    if problems:
+        raise ValueError(f"{path} does not fit the reduced model: " + "; ".join(problems))
+
+
 def cmd_run_rom(args) -> int:
     romdir = Path(args.rom)
     meta = json.loads((romdir / "rom_meta.json").read_text())
@@ -197,20 +218,48 @@ def cmd_run_rom(args) -> int:
                       PhysicalConstants(L=float(meta["L"]), D=float(meta["D"])))
     ops = build_operators(grid)
     f = coriolis_field(grid)
-    bases = {var: load_basis(romdir / f"{var}.pod") for var in VARIABLES}
+    bases = {}
+    for var in VARIABLES:
+        path = romdir / f"{var}.pod"
+        bases[var] = basis = load_basis(path)
+        if basis.var != var or basis.n != grid.n:
+            raise ValueError(f"{path} holds a {basis.var} basis of n={basis.n}, not a {var} "
+                             f"basis on the {grid.nx}x{grid.ny} grid (n={grid.n})")
     space = ReducedSpace(bases, ops, f)
     mode = args.mode
     deim_ops = None
     if mode == "pod-deim":
-        deim_ops = {term: load_deim_operator(romdir / f"{term}.deim")
-                    for term in TERM_NAMES}
+        deim_ops = {}
+        for term in TERM_NAMES:
+            path = romdir / f"{term}.deim"
+            deim_ops[term] = op = load_deim_operator(path)
+            _check_deim_operator(op, term, bases, grid.n, path)
         tensors = deim_tensor_coefficients(deim_ops, space)
     else:
         tensors_path = romdir / "tensors.tpod"
-        tensors = (load_tensors(tensors_path) if tensors_path.exists()
-                   else build_tensor_coefficients(space))
+        if tensors_path.exists():
+            tensors = load_tensors(tensors_path)
+            if tensors.k != {var: bases[var].k for var in VARIABLES}:
+                raise ValueError(f"{tensors_path} holds k={tensors.k['u']}, the bases k="
+                                 + "/".join(str(bases[var].k) for var in VARIABLES))
+        else:
+            tensors = build_tensor_coefficients(space)
     nt = args.nt if args.nt is not None else int(meta["nt"])
     cfg = _solver_config(args, float(meta["dt"]), nt)
+    full = None
+    if args.snapshots:  # the run is scored against these, so check them before it
+        full = load_snapshots(args.snapshots, nonlinear=False)
+        if full.states is None:
+            raise ValueError(f"{args.snapshots} holds no state matrices")
+        if (full.grid.nx, full.grid.ny) != (grid.nx, grid.ny):
+            raise ValueError(f"{args.snapshots} is on a {full.grid.nx}x{full.grid.ny} grid, "
+                             f"the reduced model on {grid.nx}x{grid.ny}")
+        if full.dt != cfg.dt:
+            raise ValueError(f"{args.snapshots} has dt={full.dt:g}, "
+                             f"the reduced model dt={cfg.dt:g}")
+        if full.nt < nt:
+            raise ValueError(f"{args.snapshots} holds {full.nt} snapshots, "
+                             f"fewer than the {nt} steps of --nt")
     ic = initial_state(grid, ops)
     model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
     x0 = project_initial(ic, space)
@@ -226,9 +275,10 @@ def cmd_run_rom(args) -> int:
     print(f"{mode}: {nt} steps in {elapsed:.3f}s "
           f"(nonlinear phase {tm.nonlinear_s:.3f}s, {tm.newton_iters} Newton iterations, "
           f"{tm.rhs_evals} right-hand sides)")
-    if args.snapshots:
-        full = load_snapshots(args.snapshots, nonlinear=False)
-        errors = trajectory_errors(full.states, lifted)
+    if full is not None:
+        # snapshot column t and trajectory column t are both at time (t+1)*dt
+        errors = trajectory_errors({var: full.states[var][:, :nt] for var in VARIABLES},
+                                   lifted)
         with open(out / "metrics.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["variable", "relative_error", "rmse_final"])

@@ -395,7 +395,8 @@ class RomTimings:
     solve_s: float = 0.0
     total_s: float = 0.0        # includes packing the directions
     newton_iters: int = 0
-    rhs_evals: int = 0          # right-hand sides evaluated
+    rhs_evals: int = 0          # right-hand sides evaluated: one per residual, plus the
+                                # first step's explicit part (later steps carry theirs)
     steps: int = 0
     worst_residual: float = 0.0  # largest accepted relative residual
 

@@ -13,7 +13,11 @@ where the Newton matrix is assembled and LU-factorized only every
 ``lu_refresh_every`` steps and reused (stale) in between. That loop,
 :class:`AdiNewton`, also steps the reduced model (:mod:`swerom.rom`) and
 packs the states of both; each model supplies only its block sizes, its
-right-hand side and its factorization.
+right-hand side and its factorization. A half-step hands its accepted
+right-hand side on: the x half-step's is the y half-step's explicit part,
+and the y half-step's starts the next step when that step begins from the
+bit-identical state, so a run evaluates one explicit right-hand side, at
+its first step, besides one per residual.
 
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
@@ -42,6 +46,7 @@ from swerom.model import (
     Grid,
     TERMS,
     TERM_EQUATION,
+    VARIABLES,
     X_TERMS,
     Y_TERMS,
     all_nonlinear,
@@ -87,10 +92,11 @@ class PhaseTimings:
     assembly_s: float = 0.0
     factorization_s: float = 0.0
     solve_s: float = 0.0
-    recording_s: float = 0.0
+    recording_s: float = 0.0    # snapshot rows and terms, and their final transposition
     total_s: float = 0.0
     newton_iters: int = 0
-    rhs_evals: int = 0          # right-hand sides evaluated
+    rhs_evals: int = 0          # right-hand sides evaluated: one per residual, plus the
+                                # first step's explicit part (later steps carry theirs)
     steps: int = 0
     worst_residual: float = 0.0  # largest accepted relative residual
     pivoted_factorizations: int = 0  # band LUs that interchanged rows (solved by dgbtrs)
@@ -136,6 +142,8 @@ class _BandedNewton:
                 rows += [eq + nodes, eq + coo.row]
                 cols += [_VAR_SLOT[avar] * n + nodes, _VAR_SLOT[bvar] * n + coo.col]
                 self._products.append((coef, avar, bvar))
+        # (coef, a variable) of the products with coef != 1: _rhs scales each field once
+        self.scaled = sorted({(coef, avar) for coef, avar, _ in self._products if coef != 1.0})
         # trapezoidal Coriolis: each half-step carries half of it implicitly
         rows += [nodes, n + nodes]
         cols += [n + nodes, nodes]
@@ -212,9 +220,16 @@ class AdiNewton:
     and ``_factor(axis, w, dt2, timings)``, which factorizes I - dt2*J at w
     and returns the solve. Each hook times and counts its own work in
     ``timings``.
+
+    A step keeps the packed w it returns and that step's accepted
+    ``_rhs("y", w)``. The next step starts from that value instead of
+    evaluating it again, but only when its packed state equals the kept w
+    bit for bit; a state changed in place, or any other state, is evaluated
+    afresh.
     """
 
     _fixed = None
+    _carried = None  # (w, _rhs("y", w)) of the last step's result
 
     def _pack(self, state: FieldState) -> np.ndarray:
         return np.concatenate([state.u, state.v, state.phi])
@@ -307,14 +322,20 @@ class AdiNewton:
         dt2 = 0.5 * cfg.dt
         refresh = (step_index % cfg.lu_refresh_every == 0)
         # x implicit with the y terms explicit, then the reverse; the x
-        # half-step's accepted _rhs("x", w) is the second one's explicit part.
+        # half-step's accepted _rhs("x", w) is the second one's explicit part,
+        # and the y half-step's accepted _rhs("y", w) the next step's first.
         # A blown-up state ends in NonConvergenceError, without overflow warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self._rhs("y", w, timings)
+            carried = self._carried
+            if carried is not None and np.array_equal(carried[0], w):
+                r = carried[1]
+            else:
+                r = self._rhs("y", w, timings)
             for axis in ("x", "y"):
                 solve = None if refresh else self._solves.get(axis)
                 w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
                                                            solve, timings)
+        self._carried = (w, r)
         timings.steps += 1
         return self._unpack(w, state.time + cfg.dt)
 
@@ -327,6 +348,7 @@ class FullSolver(AdiNewton):
         self.f = f
         self.cfg = cfg
         self.n = grid.n
+        self._half_f = 0.5 * f  # exact: a power-of-two scaling
         self._sizes = (grid.n, grid.n, grid.n)
         self._fixed = self.n + boundary_row_indices(grid)  # wall-row v, v block offset
         self._bands = {axis: _BandedNewton(grid, ops, f, axis) for axis in ("x", "y")}
@@ -336,20 +358,29 @@ class FullSolver(AdiNewton):
 
     def _rhs(self, axis: str, w: np.ndarray, timings: PhaseTimings) -> np.ndarray:
         """The direction's F-terms' part of (u', v', phi') plus half the
-        Coriolis term, packed."""
+        Coriolis term, packed.
+
+        Each product is (coef * a) * (A b), subtracted in ``TERMS`` order from
+        zero, with the Coriolis half added last: the operations of the plain
+        expression, in place in one scratch vector.
+        """
         t0 = time.perf_counter()
         n = self.n
         fields = self._fields(w)
         band = self._bands[axis]
         deriv = {var: band.A @ fields[var] for var in _VAR_SLOT}
+        scaled = {(coef, avar): coef * fields[avar] for coef, avar in band.scaled}
         out = np.zeros(3 * n)
+        tmp = np.empty(n)
         for name in band.terms:
             slot = _VAR_SLOT[TERM_EQUATION[name]]
             acc = out[slot * n:(slot + 1) * n]
             for coef, avar, bvar, _ in TERMS[name]:
-                acc -= coef * fields[avar] * deriv[bvar]
-        out[:n] += 0.5 * self.f * fields["v"]
-        out[n:2 * n] -= 0.5 * self.f * fields["u"]
+                a = fields[avar] if coef == 1.0 else scaled[coef, avar]
+                np.subtract(acc, np.multiply(a, deriv[bvar], out=tmp), out=acc)
+        du, dv = out[:n], out[n:2 * n]
+        np.add(du, np.multiply(self._half_f, fields["v"], out=tmp), out=du)
+        np.subtract(dv, np.multiply(self._half_f, fields["u"], out=tmp), out=dv)
         timings.assembly_s += time.perf_counter() - t0
         timings.rhs_evals += 1
         return out
@@ -383,7 +414,9 @@ def run_full(
     """Integrate nt steps from the initial condition, recording state and term snapshots.
 
     Snapshot column t holds the state after step t+1, i.e. at time (t+1)*dt;
-    the initial condition itself is not a snapshot column.
+    the initial condition itself is not a snapshot column. Each step is
+    recorded as one contiguous row of an nt-by-n buffer; every buffer is
+    transposed once at the end into its C-ordered n-by-nt matrix.
     """
     timings = PhaseTimings()
     t_start = time.perf_counter()
@@ -393,8 +426,7 @@ def run_full(
         warnings.warn(f"CFL indicator {ind:.4f} exceeds stability limit {CFL_LIMIT}",
                       RuntimeWarning, stacklevel=2)
 
-    states = {var: np.empty((grid.n, cfg.nt)) for var in ("u", "v", "phi")}
-    nonlinear = {term: np.empty((grid.n, cfg.nt)) for term in TERMS}
+    rows = {name: np.empty((cfg.nt, grid.n)) for name in (*VARIABLES, *TERMS)}
     times = np.empty(cfg.nt)
 
     solver = FullSolver(grid, ops, f, cfg)
@@ -403,11 +435,18 @@ def run_full(
         state = solver.step(state, k, timings)
         times[k] = state.time
         t0 = time.perf_counter()
-        for var in states:
-            states[var][:, k] = state[var]
+        for var in VARIABLES:
+            rows[var][k] = state[var]
         for term, value in all_nonlinear(state, ops).items():
-            nonlinear[term][:, k] = value
+            rows[term][k] = value
         timings.recording_s += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    # each buffer is freed as soon as its transpose exists: one extra matrix at most
+    matrices = {name: np.ascontiguousarray(rows.pop(name).T) for name in list(rows)}
+    states = {var: matrices[var] for var in VARIABLES}
+    nonlinear = {term: matrices[term] for term in TERMS}
+    timings.recording_s += time.perf_counter() - t0
 
     timings.total_s = time.perf_counter() - t_start
     return state, SnapshotSet(grid=grid, dt=cfg.dt, times=times, states=states,

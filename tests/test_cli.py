@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import struct
@@ -7,7 +8,9 @@ import pytest
 
 from swerom.cli import main
 from swerom.deim import deim_operators_from_snapshots, deim_tensor_coefficients
+from swerom.metrics import trajectory_errors
 from swerom.model import (
+    VARIABLES,
     PhysicalConstants,
     build_grid,
     build_operators,
@@ -60,8 +63,8 @@ def test_run_full_outputs(full_run_dir):
     assert snaps.grid.nx == 11
     meta = json.loads((full_run_dir / "run_meta.json").read_text())
     assert meta["nt"] == 8 and meta["wall_s"] > 0
-    # per step: one explicit part, then per half-step one residual per iterate
-    assert meta["rhs_evals"] >= meta["newton_iters"] + 3 * 8
+    # one explicit part in the run, then per half-step one residual per iterate
+    assert meta["rhs_evals"] >= meta["newton_iters"] + 2 * 8 + 1
     assert meta["pivoted_factorizations"] == 0
 
 
@@ -216,6 +219,82 @@ def test_run_rom_old_operator_magic_exit_2(rom_dir, tmp_path, capsys):
     assert main(["run-rom", "--rom", str(romdir), "--mode", "pod-deim",
                  "--out", str(tmp_path / "o")]) == 2
     assert "bad operator magic" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def foreign_dir(full_run_dir, rom_dir, tmp_path_factory):
+    """Artifacts that do not fit rom_dir: k=3 ones from the same snapshots
+    (k3/), k=4 ones from a 9x7 run (n63/, whose snapshots are in full63/)
+    and rom_dir's F12 operator under the name F11.deim (swapped/)."""
+    out = tmp_path_factory.mktemp("foreign")
+    snap = str(full_run_dir / "snapshots.snap")
+    assert main(["run-full", "--grid", "9x7", "--dt", "300", "--nt", "8",
+                 "--out", str(out / "full63")]) == 0
+    for argv in (["--snapshots", snap, "--k", "3", "--mode", "pod-deim", "--m", "6"],
+                 ["--snapshots", snap, "--k", "3", "--mode", "tensorial-pod"],
+                 ["--snapshots", str(out / "full63" / "snapshots.snap"), "--k", "4",
+                  "--mode", "pod-deim", "--m", "6"]):
+        d = out / ("n63" if "full63" in argv[1] else "k3")
+        assert main(["build-rom", *argv, "--out", str(d)]) == 0
+    (out / "swapped").mkdir()
+    shutil.copy(rom_dir / "F12.deim", out / "swapped" / "F11.deim")
+    return out
+
+
+@pytest.mark.parametrize("source, name, message", [
+    ("n63", "F11.deim", "it samples n=63 nodes, the grid has n=99"),
+    ("k3", "F21.deim", "E has 3 rows, the v basis k=4"),
+    ("swapped", "F11.deim", "it holds F12"),
+    ("k3", "tensors.tpod", "holds k=3, the bases k=4/4/4"),
+    ("n63", "v.pod", "holds a v basis of n=63, not a v basis on the 11x9 grid (n=99)"),
+], ids=["deim-n", "deim-k", "deim-term", "tpod-k", "basis-n"])
+def test_run_rom_artifact_that_does_not_fit_exit_2(rom_dir, foreign_dir, tmp_path, capsys,
+                                                   source, name, message):
+    romdir = tmp_path / "rom"
+    shutil.copytree(rom_dir, romdir)
+    shutil.copy(foreign_dir / source / name, romdir / name)
+    mode = "pod-deim" if name.endswith(".deim") else "tensorial-pod"
+    assert main(["run-rom", "--rom", str(romdir), "--mode", mode,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {romdir / name} ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("snapshots, nt, message", [
+    ("own", "9", "holds 8 snapshots, fewer than the 9 steps of --nt"),
+    ("9x7", "8", "is on a 9x7 grid, the reduced model on 11x9"),
+    ("dt600", "8", "has dt=600, the reduced model dt=300"),
+    ("no-states", "8", "holds no state matrices"),
+])
+def test_run_rom_snapshots_that_do_not_fit_exit_2(rom_dir, full_run_dir, foreign_dir,
+                                                  tmp_path, capsys, snapshots, nt, message):
+    # the scoring snapshots are checked before the integration, so no file is written
+    path = {"own": full_run_dir, "9x7": foreign_dir / "full63"}.get(snapshots, tmp_path)
+    path = path / "snapshots.snap"
+    if snapshots in ("dt600", "no-states"):
+        snaps = load_snapshots(full_run_dir / "snapshots.snap", nonlinear=False)
+        if snapshots == "dt600":
+            snaps.dt, snaps.times = 600.0, 2 * snaps.times
+        else:
+            snaps.states = None
+        save_snapshots(snaps, path)
+    assert main(["run-rom", "--rom", str(rom_dir), "--mode", "tensorial-pod", "--nt", nt,
+                 "--snapshots", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {path} {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rom_nt_below_snapshot_count_scores_leading_columns(rom_dir, full_run_dir,
+                                                                tmp_path):
+    snap = str(full_run_dir / "snapshots.snap")
+    assert main(["run-rom", "--rom", str(rom_dir), "--mode", "tensorial-pod", "--nt", "5",
+                 "--snapshots", snap, "--out", str(tmp_path)]) == 0
+    short = load_snapshots(tmp_path / "rom_trajectory.snap")
+    full = load_snapshots(snap, nonlinear=False)
+    rows = list(csv.reader((tmp_path / "metrics.csv").read_text().splitlines()))[1:]
+    want = trajectory_errors({v: full.states[v][:, :5] for v in VARIABLES}, short.states)
+    assert rows == [[v, repr(want[v]["relerr"]), repr(want[v]["rmse"])] for v in VARIABLES]
 
 
 def test_run_rom_missing_dir_exit_2(tmp_path):

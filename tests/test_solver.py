@@ -6,7 +6,10 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from swerom.errors import NonConvergenceError
 from swerom.model import (
+    TERMS,
+    VARIABLES,
     FieldState,
+    all_nonlinear,
     boundary_row_indices,
     build_grid,
     build_operators,
@@ -290,7 +293,8 @@ def test_accepted_residuals_below_tolerance(setup):
 
 def test_one_rhs_per_accepted_iterate(setup):
     # each half-step returns the right-hand side its last residual took at
-    # the accepted iterate, and the next half-step's explicit part uses it
+    # the accepted iterate, and the next half-step's explicit part uses it;
+    # only the first step evaluates its explicit part
     grid, ops, f = setup
     cfg = SolverConfig(dt=120.0, nt=7)  # spans the refresh at step 6
     solver = FullSolver(grid, ops, f, cfg)
@@ -319,7 +323,7 @@ def test_one_rhs_per_accepted_iterate(setup):
     state = initial_state(grid, ops)
     for k in range(cfg.nt):
         state = solver.step(state, k, tm)
-    assert tm.rhs_evals == calls["all"] == calls["residual"] + cfg.nt
+    assert tm.rhs_evals == calls["all"] == calls["residual"] + 1
 
     def fresh(axis, w):
         return rhs(axis, w, PhaseTimings())
@@ -331,6 +335,51 @@ def test_one_rhs_per_accepted_iterate(setup):
     for (_, _, axis, w, _), (w0, b, next_axis, _, _) in zip(half_steps[::2], half_steps[1::2]):
         assert (axis, next_axis) == ("x", "y") and np.array_equal(w0, w)
         assert np.array_equal(b, w + dt2 * fresh("x", w))
+    for (_, _, _, w, r), (w0, b, _, _, _) in zip(half_steps[1::2], half_steps[2::2]):
+        assert np.array_equal(w0, w) and np.array_equal(b, w + dt2 * r)
+
+
+def test_state_changed_in_place_is_evaluated_afresh(setup):
+    # the carried right-hand side is reused only for the bit-identical state
+    grid, ops, f = setup
+    cfg = SolverConfig(dt=120.0, nt=3)
+    solver = FullSolver(grid, ops, f, cfg)
+    state = solver.step(initial_state(grid, ops), 0)
+
+    def step_both(state):
+        carried, fresh = PhaseTimings(), PhaseTimings()
+        got = solver.step(state, 0, carried)
+        want = FullSolver(grid, ops, f, cfg).step(state, 0, fresh)
+        for var in VARIABLES:
+            assert np.array_equal(got[var], want[var])
+        return got, carried.rhs_evals, fresh.rhs_evals
+
+    state, carried, fresh = step_both(state)
+    assert carried == fresh - 1
+    state.u[5] += 1e-3
+    state.phi[7] -= 1e-3
+    _, carried, fresh = step_both(state)
+    assert carried == fresh
+
+
+def test_run_full_records_each_stepped_state_and_its_terms(setup):
+    grid, ops, f = setup
+    cfg = SolverConfig(dt=120.0, nt=7)
+    ic = initial_state(grid, ops)
+    _, snaps, _ = run_full(ic, cfg, ops, f, grid)
+    want = {name: np.empty((grid.n, cfg.nt)) for name in (*VARIABLES, *TERMS)}
+    solver = FullSolver(grid, ops, f, cfg)
+    state = ic
+    for k in range(cfg.nt):
+        state = solver.step(state, k)
+        for var in VARIABLES:
+            want[var][:, k] = state[var]
+        for term, value in all_nonlinear(state, ops).items():
+            want[term][:, k] = value
+    assert list(snaps.states) == list(VARIABLES) and list(snaps.nonlinear) == list(TERMS)
+    for name, got in {**snaps.states, **snaps.nonlinear}.items():
+        assert got.shape == (grid.n, cfg.nt) and got.flags.c_contiguous
+        assert np.array_equal(got, want[name])
 
 
 def test_full_and_reduced_models_share_one_newton_loop():
