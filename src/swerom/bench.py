@@ -190,7 +190,8 @@ def _shared_offline(cfg, ops, f, snaps) -> dict:
         for t in TERM_NAMES}
     shared["term_s"] = time.perf_counter() - t0
     if "pod-deim" in cfg.modes:
-        # greedy points are nested: the first m at max(m) are the points at m
+        # greedy points are nested: the first m at max(m) are the points at m, since
+        # the pivot of each LU stage depends only on the columns up to its own
         t0 = time.perf_counter()
         try:
             shared["points"] = {t: deim_select_points(U[:, :max(cfg.m_values)])

@@ -9,6 +9,7 @@ as a truncation, not an allocation.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -39,47 +40,69 @@ class Writer:
         self._fh.write(np.asarray(arr, dtype=dtype).tobytes(order=order))
 
 
+@functools.cache
+def _struct(fmt: str) -> struct.Struct:
+    return struct.Struct("<" + fmt)
+
+
+_dtype = functools.cache(np.dtype)
+
+
 class Reader:
+    """Checked reads; a failure message is a ``str.format`` template, filled
+    in only when the check fails."""
+
     def __init__(self, fh, kind: str):
         self._fh = fh
         self._left = os.fstat(fh.fileno()).st_size
         self._kind = kind
         got = self._read(8, "magic")
-        self.require(got == MAGIC[kind], f"bad {kind} magic {got!r}")
+        self.require(got == MAGIC[kind], "bad {} magic {!r}", kind, got)
 
-    def require(self, ok: bool, message: str) -> None:
+    def require(self, ok: bool, message: str, *args) -> None:
         if not ok:
-            raise FileFormatError(message)
+            raise FileFormatError(message.format(*args))
 
-    def _read(self, nbytes: int, what: str) -> bytes:
+    def _take(self, nbytes: int, what: str) -> None:
         if nbytes > self._left:
             raise FileFormatError(f"truncated {self._kind} file while reading {what}")
         self._left -= nbytes
+
+    def _read(self, nbytes: int, what: str) -> bytes:
+        self._take(nbytes, what)
         return self._fh.read(nbytes)
 
     def fields(self, fmt: str, what: str) -> tuple:
-        return struct.unpack("<" + fmt, self._read(struct.calcsize("<" + fmt), what))
+        s = _struct(fmt)
+        return s.unpack(self._read(s.size, what))
 
     def tag(self, what: str, known=None) -> str:
         """An 8-byte tag; with ``known``, it must be one of those names."""
         name = self._read(8, what).rstrip(b"\0").decode()
-        self.require(known is None or name in known, f"bad {what} {name!r} in {self._kind} file")
+        self.require(known is None or name in known, "bad {} {!r} in {} file",
+                     what, name, self._kind)
         return name
 
     def array(self, shape: tuple, what: str, dtype: str = "<f8", order: str = "C",
               layout: str = "C") -> np.ndarray:
-        """A copy, in memory order ``layout``, of an array stored in ``order``."""
-        self.require(min(shape) >= 0, f"negative size of {what} in {self._kind} file")
-        data = self._read(np.dtype(dtype).itemsize * math.prod(shape), what)
-        return np.frombuffer(data, dtype=dtype).reshape(shape, order=order).copy(order=layout)
+        """An array, in memory order ``layout``, of one stored in ``order``."""
+        self.require(min(shape) >= 0, "negative size of {} in {} file", what, self._kind)
+        dt = _dtype(dtype)
+        size = math.prod(shape)
+        self._take(dt.itemsize * size, what)
+        flat = np.empty(size, dt)
+        self.require(self._fh.readinto(flat) == flat.nbytes, "short read of {} in {} file",
+                     what, self._kind)
+        arr = flat.reshape(shape, order=order)
+        return arr if order == layout else arr.copy(order=layout)
 
     def skip(self, nbytes: int, what: str) -> None:
-        self.require(0 <= nbytes <= self._left, f"truncated {self._kind} file in {what}")
+        self.require(0 <= nbytes <= self._left, "truncated {} file in {}", self._kind, what)
         self._left -= nbytes
         self._fh.seek(nbytes, os.SEEK_CUR)
 
     def end(self) -> None:
-        self.require(self._left == 0, f"trailing bytes after {self._kind} payload")
+        self.require(self._left == 0, "trailing bytes after {} payload", self._kind)
 
 
 @contextmanager

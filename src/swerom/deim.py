@@ -3,7 +3,9 @@
 Each nonlinear term gets its own orthonormal basis V (left singular vectors
 of its raw, uncentered snapshot matrix), its own greedily selected sample
 points, and a precomputed oblique projector E = U^T V (P^T V)^{-1}, with U
-the basis of the term's equation. On-line evaluation then needs the term's
+the basis of the term's equation. The greedy points are the row pivots of
+one LU factorization of V with partial pivoting
+(:func:`deim_select_points`). On-line evaluation then needs the term's
 componentwise products only at the m sampled mesh rows. Selection matrices
 are never formed; P^T is row gathering throughout. Every route builds its
 operators through :func:`deim_operators`.
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf
 
 from swerom import binfile
 from swerom.model import TERMS, TERM_EQUATION, TERM_NAMES
@@ -50,30 +53,42 @@ def deim_select_points(V: np.ndarray) -> np.ndarray:
 
     The first point maximizes |V[:, 0]|; each later point maximizes the
     residual of column j against its interpolation on the points selected so
-    far. Ties break to the lowest index (first maximizer).
+    far (Chaturantabut & Sorensen, SIAM J. Sci. Comput. 32, 2010). Those
+    points are the row pivots of Gaussian elimination with partial pivoting
+    on V, and stage j's largest residual is |U[j, j]| (Sorensen & Embree,
+    SIAM J. Sci. Comput. 38, 2016), so one LAPACK ``getrf`` selects them all.
+    The points are nested: those of V[:, :j] are the first j.
+
+    The greedy breaks a tie by the lowest mesh index, LAPACK by the first
+    row in its pivoted order. A row whose multiplier is exactly 1 in
+    magnitude ties with the pivot; when it is bitwise equal to the pivot's
+    row, eliminating either leaves the same residual, and the lower index is
+    reported. An exact tie between unequal rows breaks in LAPACK's order.
     """
     V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[1] < 1:
-        raise ValueError("basis must be n-by-m with m >= 1")
+    if V.ndim != 2 or not 1 <= V.shape[1] <= V.shape[0]:
+        raise ValueError("basis must be n-by-m with 1 <= m <= n")
     n, m = V.shape
-    points = np.empty(m, dtype=np.int64)
-    points[0] = int(np.argmax(np.abs(V[:, 0])))
-    for j in range(1, m):
-        sel = points[:j]
-        try:
-            c = np.linalg.solve(V[sel, :j], V[sel, j])
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                f"singular interpolation system at selection stage {j}")
-        r = V[:, j] - V[:, :j] @ c
-        if np.max(np.abs(r)) <= 1e-13 * max(1.0, np.max(np.abs(V[:, j]))):
+    lu, piv, _ = dgetrf(V)
+    diag = np.abs(np.diagonal(lu))
+    # |V| <= |L| |U| with |L| <= 1 bounds max|V[:, j]| from the m-by-m U alone;
+    # doubled against rounding, it only screens the exact check below
+    bound = 2.0 * np.sum(np.abs(np.triu(lu[:m])), axis=0)
+    for j in np.flatnonzero(diag <= 1e-13 * np.maximum(1.0, bound)):
+        if diag[j] <= 1e-13 * max(1.0, np.max(np.abs(V[:, j]))):
             raise np.linalg.LinAlgError(
                 f"degenerate interpolation residual at selection stage {j}: "
                 "basis columns are linearly dependent")
-        points[j] = int(np.argmax(np.abs(r)))
-        if points[j] in sel:
-            raise np.linalg.LinAlgError(
-                f"degenerate residual at selection stage {j}: duplicate point")
+    # piv is LAPACK's swap sequence; rows[i] is the mesh row at pivoted position i
+    rows = np.arange(n, dtype=np.int64)
+    for j, p in enumerate(piv):
+        rows[j], rows[p] = rows[p], rows[j]
+    points = rows[:m].copy()
+    # rows tied with stage j's pivot: multipliers of magnitude exactly 1 below row j
+    flat = lu.ravel(order="F")
+    for i, j in zip(*np.divmod(np.flatnonzero((flat == 1.0) | (flat == -1.0)), n)[::-1]):
+        if i > j and rows[i] < points[j] and np.array_equal(V[rows[i]], V[rows[j]]):
+            points[j] = rows[i]
     return points
 
 
@@ -225,12 +240,13 @@ def load_deim_operator(path) -> DeimTermOperator:
         term = r.tag("term tag", TERM_NAMES)
         points = r.array((m,), "points", "<i8")
         # n sizes no read, so hold the points to what build_deim_term_operator accepts
-        r.require(m >= 1 and len(np.unique(points)) == m and points.min() >= 0
-                  and points.max() < n, f"bad sample points of {term}: not distinct in [0, {n})")
+        listed = points.tolist()
+        r.require(m >= 1 and min(listed) >= 0 and max(listed) < n and len(set(listed)) == m,
+                  "bad sample points of {}: not distinct in [0, {})", term, n)
         (cond,) = r.fields("d", "condition number")
         # column-major like the E the library builds, so E @ samples rounds the same way
         E = r.array((k, m), "E", order="F", layout="F")
-        r.require(r.fields("q", "count") == (len(TERMS[term]),), f"bad product count of {term}")
+        r.require(r.fields("q", "count") == (len(TERMS[term]),), "bad product count of {}", term)
         products = []
         for _, a_var, b_var, _ in TERMS[term]:
             r.tag("variable tag", (a_var,))

@@ -508,8 +508,8 @@ def save_tensors(tensors: TensorCoefficients, path) -> None:
 def load_tensors(path) -> TensorCoefficients:
     with binfile.reading(path, "tensor") as r:
         k, p, n_terms = r.fields("qqq", "header")
-        r.require(p == 2, f"unsupported tensor degree {p}")
-        r.require(n_terms == len(TERM_NAMES), f"tensor file holds {n_terms} terms")
+        r.require(p == 2, "unsupported tensor degree {}", p)
+        r.require(n_terms == len(TERM_NAMES), "tensor file holds {} terms", n_terms)
         cor_uv = r.array((k, k), "coriolis")
         cor_vu = r.array((k, k), "coriolis")
         cor_u0 = r.array((k,), "coriolis")
@@ -517,7 +517,8 @@ def load_tensors(path) -> TensorCoefficients:
         terms = {}
         for name in TERM_NAMES:  # terms and products in the order save_tensors writes
             r.tag("term tag", (name,))
-            r.require(r.fields("q", "count") == (len(TERMS[name]),), f"bad product count of {name}")
+            r.require(r.fields("q", "count") == (len(TERMS[name]),),
+                      "bad product count of {}", name)
             products = []
             for _, a_var, b_var, _ in TERMS[name]:
                 r.tag("variable tag", (a_var,))

@@ -69,9 +69,9 @@ def load_snapshots(path, nonlinear: bool = True) -> SnapshotSet:
     """Read a snapshot file; ``nonlinear=False`` skips the term matrices."""
     with binfile.reading(path, "snapshot") as r:
         nx, ny, nt, n, dt, flags, L, D = r.fields("qqqqdQdd", "header")
-        r.require(n == nx * ny, f"stored n={n} does not match {nx}x{ny}")
-        r.require(0.0 < dt < np.inf, f"snapshot dt={dt} is not finite and positive")
-        r.require(flags <= _FLAG_STATES | _FLAG_NONLINEAR, f"unknown snapshot flags {flags:#x}")
+        r.require(n == nx * ny, "stored n={} does not match {}x{}", n, nx, ny)
+        r.require(0.0 < dt < np.inf, "snapshot dt={} is not finite and positive", dt)
+        r.require(flags <= _FLAG_STATES | _FLAG_NONLINEAR, "unknown snapshot flags {:#x}", flags)
         grid = build_grid(nx, ny, PhysicalConstants(L=L, D=D))
         times = r.array((nt,), "times")
         states = None

@@ -11,12 +11,21 @@ from swerom.deim import (
     load_deim_operator,
     save_deim_operator,
 )
-from swerom.model import TERMS, TERM_NAMES, FieldState, build_grid
+from swerom.model import (
+    TERMS,
+    TERM_NAMES,
+    FieldState,
+    build_grid,
+    build_operators,
+    coriolis_field,
+    initial_state,
+)
 from swerom.rom import (
     build_tensor_coefficients,
     standard_pod_nonlinear,
     tensorial_nonlinear,
 )
+from swerom.solver import SolverConfig, run_full
 
 from test_rom import check_product_against_loop, make_space, orthonormal_basis, random_reduced
 
@@ -62,6 +71,36 @@ def test_select_degenerate_column_names_stage():
     V[2, 1] = 1.0  # column 1 interpolates exactly at the first point
     with pytest.raises(np.linalg.LinAlgError, match="stage 1"):
         deim_select_points(V)
+
+
+def test_select_matches_greedy_on_term_bases():
+    """A real run's term bases hold exact ties: the x = 0 and x = L columns
+    are one physical point, so twin rows of V can be bitwise equal."""
+    grid = build_grid(31, 23)
+    ops = build_operators(grid)
+    _, snaps, _ = run_full(initial_state(grid, ops), SolverConfig(dt=960.0, nt=20), ops,
+                           coriolis_field(grid), grid)
+    for term in TERM_NAMES:
+        F = snaps.nonlinear[term]
+        U, s, _ = np.linalg.svd(F, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(F.shape) * np.finfo(float).eps))
+        greedy = greedy_oracle(U[:, :rank])  # nested: its first m are the points at m
+        for m in range(1, rank + 1):
+            assert np.array_equal(deim_select_points(U[:, :m]), greedy[:m]), (term, m)
+
+
+def test_select_displaced_twin_takes_lower_index():
+    # rows 0 and 5 are equal; the first pivot, row 7, trades places with row 0,
+    # so a tie break by LAPACK's pivoted order would report row 5
+    V = np.array([[.1, .9], [.2, .1], [.3, .2], [.1, .3], [.2, .1], [.1, .9], [.3, .2],
+                  [1., .5]])
+    assert list(deim_select_points(V)) == list(greedy_oracle(V)) == [7, 0]
+
+
+def test_select_more_columns_than_rows_raises():
+    rng = np.random.default_rng(20)
+    with pytest.raises(ValueError):
+        deim_select_points(rng.standard_normal((3, 4)))
 
 
 def test_points_distinct_and_in_range():
