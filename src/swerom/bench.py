@@ -1,9 +1,10 @@
 """Experiment runner: full-versus-reduced sweeps with itemized timing.
 
 For every grid in a sweep the full model runs once and one off-line pass
-takes each snapshot SVD once (costs shared by all reduction modes); each
-requested mode then builds the rest of its off-line artifacts, integrates
-the reduced system, and reports errors plus a wall-clock decomposition. Rows
+(:func:`offline_pass`, which ``build-rom`` runs too) takes each snapshot
+SVD once (costs shared by all reduction modes); each requested mode then
+builds the rest of its off-line artifacts, integrates the reduced system,
+and reports errors plus a wall-clock decomposition. Rows
 that fail (for example sampled runs whose quasi-Newton does not converge
 at small m) are recorded with a status string and the sweep continues.
 
@@ -45,8 +46,11 @@ from swerom.solver import SolverConfig, run_full
 
 __all__ = [
     "WINDOWS",
+    "resolve_window",
     "ExperimentConfig",
     "RunReport",
+    "offline_pass",
+    "deim_step",
     "run_experiment",
     "write_run_report",
     "read_run_report",
@@ -55,6 +59,35 @@ __all__ = [
 WINDOWS = {"24h": (960.0, 91), "3h": (120.0, 91)}
 
 ALL_MODES = ("full",) + MODES
+
+
+def resolve_window(window: str, dt: float | None, nt: int | None) -> tuple[float, int]:
+    """(dt, nt) of a named window, which takes neither, or of ``custom``, which takes both."""
+    if window in WINDOWS and dt is None and nt is None:
+        return WINDOWS[window]
+    if window in WINDOWS:
+        raise ValueError(f"the {window} window sets dt and nt; a custom window needs both")
+    if window != "custom":
+        raise ValueError(f"unknown window {window!r}")
+    if dt is None or nt is None:
+        raise ValueError("custom windows need both dt and nt")
+    return float(dt), int(nt)
+
+
+def _json_fits(value, annotation: str) -> bool:
+    """Whether a JSON value has the type a config field's annotation names."""
+    kind = annotation.removesuffix(" | None")
+    if value is None:
+        return kind != annotation
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_json_fits(v, kind[5:-1]) for v in value)
+    if kind.startswith("tuple["):
+        items = kind[6:-1].split(", ")
+        return (isinstance(value, list) and len(value) == len(items)
+                and all(map(_json_fits, value, items)))
+    types = {"int": int, "float": (int, float), "str": str, "bool": bool}
+    # bool subclasses int, so it fits only a bool field
+    return isinstance(value, types[kind]) and isinstance(value, bool) == (kind == "bool")
 
 
 @dataclass
@@ -80,10 +113,7 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in ALL_MODES:
                 raise ValueError(f"unknown mode {mode!r}; expected subset of {ALL_MODES}")
-        if self.window not in WINDOWS and self.window != "custom":
-            raise ValueError(f"unknown window {self.window!r}")
-        if self.window == "custom" and (self.dt is None or self.nt is None):
-            raise ValueError("custom window needs dt and nt")
+        self.solver_config()  # checks the window and the solver settings
         if (self.k is None) == (self.gamma is None):
             raise ValueError("pass exactly one of k or gamma")
         if self.k is not None and self.k < 1:
@@ -92,13 +122,16 @@ class ExperimentConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if any(m < 1 for m in self.m_values):
             raise ValueError(f"every m must be at least 1, got {self.m_values}")
+        if "pod-deim" in self.modes and not self.m_values:
+            raise ValueError("pod-deim needs at least one m")
         if not self.grids:
             raise ValueError("at least one grid is required")
 
-    def resolve_window(self) -> tuple[float, int]:
-        if self.window in WINDOWS:
-            return WINDOWS[self.window]
-        return float(self.dt), int(self.nt)
+    def solver_config(self) -> SolverConfig:
+        dt, nt = resolve_window(self.window, self.dt, self.nt)
+        return SolverConfig(dt=dt, nt=nt, newton_tol=self.newton_tol,
+                            newton_max_iters=self.newton_max_iters,
+                            lu_refresh_every=self.lu_refresh_every)
 
     def constants(self) -> PhysicalConstants:
         if self.domain_km is None:
@@ -110,10 +143,16 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path} holds no JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in raw and not _json_fits(raw[f.name], f.type):
+                raise ValueError(f"config key {f.name!r} must be {f.type}, "
+                                 f"got {raw[f.name]!r}")
         if "grids" in raw:
             raw["grids"] = [tuple(g) for g in raw["grids"]]
         if "domain_km" in raw and raw["domain_km"] is not None:
@@ -165,48 +204,60 @@ def _base_report(cfg: ExperimentConfig, grid, dt: float, nt: int, mode: str) -> 
                      window=cfg.window, dt=dt, nt=nt, mode=mode)
 
 
-def _shared_offline(cfg, ops, f, snaps) -> dict:
-    """A grid's off-line work, done once for all of its rows: one SVD per
-    snapshot matrix (state ``bases`` and ``space``; ``term_svds``, each term's
-    ``(U, s)``, ``U`` None without pod-deim rows), each term's DEIM ``points``
-    at the largest m and the full-sum ``tensors``, with their seconds. A
-    failed state stage's exception is kept as ``error``; a failed point
-    selection leaves ``points`` out."""
+def offline_pass(snaps, ops, f, k, gamma, center, modes, m_values) -> dict:
+    """A grid's off-line work for ``modes``, done once for all of its rows
+    (and for ``build-rom``): one SVD per state matrix (``bases``, ``space``);
+    with pod-deim one per term matrix (``term_svds``, each term's ``(U, s)``)
+    and each term's DEIM ``points`` at max(m_values); with standard-pod or
+    tensorial-pod the full-sum ``tensors``; the seconds of each. A failed
+    state stage's exception is kept as ``error``; a failed point selection
+    leaves ``points`` out."""
     shared = {}
     t0 = time.perf_counter()
     try:
-        shared["bases"] = build_state_bases(snaps.states, k=cfg.k, gamma=cfg.gamma,
-                                            center=cfg.center)
-        if any(mode != "full" for mode in cfg.modes):
+        shared["bases"] = build_state_bases(snaps.states, k=k, gamma=gamma, center=center)
+        if any(mode != "full" for mode in modes):
             shared["space"] = ReducedSpace(shared["bases"], ops, f)
     except (np.linalg.LinAlgError, ValueError) as err:
         shared["error"] = err
     shared["state_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    shared["term_svds"] = {
-        t: (np.linalg.svd(snaps.nonlinear[t], full_matrices=False)[:2]
-            if "pod-deim" in cfg.modes
-            else (None, np.linalg.svd(snaps.nonlinear[t], compute_uv=False)))
-        for t in TERM_NAMES}
-    shared["term_s"] = time.perf_counter() - t0
-    if "pod-deim" in cfg.modes:
+    if "pod-deim" in modes:
+        t0 = time.perf_counter()
+        shared["term_svds"] = {t: np.linalg.svd(snaps.nonlinear[t], full_matrices=False)[:2]
+                               for t in TERM_NAMES}
+        shared["term_s"] = time.perf_counter() - t0
         # greedy points are nested: the first m at max(m) are the points at m, since
         # the pivot of each LU stage depends only on the columns up to its own
         t0 = time.perf_counter()
         try:
-            shared["points"] = {t: deim_select_points(U[:, :max(cfg.m_values)])
+            shared["points"] = {t: deim_select_points(U[:, :max(m_values)])
                                 for t, (U, _) in shared["term_svds"].items()}
             shared["points_s"] = time.perf_counter() - t0
         except (np.linalg.LinAlgError, ValueError):
             pass  # each row selects its own points
-    if "space" in shared and {"standard-pod", "tensorial-pod"} & set(cfg.modes):
+    if "space" in shared and {"standard-pod", "tensorial-pod"} & set(modes):
         t0 = time.perf_counter()
         shared["tensors"] = build_tensor_coefficients(shared["space"])
         shared["tensors_s"] = time.perf_counter() - t0
     return shared
 
 
-def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
+def deim_step(shared: dict, m: int):
+    """The pass's pod-deim operators at ``m``, from the first m shared points
+    or, when their selection failed, points of its own; with the seconds of
+    those points and of :func:`swerom.deim.deim_operators`."""
+    points, points_s = shared.get("points"), shared.get("points_s")
+    if points is None:
+        t0 = time.perf_counter()
+        points = {term: deim_select_points(U[:, :m])
+                  for term, (U, _) in shared["term_svds"].items()}
+        points_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    deim_ops = deim_operators(shared["space"], shared["term_svds"], points, m)
+    return deim_ops, points_s, time.perf_counter() - t0
+
+
+def _rom_pipeline(grid, ic, snaps, scfg, shared, mode, m, report) -> None:
     """Off-line build plus on-line run for one mode; fills the report in place.
 
     The shared stages ran before this row's clock starts. Like
@@ -222,21 +273,12 @@ def _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, report) -> None:
 
     deim_ops = None
     if mode == "pod-deim":
-        term_svds = shared["term_svds"]
-        points, points_s = shared.get("points"), shared.get("points_s")
-        if points is None:
-            t0 = time.perf_counter()
-            points = {term: deim_select_points(U[:, :m]) for term, (U, _) in term_svds.items()}
-            points_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        deim_ops = deim_operators(space, term_svds, points, m)
-        report.deim_projector_s = time.perf_counter() - t0
         # a row whose operators fail (m above the bound) leaves these columns empty
+        deim_ops, report.deim_points_s, report.deim_projector_s = deim_step(shared, m)
         report.svd_nonlinear_s = shared["term_s"]
-        report.deim_points_s = points_s
         shared_s = report.svd_state_s + report.svd_nonlinear_s
         if "points" in shared:  # selected before this row's clock started
-            shared_s += points_s
+            shared_s += report.deim_points_s
         t0 = time.perf_counter()
         tensors = deim_tensor_coefficients(deim_ops, space)
         report.tensors_s = time.perf_counter() - t0
@@ -272,7 +314,8 @@ DEIM_POINT_COLUMNS = ["grid", "window", "term", "deim_order", "index", "ix", "iy
 
 def _spectra_rows(cfg, grid_name, snaps, shared) -> list[tuple]:
     """Singular values and their squares per snapshot matrix, from the
-    shared SVDs; the states need their own only when the state stage failed."""
+    shared SVDs; the states need their own only when the state stage failed,
+    and the terms only when the pass took none (no pod-deim rows)."""
     spectra = []
     for var in VARIABLES:
         if "bases" in shared:
@@ -283,8 +326,10 @@ def _spectra_rows(cfg, grid_name, snaps, shared) -> list[tuple]:
             s = np.linalg.svd(center_snapshots(X)[0] if cfg.center else X,
                               compute_uv=False)
             spectra.append(("state", var, s, s ** 2))
-    spectra += [("nonlinear", term, s, s ** 2)
-                for term, (_, s) in shared["term_svds"].items()]
+    for term in TERM_NAMES:
+        s = (shared["term_svds"][term][1] if "term_svds" in shared
+             else np.linalg.svd(snaps.nonlinear[term], compute_uv=False))
+        spectra.append(("nonlinear", term, s, s ** 2))
     return [(grid_name, cfg.window, kind, name, i, s, sq)
             for kind, name, sigma, lam in spectra
             for i, (s, sq) in enumerate(zip(sigma.tolist(), lam.tolist()), start=1)]
@@ -306,14 +351,12 @@ def _deim_point_rows(cfg, grid_name, grid, snaps, shared) -> list[tuple]:
 
 
 def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
-    dt, nt = cfg.resolve_window()
+    scfg = cfg.solver_config()
+    dt, nt = scfg.dt, scfg.nt
     grid = build_grid(nx, ny, cfg.constants())
     ops = build_operators(grid)
     f = coriolis_field(grid)
     ic = initial_state(grid, ops)
-    scfg = SolverConfig(dt=dt, nt=nt, newton_tol=cfg.newton_tol,
-                        newton_max_iters=cfg.newton_max_iters,
-                        lu_refresh_every=cfg.lu_refresh_every)
 
     t0 = time.perf_counter()
     try:
@@ -326,7 +369,8 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
         return [rep], [], []
     snapshots_s = time.perf_counter() - t0
 
-    shared = _shared_offline(cfg, ops, f, snaps)
+    shared = offline_pass(snaps, ops, f, cfg.k, cfg.gamma, cfg.center, cfg.modes,
+                          cfg.m_values)
     reports = []
     if "full" in cfg.modes:
         rep = _base_report(cfg, grid, dt, nt, "full")
@@ -343,7 +387,7 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
             rep.m = m
             rep.snapshots_s = snapshots_s
             try:
-                _rom_pipeline(cfg, grid, ic, snaps, scfg, shared, mode, m, rep)
+                _rom_pipeline(grid, ic, snaps, scfg, shared, mode, m, rep)
             except NonConvergenceError as err:
                 rep.status = (f"nonconverged: residual {err.residual:.3e} "
                               f"after {err.iterations} iterations")

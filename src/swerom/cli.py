@@ -3,8 +3,8 @@
 Verbs: ``run-full`` (reference solve, snapshot recording), ``build-rom``
 (off-line artifacts from a snapshot file), ``run-rom`` (reduced
 integration from stored artifacts), ``bench`` (full sweep with CSV
-reports), ``flops`` (operation-count model), ``export-plots`` (CSV or SVG
-plot files from a report directory).
+reports), ``flops`` (operation-count model), ``export-plots`` (SVG charts
+from a report directory).
 
 Exit codes: 0 success, 2 configuration or input-file problem, 3 numerical
 failure (non-convergence or singular systems). Mesh sizes are point counts
@@ -27,15 +27,13 @@ from swerom.bench import (
     ALL_MODES,
     WINDOWS,
     ExperimentConfig,
+    deim_step,
+    offline_pass,
     read_run_report,
+    resolve_window,
     run_experiment,
 )
-from swerom.deim import (
-    deim_operators_from_snapshots,
-    deim_tensor_coefficients,
-    load_deim_operator,
-    save_deim_operator,
-)
+from swerom.deim import deim_tensor_coefficients, load_deim_operator, save_deim_operator
 from swerom.errors import FileFormatError, NonConvergenceError
 from swerom.flops import flop_count, reference_table
 from swerom.metrics import trajectory_errors
@@ -51,7 +49,7 @@ from swerom.model import (
     initial_state,
 )
 from swerom.plots import emit_plot_data
-from swerom.pod import build_state_bases, load_basis, save_basis
+from swerom.pod import load_basis, save_basis
 from swerom.rom import (
     ReducedModel,
     ReducedSpace,
@@ -80,12 +78,11 @@ def _parse_domain_km(text: str) -> tuple[float, float]:
         raise ValueError(f"domain must look like 6000x4400 (km), got {text!r}")
 
 
-def _window_args(args) -> tuple[float, int]:
-    if args.dt is not None or args.nt is not None:
-        if args.dt is None or args.nt is None:
-            raise ValueError("custom windows need both --dt and --nt")
-        return float(args.dt), int(args.nt)
-    return WINDOWS[args.window]
+def _flag_window(args) -> str | None:
+    """The window the flags name: --window, else custom when --dt or --nt is given."""
+    if args.window is None and (args.dt is not None or args.nt is not None):
+        return "custom"
+    return args.window
 
 
 def _solver_config(args, dt: float, nt: int) -> SolverConfig:
@@ -101,7 +98,7 @@ def _add_solver_flags(p):
 
 
 def _add_window_flags(p):
-    p.add_argument("--window", default="3h", choices=sorted(WINDOWS))
+    p.add_argument("--window", choices=sorted(WINDOWS), help="24h or 3h (the default)")
     p.add_argument("--dt", type=float, help="custom step [s] (with --nt)")
     p.add_argument("--nt", type=int, help="custom step count (with --dt)")
 
@@ -123,7 +120,7 @@ def cmd_flops(args) -> int:
 
 def cmd_run_full(args) -> int:
     nx, ny = _parse_grid(args.grid)
-    dt, nt = _window_args(args)
+    dt, nt = resolve_window(_flag_window(args) or "3h", args.dt, args.nt)
     grid = build_grid(nx, ny)
     ops = build_operators(grid)
     f = coriolis_field(grid)
@@ -154,28 +151,30 @@ def cmd_run_full(args) -> int:
 def cmd_build_rom(args) -> int:
     if args.m is not None and args.m < 1:
         raise ValueError(f"m must be at least 1, got {args.m}")
-    snaps = load_snapshots(args.snapshots, nonlinear=args.mode == "pod-deim")
-    if args.mode == "pod-deim":
+    deim = args.mode == "pod-deim"
+    snaps = load_snapshots(args.snapshots, nonlinear=deim)
+    if deim:
         if snaps.nonlinear is None:
             raise ValueError("snapshot file has no nonlinear-term matrices; "
                              "pod-deim needs the snapshots of run-full")
         if args.m is None:
             raise ValueError("pod-deim needs --m")
     grid = snaps.grid
-    ops = build_operators(grid)
-    f = coriolis_field(grid)
-    bases = build_state_bases(snaps.states, k=args.k, gamma=args.gamma,
-                              center=not args.no_center)
-    space = ReducedSpace(bases, ops, f)
+    # bench's off-line pass for this one mode: no full-sum tensors for
+    # pod-deim, whose run-rom uses sampled ones
+    shared = offline_pass(snaps, build_operators(grid), coriolis_field(grid), args.k,
+                          args.gamma, not args.no_center, [args.mode], [args.m])
+    if "error" in shared:
+        raise shared["error"]
+    bases = shared["bases"]
     # everything is built before anything is written, so a failure leaves no file
     artifacts = {f"{var}.pod": (save_basis, bases[var]) for var in VARIABLES}
     k_shared = max(b.k for b in bases.values())
-    if args.mode == "pod-deim":  # no full-sum tensors: its run-rom uses sampled ones
-        for term, op in deim_operators_from_snapshots(space, snaps.nonlinear,
-                                                      args.m).items():
+    if deim:
+        for term, op in deim_step(shared, args.m)[0].items():
             artifacts[f"{term}.deim"] = (save_deim_operator, op)
     elif len({b.k for b in bases.values()}) == 1:  # the tensor file holds one shared k
-        artifacts["tensors.tpod"] = (save_tensors, build_tensor_coefficients(space))
+        artifacts["tensors.tpod"] = (save_tensors, shared["tensors"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, (save, obj) in artifacts.items():
@@ -210,10 +209,15 @@ def _check_deim_operator(op, term: str, bases: dict, n: int, path) -> None:
 
 def cmd_run_rom(args) -> int:
     romdir = Path(args.rom)
-    meta = json.loads((romdir / "rom_meta.json").read_text())
+    meta_path = romdir / "rom_meta.json"
+    meta = json.loads(meta_path.read_text())
     if "L" not in meta or "D" not in meta:
-        raise ValueError(f"{romdir / 'rom_meta.json'} has no domain size L, D; "
-                         "rerun build-rom")
+        raise ValueError(f"{meta_path} has no domain size L, D; rerun build-rom")
+    for key, kind in [("nx", int), ("ny", int), ("nt", int), ("dt", float), ("L", float),
+                      ("D", float)]:
+        if isinstance(meta.get(key), bool) or not isinstance(meta.get(key), (int, kind)):
+            raise ValueError(f"{meta_path} key {key!r} must be {kind.__name__}, "
+                             f"got {meta.get(key)!r}")
     grid = build_grid(meta["nx"], meta["ny"],
                       PhysicalConstants(L=float(meta["L"]), D=float(meta["D"])))
     ops = build_operators(grid)
@@ -299,12 +303,8 @@ def cmd_bench(args) -> int:
         cfg = ExperimentConfig()
     if args.grid:
         cfg.grids = [_parse_grid(g) for g in args.grid]
-    if args.window:
-        cfg.window = args.window
-    if args.dt is not None:
-        cfg.dt, cfg.window = args.dt, "custom"
-    if args.nt is not None:
-        cfg.nt = args.nt
+    if window := _flag_window(args):  # the flags replace the file's whole window
+        cfg.window, cfg.dt, cfg.nt = window, args.dt, args.nt
     if args.k is not None:
         cfg.k, cfg.gamma = args.k, None
     if args.gamma is not None:
@@ -349,8 +349,7 @@ def cmd_export_plots(args) -> int:
                         "name": r["name"], "index": int(r["index"]),
                         "sigma": float(r["sigma"]), "lambda": float(r["lambda"])}
                        for r in csv.DictReader(fh)]
-    written = emit_plot_data(reports, args.out or reports_dir, fmt=args.format,
-                             spectra=spectra)
+    written = emit_plot_data(reports, args.out or reports_dir, spectra=spectra)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -405,9 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON experiment config")
     p.add_argument("--grid", action="append",
                    help="NXxNY; repeat for sweeps")
-    p.add_argument("--window", choices=sorted(WINDOWS))
-    p.add_argument("--dt", type=float)
-    p.add_argument("--nt", type=int)
+    _add_window_flags(p)
     p.add_argument("--k", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--m", action="append", type=int)
@@ -416,9 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-km", help="LxD in kilometers, e.g. 6000x4400")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("export-plots", help="plot files from a bench directory")
+    p = sub.add_parser("export-plots", help="SVG charts from a bench directory")
     p.add_argument("--reports", required=True)
-    p.add_argument("--format", default="csv", choices=["csv", "svg-line"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_export_plots)
 

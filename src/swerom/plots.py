@@ -1,4 +1,4 @@
-"""Plot-data emission: deterministic CSV tables and simple SVG line charts.
+"""Plot export: simple SVG line charts of a bench report.
 
 SVG output is generated directly (polylines on a fixed 720x480 canvas) so
 identical inputs produce byte-identical files.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from swerom.bench import RunReport, write_timing_vs_n
+from swerom.bench import RunReport
 
 __all__ = ["emit_plot_data", "svg_line_plot"]
 
@@ -116,54 +116,35 @@ def svg_line_plot(series: list[tuple[str, list[float], list[float]]], path,
     Path(path).write_text("\n".join(parts))
 
 
-def emit_plot_data(reports: list[RunReport], out_dir, fmt: str = "csv",
+def emit_plot_data(reports: list[RunReport], out_dir,
                    spectra: list[dict] | None = None) -> list[Path]:
-    """Write timing-versus-size (and, when given, spectrum) plot files.
-
-    ``fmt`` is either ``csv`` (tables) or ``svg-line`` (rendered charts:
-    log-log wall clock against mesh size, semilog spectra).
+    """Write SVG charts: log-log wall clock against mesh size and, when
+    given, semilog spectra. The tables behind them are bench's CSV files.
     """
     if not reports:
         raise ValueError("nothing to plot: empty report set")
-    if fmt not in ("csv", "svg-line"):
-        raise ValueError(f"unknown format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-
-    if fmt == "csv":
-        path = out / "timing_vs_n.csv"
-        write_timing_vs_n(reports, path)
-        written.append(path)
-        return written
 
     by_mode: dict[str, list[RunReport]] = {}
     for rep in reports:
         if rep.status == "ok" and rep.online_s is not None:
             label = rep.mode if rep.m is None else f"{rep.mode} m={rep.m}"
             by_mode.setdefault(label, []).append(rep)
-    series = []
-    for label in sorted(by_mode):
-        rows = sorted(by_mode[label], key=lambda r: r.n)
-        series.append((label, [r.n for r in rows], [r.online_s for r in rows]))
-    if series:
-        path = out / "online_time_vs_n.svg"
-        svg_line_plot(series, path, title="On-line wall clock vs mesh size",
-                      xlabel="mesh points n", ylabel="seconds", logx=True, logy=True)
-        written.append(path)
-
-    offline = []
-    for label in sorted(by_mode):
-        rows = sorted((r for r in by_mode[label] if r.offline_total_s is not None),
-                      key=lambda r: r.n)
-        if rows:
-            offline.append((label, [r.n for r in rows],
-                            [r.offline_total_s for r in rows]))
-    if offline:
-        path = out / "offline_time_vs_n.svg"
-        svg_line_plot(offline, path, title="Off-line wall clock vs mesh size",
-                      xlabel="mesh points n", ylabel="seconds", logx=True, logy=True)
-        written.append(path)
+    for stage, stem, column in (("On-line", "online", "online_s"),
+                                ("Off-line", "offline", "offline_total_s")):
+        series = []
+        for label in sorted(by_mode):
+            rows = sorted((r for r in by_mode[label] if getattr(r, column) is not None),
+                          key=lambda r: r.n)
+            if rows:
+                series.append((label, [r.n for r in rows], [getattr(r, column) for r in rows]))
+        if series:
+            path = out / f"{stem}_time_vs_n.svg"
+            svg_line_plot(series, path, title=f"{stage} wall clock vs mesh size",
+                          xlabel="mesh points n", ylabel="seconds", logx=True, logy=True)
+            written.append(path)
 
     if spectra:
         grids = sorted({row["grid"] for row in spectra})

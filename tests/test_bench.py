@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from swerom import bench
-from swerom.bench import ExperimentConfig, RunReport, read_run_report, run_experiment
+from swerom.bench import (
+    ExperimentConfig,
+    RunReport,
+    read_run_report,
+    resolve_window,
+    run_experiment,
+)
 from swerom.model import TERM_NAMES
 from swerom.plots import emit_plot_data, svg_line_plot
 from swerom.pod import build_state_bases
@@ -28,6 +34,11 @@ def test_config_validation():
         ExperimentConfig(window="12h").validate()
     with pytest.raises(ValueError, match="dt and nt"):
         ExperimentConfig(window="custom").validate()
+    with pytest.raises(ValueError, match="the 3h window sets dt and nt"):
+        ExperimentConfig(window="3h", nt=5).validate()
+    with pytest.raises(ValueError, match="pod-deim needs at least one m"):
+        ExperimentConfig(m_values=[]).validate()
+    ExperimentConfig(m_values=[], modes=["full", "tensorial-pod"]).validate()
     with pytest.raises(ValueError, match="exactly one"):
         ExperimentConfig(k=5, gamma=0.99).validate()
     for gamma in (1.5, -0.1, float("nan")):
@@ -38,8 +49,9 @@ def test_config_validation():
 
 
 def test_window_table():
-    assert ExperimentConfig(window="24h").resolve_window() == (960.0, 91)
-    assert ExperimentConfig(window="3h").resolve_window() == (120.0, 91)
+    assert resolve_window("24h", None, None) == (960.0, 91)
+    assert resolve_window("3h", None, None) == (120.0, 91)
+    assert resolve_window("custom", 300, 5) == (300.0, 5)
 
 
 def test_config_from_json(tmp_path):
@@ -116,6 +128,9 @@ def test_csv_outputs_exist_and_parse(small_sweep):
     assert back[1].relerr_u == pytest.approx(reports[1].relerr_u)
     assert [r.worst_residual for r in back] == [r.worst_residual for r in reports]
     assert all(0.0 < r.worst_residual <= cfg.newton_tol for r in back if r.status == "ok")
+    # header plus one row per successful report
+    lines = (out / "timing_vs_n.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + sum(1 for r in reports if r.status == "ok")
 
 
 def test_deim_points_rows_complete(small_sweep):
@@ -247,22 +262,9 @@ def test_emit_plot_data_empty_rejected(tmp_path):
         emit_plot_data([], tmp_path)
 
 
-def test_emit_plot_data_csv_deterministic(small_sweep, tmp_path):
-    _, reports, extras, _ = small_sweep
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    emit_plot_data(reports, a, fmt="csv")
-    emit_plot_data(reports, b, fmt="csv")
-    assert (a / "timing_vs_n.csv").read_bytes() == (b / "timing_vs_n.csv").read_bytes()
-    # header plus one row per successful report
-    lines = (a / "timing_vs_n.csv").read_text().strip().splitlines()
-    assert len(lines) == 1 + sum(1 for r in reports if r.status == "ok")
-
-
 def test_emit_plot_data_svg(small_sweep, tmp_path):
     _, reports, extras, _ = small_sweep
-    written = emit_plot_data(reports, tmp_path, fmt="svg-line",
-                             spectra=extras["spectra"])
+    written = emit_plot_data(reports, tmp_path, spectra=extras["spectra"])
     assert any(p.name == "online_time_vs_n.svg" for p in written)
     assert any("spectra_state" in p.name for p in written)
     for path in written:
@@ -270,7 +272,7 @@ def test_emit_plot_data_svg(small_sweep, tmp_path):
         assert text.startswith("<svg") and text.endswith("</svg>")
     # determinism
     again = tmp_path / "again"
-    emit_plot_data(reports, again, fmt="svg-line", spectra=extras["spectra"])
+    emit_plot_data(reports, again, spectra=extras["spectra"])
     for path in written:
         assert path.read_bytes() == (again / path.name).read_bytes()
 

@@ -6,8 +6,13 @@ import struct
 import numpy as np
 import pytest
 
+from swerom import bench
 from swerom.cli import main
-from swerom.deim import deim_operators_from_snapshots, deim_tensor_coefficients
+from swerom.deim import (
+    deim_operators_from_snapshots,
+    deim_tensor_coefficients,
+    save_deim_operator,
+)
 from swerom.metrics import trajectory_errors
 from swerom.model import (
     VARIABLES,
@@ -17,8 +22,14 @@ from swerom.model import (
     coriolis_field,
     initial_state,
 )
-from swerom.pod import build_state_bases
-from swerom.rom import ReducedModel, ReducedSpace, build_tensor_coefficients, project_initial
+from swerom.pod import build_state_bases, save_basis
+from swerom.rom import (
+    ReducedModel,
+    ReducedSpace,
+    build_tensor_coefficients,
+    project_initial,
+    save_tensors,
+)
 from swerom.snapshots import load_snapshots, save_snapshots
 from swerom.solver import SolverConfig, run_full
 
@@ -70,7 +81,7 @@ def test_run_full_outputs(full_run_dir):
 
 def test_run_full_rejects_partial_window(capsys):
     assert main(["run-full", "--grid", "9x7", "--dt", "300"]) == 2
-    assert "custom windows" in capsys.readouterr().err
+    assert "custom windows need both dt and nt" in capsys.readouterr().err
 
 
 def test_run_full_bad_grid_exit_2(capsys):
@@ -107,6 +118,50 @@ def test_build_rom_artifacts(rom_dir, full_run_dir, tmp_path):
     assert code == 0
     assert (tmp_path / "tensors.tpod").exists()
     assert not (tmp_path / "F11.deim").exists()
+
+
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_build_rom_takes_the_offline_pass(full_run_dir, tmp_path, monkeypatch, mode):
+    # bench's pass for one mode: 3 state SVDs, and for pod-deim 6 term SVDs and
+    # one point selection per term; its files are those of the pass and the
+    # DEIM step, byte for byte
+    svd, select = np.linalg.svd, bench.deim_select_points
+    svds, selections = [], []
+
+    def counting_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def counting_select(V):
+        selections.append(V.shape)
+        return select(V)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(bench, "deim_select_points", counting_select)
+    snap, out = full_run_dir / "snapshots.snap", tmp_path / "rom"
+    assert main(["build-rom", "--snapshots", str(snap), "--k", "4", "--mode", mode,
+                 "--m", "6", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    deim = mode == "pod-deim"
+    assert len(svds) == (9 if deim else 3)
+    assert selections == ([(99, 6)] * 6 if deim else [])
+
+    snaps = load_snapshots(snap)
+    shared = bench.offline_pass(snaps, build_operators(snaps.grid), coriolis_field(snaps.grid),
+                                4, None, True, [mode], [6])
+    want = tmp_path / "want"
+    want.mkdir()
+    for var in VARIABLES:
+        save_basis(shared["bases"][var], want / f"{var}.pod")
+    if deim:
+        for term, op in bench.deim_step(shared, 6)[0].items():
+            save_deim_operator(op, want / f"{term}.deim")
+    else:
+        save_tensors(shared["tensors"], want / "tensors.tpod")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [p.name for p in want.iterdir()] + ["rom_meta.json"])
+    for path in want.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_build_rom_needs_one_selector(full_run_dir, tmp_path, capsys):
@@ -152,7 +207,7 @@ def test_linalg_failure_exit_3(full_run_dir, tmp_path, capsys, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("sampled basis P^T V is singular")
 
-    monkeypatch.setattr("swerom.cli.deim_operators_from_snapshots", singular)
+    monkeypatch.setattr("swerom.cli.deim_step", singular)
     code = main(["build-rom", "--snapshots", str(full_run_dir / "snapshots.snap"),
                  "--k", "4", "--mode", "pod-deim", "--m", "6", "--out", str(tmp_path)])
     assert code == 3
@@ -350,6 +405,23 @@ def test_run_rom_meta_without_domain_exit_2(rom_dir, tmp_path, capsys):
     assert "no domain size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("nx", "11"), ("nx", 11.5), ("ny", True), ("nt", "8"), ("nt", 8.0), ("dt", [300]),
+    ("L", "6e6"),
+])
+def test_run_rom_bad_meta_type_exit_2(rom_dir, tmp_path, capsys, key, value):
+    romdir = tmp_path / "rom"
+    shutil.copytree(rom_dir, romdir)
+    meta = json.loads((romdir / "rom_meta.json").read_text())
+    meta[key] = value
+    (romdir / "rom_meta.json").write_text(json.dumps(meta))
+    assert main(["run-rom", "--rom", str(romdir), "--mode", "tensorial-pod",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {romdir / 'rom_meta.json'} ") and repr(key) in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0])
 def test_run_rom_bad_meta_step_exit_2(rom_dir, tmp_path, capsys, dt):
     romdir = tmp_path / "rom"
@@ -386,6 +458,42 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text('{"grids": [[11, 9]], "modes": ["magic"]}')
     assert main(["bench", "--config", str(cfg_path)]) == 2
+    # a wrongly typed key is named; pod-deim rows need an m; each case fails
+    # before the output directory is made
+    for text, message in [('{"k": "3"}', "config key 'k' must be int | None, got '3'"),
+                          ('{"m_values": 5}', "config key 'm_values' must be list[int]"),
+                          ('{"grids": [[11, 9.5]]}', "config key 'grids'"),
+                          ('{"center": 1}', "config key 'center' must be bool"),
+                          ('{"nt": true}', "config key 'nt'"),
+                          ('[1]', "holds no JSON object"),
+                          ('{"m_values": []}', "pod-deim needs at least one m"),
+                          ('{"newton_max_iters": 0}', "newton_max_iters must be at least 1")]:
+        cfg_path.write_text(text)
+        assert main(["bench", "--config", str(cfg_path), "--grid", "9x7",
+                     "--out", str(tmp_path / "o")]) == 2, text
+        assert message in capsys.readouterr().err, text
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--nt", "3"], {}),
+    (["--dt", "300"], {}),
+    (["--window", "24h", "--nt", "3"], {}),
+    ([], {"window": "3h", "nt": 3}),
+    ([], {"window": "24h", "dt": 300.0}),
+    ([], {"dt": 300.0, "nt": 3}),
+], ids=["nt-only", "dt-only", "24h-and-nt", "config-3h-nt", "config-24h-dt",
+        "config-default-window-dt-nt"])
+def test_bench_partial_or_mixed_window_exit_2(tmp_path, capsys, argv, config):
+    # a window is either named or custom with both dt and nt
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(cfg_path), "--grid", "9x7", "--k", "3",
+                 "--mode", "full", *argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert ("custom windows need both dt and nt" in err
+            or "window sets dt and nt; a custom window needs both" in err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_domain_km(tmp_path, capsys):
@@ -412,8 +520,6 @@ def test_export_plots_csv_and_svg(tmp_path, capsys):
     }))
     out = tmp_path / "bench"
     assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert main(["export-plots", "--reports", str(out), "--format", "csv"]) == 0
-    assert main(["export-plots", "--reports", str(out),
-                 "--format", "svg-line"]) == 0
+    assert main(["export-plots", "--reports", str(out)]) == 0
     assert (out / "online_time_vs_n.svg").exists()
     assert main(["export-plots", "--reports", str(tmp_path / "missing")]) == 2
