@@ -350,6 +350,15 @@ def _deim_point_rows(cfg, grid_name, grid, snaps, shared) -> list[tuple]:
     return rows
 
 
+def _record_nonconvergence(rep: RunReport, err: NonConvergenceError) -> None:
+    """The status of a run whose quasi-Newton failed, and the Newton work of
+    its accepted half-steps."""
+    rep.status = (f"nonconverged: residual {err.residual:.3e} "
+                  f"after {err.iterations} iterations")
+    rep.newton_iters = err.timings.newton_iters
+    rep.worst_residual = err.timings.worst_residual
+
+
 def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
     scfg = cfg.solver_config()
     dt, nt = scfg.dt, scfg.nt
@@ -363,8 +372,7 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
         _, snaps, full_tm = run_full(ic, scfg, ops, f, grid)
     except NonConvergenceError as err:
         rep = _base_report(cfg, grid, dt, nt, "full")
-        rep.status = (f"nonconverged: residual {err.residual:.3e} "
-                      f"after {err.iterations} iterations")
+        _record_nonconvergence(rep, err)
         rep.snapshots_s = time.perf_counter() - t0
         return [rep], [], []
     snapshots_s = time.perf_counter() - t0
@@ -389,8 +397,9 @@ def _run_grid(cfg: ExperimentConfig, nx: int, ny: int):
             try:
                 _rom_pipeline(grid, ic, snaps, scfg, shared, mode, m, rep)
             except NonConvergenceError as err:
-                rep.status = (f"nonconverged: residual {err.residual:.3e} "
-                              f"after {err.iterations} iterations")
+                _record_nonconvergence(rep, err)
+                rep.online_s = err.timings.total_s
+                rep.online_nonlinear_s = err.timings.nonlinear_s
             except (np.linalg.LinAlgError, ValueError) as err:
                 rep.status = f"failed: {type(err).__name__}: {err}"
             reports.append(rep)

@@ -12,7 +12,7 @@ operators through :func:`deim_operators`.
 
 The same sampled factors also yield coefficient tensors by summing over
 the m sampled rows instead of all n mesh rows (the full-sum build's GEMM
-routine, :func:`swerom.rom.product_tensors`, with P = E in place of U^T),
+routine, :func:`swerom.rom.trilinear_sum`, with P = E in place of U^T),
 which is what makes the off-line stage cheap: the contraction of those
 tensors reproduces the sampled evaluation exactly (same algebra,
 reordered), even though the tensors themselves differ from the full-sum ones.
@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dgetrf
 
 from swerom import binfile
 from swerom.model import TERMS, TERM_EQUATION, TERM_NAMES
-from swerom.rom import ReducedSpace, TensorCoefficients, TermTensors, product_tensors
+from swerom.rom import ReducedSpace, TensorCoefficients, TermTensors, product_tensors, trilinear_sum
 
 __all__ = [
     "deim_select_points",
@@ -205,7 +205,8 @@ def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
     for name in TERM_NAMES:
         op = ops[name]
         terms[name] = TermTensors(term=name, products=[
-            product_tensors(op.E, p.Uam, p.am, p.Ubxm, p.bxm, p.coef, p.a_var, p.b_var)
+            product_tensors(op.E, p.Uam, p.am, p.Ubxm, p.bxm, p.coef, p.a_var, p.b_var,
+                            trilinear_sum(op.E, p.Uam, p.Ubxm))
             for p in op.products])
     return TensorCoefficients(
         terms=terms,

@@ -31,9 +31,7 @@ __all__ = [
     "geostrophic_wind",
     "geopotential_from_height",
     "initial_state",
-    "eval_nonlinear",
     "all_nonlinear",
-    "full_rhs",
     "boundary_row_indices",
     "cfl_indicator",
     "TERMS",
@@ -263,46 +261,18 @@ X_TERMS = ("F11", "F21", "F31")
 Y_TERMS = ("F12", "F22", "F32")
 
 
-def _operator(ops: DifferenceOperators, axis: str) -> sp.csr_matrix:
-    return ops.Ax if axis == "x" else ops.Ay
-
-
-def eval_nonlinear(term: str, state: FieldState, ops: DifferenceOperators) -> np.ndarray:
-    """Evaluate one of F11..F32 on the full state."""
-    n = state.n
-    out = np.zeros(n)
-    for coef, avar, bvar, axis in TERMS[term]:
-        a = state[avar]
-        b = state[bvar]
-        if a.shape[0] != n or b.shape[0] != n:
-            raise ValueError(f"{term}: field length mismatch")
-        out += coef * a * (_operator(ops, axis) @ b)
-    return out
-
-
 def all_nonlinear(state: FieldState, ops: DifferenceOperators) -> dict[str, np.ndarray]:
-    """Every term, as :func:`eval_nonlinear` gives it, from one derivative per
-    (axis, variable)."""
-    deriv = {(axis, var): _operator(ops, axis) @ state[var]
-             for axis in ("x", "y") for var in VARIABLES}
+    """Every nonlinear term F11..F32 on the full state, from one derivative
+    per (axis, variable); each product is coef * a * (A_axis b), summed in
+    ``TERMS`` order."""
+    deriv = {(axis, var): A @ state[var]
+             for axis, A in (("x", ops.Ax), ("y", ops.Ay)) for var in VARIABLES}
     out = {}
     for name in TERM_NAMES:
         out[name] = acc = np.zeros(state.n)
         for coef, avar, bvar, axis in TERMS[name]:
             acc += coef * state[avar] * deriv[axis, bvar]
     return out
-
-
-def full_rhs(
-    state: FieldState,
-    ops: DifferenceOperators,
-    f: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Semi-discrete time derivatives (u', v', phi')."""
-    du = -eval_nonlinear("F11", state, ops) - eval_nonlinear("F12", state, ops) + f * state.v
-    dv = -eval_nonlinear("F21", state, ops) - eval_nonlinear("F22", state, ops) - f * state.u
-    dphi = -eval_nonlinear("F31", state, ops) - eval_nonlinear("F32", state, ops)
-    return du, dv, dphi
 
 
 def cfl_indicator(state: FieldState, grid: Grid, dt: float) -> float:

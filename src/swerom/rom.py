@@ -9,8 +9,11 @@ The nonlinear right-hand side can then be evaluated three ways:
   lifted field (cost grows with the full dimension n),
 * contraction against precomputed coefficient tensors (cost depends only
   on the basis sizes; both builds share the GEMM routine
-  :func:`product_tensors`, with P = U^T over all n rows here and the DEIM
-  projector P = E over the m sampled rows in :mod:`swerom.deim`),
+  :func:`trilinear_sum`, with P = U^T over all n rows here and the DEIM
+  projector P = E over the m sampled rows in :mod:`swerom.deim`; the
+  full-sum build sums each distinct trilinear form once, halving the four
+  forms symmetric in (e, p) and transposing the two that repeat with
+  equation and a variable swapped),
 * sampled interpolation (built in :mod:`swerom.deim`; cost depends on the
   number of sample points).
 
@@ -46,6 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from swerom import binfile
+from swerom.errors import NonConvergenceError
 from swerom.model import (
     DifferenceOperators,
     FieldState,
@@ -69,6 +73,7 @@ __all__ = [
     "ProductTensors",
     "TermTensors",
     "TensorCoefficients",
+    "trilinear_sum",
     "product_tensors",
     "build_tensor_coefficients",
     "tensorial_nonlinear",
@@ -169,33 +174,65 @@ class TensorCoefficients:
     k: dict[str, int]
 
 
-def product_tensors(P, Ua, abar, Ubx, bxbar, coef, a_var, b_var) -> ProductTensors:
-    """Projected pieces of coef * P @ ((abar + Ua x_a) ⊙ (bxbar + Ubx x_b))
-    for a k_eq-by-r projector P over the r rows of Ua and Ubx. One GEMM per
-    a-mode keeps the temporary r-by-k_b, not the r-by-k_a*k_b Khatri-Rao."""
-    quad = np.empty((P.shape[0], Ua.shape[1], Ubx.shape[1]))
+def trilinear_sum(P, Ua, Ubx, symmetric: bool = False) -> np.ndarray:
+    """T[e, p, q] = sum_i P[e, i] Ua[i, p] Ubx[i, q] for a k_e-by-r projector
+    P over the r rows of Ua and Ubx.
+
+    One GEMM per a-mode keeps the temporary r-by-k_b, not the r-by-k_a*k_b
+    Khatri-Rao. ``symmetric`` says that P is Ua^T, so T is symmetric in
+    (e, p): each a-mode p then sums only the rows e >= p, and the rows
+    e < p are copied from the a-modes already summed.
+    """
+    T = np.empty((P.shape[0], Ua.shape[1], Ubx.shape[1]))
     for p in range(Ua.shape[1]):
-        quad[:, p, :] = coef * (P @ (Ua[:, p, None] * Ubx))
+        if symmetric:
+            T[p:, p, :] = P[p:] @ (Ua[:, p, None] * Ubx)
+            T[p, p + 1:, :] = T[p + 1:, p, :]
+        else:
+            T[:, p, :] = P @ (Ua[:, p, None] * Ubx)
+    return T
+
+
+def product_tensors(P, Ua, abar, Ubx, bxbar, coef, a_var, b_var, T) -> ProductTensors:
+    """Projected pieces of coef * P @ ((abar + Ua x_a) ⊙ (bxbar + Ubx x_b)),
+    given T = trilinear_sum(P, Ua, Ubx), which is without coef."""
     lin_a = coef * (P @ (bxbar[:, None] * Ua))
     lin_b = coef * (P @ (abar[:, None] * Ubx))
     const = coef * (P @ (abar * bxbar))
     return ProductTensors(a_var=a_var, b_var=b_var, coef=coef,
-                          quad=quad, lin_a=lin_a, lin_b=lin_b, const=const)
+                          quad=coef * T, lin_a=lin_a, lin_b=lin_b, const=const)
 
 
 def build_tensor_coefficients(space: ReducedSpace) -> TensorCoefficients:
     """Sum the projected triple products over all n mesh rows (P = U^T of the
-    term's equation)."""
+    term's equation), each distinct trilinear form once.
+
+    A form is keyed by (equation, a variable, b variable, axis). Where a is
+    the equation's own variable (u·u_x, v·v_y, phi·u_x, phi·v_y) the sum is
+    symmetric in (e, p), and only its half e >= p is summed. Where the key
+    with equation and a swapped was summed already, the form is that sum
+    with (e, p) transposed: phi·phi_x in the u equation gives u·phi_x in
+    the phi equation, and phi·phi_y gives v·phi_y. So 4 full and 4 half
+    sums make the 10 quadratic tensors; the linear and constant pieces are
+    summed per product.
+    """
+    sums: dict[tuple[str, str, str, str], np.ndarray] = {}
     terms: dict[str, TermTensors] = {}
     for name in TERM_NAMES:
-        P = space.bases[TERM_EQUATION[name]].U.T
+        eq = TERM_EQUATION[name]
+        P = space.bases[eq].U.T
         products = []
         for coef, avar, bvar, axis in TERMS[name]:
             ba = space.bases[avar]
+            Ubx = space.dbasis[bvar, axis]
+            swapped = sums.get((avar, eq, bvar, axis))
+            if swapped is None:
+                T = trilinear_sum(P, ba.U, Ubx, symmetric=avar == eq)
+            else:
+                T = np.ascontiguousarray(swapped.transpose(1, 0, 2))
+            sums[eq, avar, bvar, axis] = T
             products.append(product_tensors(
-                P, ba.U, ba.xbar,
-                space.dbasis[bvar, axis], space.dmean[bvar, axis],
-                coef, avar, bvar))
+                P, ba.U, ba.xbar, Ubx, space.dmean[bvar, axis], coef, avar, bvar, T))
         terms[name] = TermTensors(term=name, products=products)
     return TensorCoefficients(
         terms=terms,
@@ -467,16 +504,22 @@ class ReducedModel(AdiNewton):
     def run(self, x0: FieldState, nt: int | None = None
             ) -> tuple[FieldState, dict[str, np.ndarray], RomTimings]:
         """Integrate nt steps; returns the reduced trajectory (k-by-nt per
-        variable, column t at time (t+1)*dt, matching snapshot columns)."""
+        variable, column t at time (t+1)*dt, matching snapshot columns). A
+        :class:`NonConvergenceError` carries the timings up to the failure."""
         nt = nt if nt is not None else self.cfg.nt
         timings = RomTimings()
         t_start = time.perf_counter()
         traj = {var: np.empty((k, nt)) for var, k in zip(VARIABLES, self._sizes)}
         state = x0
-        for step in range(nt):
-            state = self.step(state, step, timings)
-            for var in VARIABLES:
-                traj[var][:, step] = state[var]
+        try:
+            for step in range(nt):
+                state = self.step(state, step, timings)
+                for var in VARIABLES:
+                    traj[var][:, step] = state[var]
+        except NonConvergenceError as err:
+            timings.total_s = time.perf_counter() - t_start
+            err.timings = timings
+            raise
         timings.total_s = time.perf_counter() - t_start
         return state, traj, timings
 

@@ -416,7 +416,8 @@ def run_full(
     Snapshot column t holds the state after step t+1, i.e. at time (t+1)*dt;
     the initial condition itself is not a snapshot column. Each step is
     recorded as one contiguous row of an nt-by-n buffer; every buffer is
-    transposed once at the end into its C-ordered n-by-nt matrix.
+    transposed once at the end into its C-ordered n-by-nt matrix. A
+    :class:`NonConvergenceError` carries the timings up to the failure.
     """
     timings = PhaseTimings()
     t_start = time.perf_counter()
@@ -431,15 +432,20 @@ def run_full(
 
     solver = FullSolver(grid, ops, f, cfg)
     state = ic
-    for k in range(cfg.nt):
-        state = solver.step(state, k, timings)
-        times[k] = state.time
-        t0 = time.perf_counter()
-        for var in VARIABLES:
-            rows[var][k] = state[var]
-        for term, value in all_nonlinear(state, ops).items():
-            rows[term][k] = value
-        timings.recording_s += time.perf_counter() - t0
+    try:
+        for k in range(cfg.nt):
+            state = solver.step(state, k, timings)
+            times[k] = state.time
+            t0 = time.perf_counter()
+            for var in VARIABLES:
+                rows[var][k] = state[var]
+            for term, value in all_nonlinear(state, ops).items():
+                rows[term][k] = value
+            timings.recording_s += time.perf_counter() - t0
+    except NonConvergenceError as err:
+        timings.total_s = time.perf_counter() - t_start
+        err.timings = timings
+        raise
 
     t0 = time.perf_counter()
     # each buffer is freed as soon as its transpose exists: one extra matrix at most

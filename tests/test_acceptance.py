@@ -31,7 +31,6 @@ from swerom.model import (
     build_grid,
     build_operators,
     cfl_indicator,
-    eval_nonlinear,
 )
 from swerom.pod import build_state_bases, center_snapshots, energy_index, numerical_rank
 from swerom.rom import (
@@ -45,6 +44,7 @@ from swerom.rom import (
 )
 from swerom.solver import FullSolver, SolverConfig
 
+from model_oracles import eval_nonlinear
 from test_deim import greedy_oracle
 from test_model import loop_nonlinear, random_state
 from test_pod import align_signs, correlation_route_basis

@@ -1,6 +1,6 @@
 import csv
 import io
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,12 @@ from swerom.bench import (
     resolve_window,
     run_experiment,
 )
+from swerom.errors import NonConvergenceError
 from swerom.model import TERM_NAMES
 from swerom.plots import emit_plot_data, svg_line_plot
 from swerom.pod import build_state_bases
+from swerom.rom import ReducedModel
+from swerom.solver import AdiNewton, FullSolver
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +256,35 @@ def test_full_run_failure_is_structured(tmp_path):
     assert len(reports) == 1
     assert reports[0].mode == "full"
     assert reports[0].status.startswith("nonconverged")
+
+
+@pytest.mark.parametrize("failing", [FullSolver, ReducedModel], ids=["full", "reduced"])
+def test_nonconverged_row_keeps_its_work(tmp_path, monkeypatch, failing):
+    # the run fails on its second step; the row keeps what the first step spent
+    adi_step = AdiNewton._adi_step
+    spent = []
+
+    def second_step_fails(self, state, step_index, timings):
+        if step_index == 1 and isinstance(self, failing):
+            spent.append(replace(timings))
+            raise NonConvergenceError("stalled", residual=0.5, iterations=25)
+        return adi_step(self, state, step_index, timings)
+
+    monkeypatch.setattr(AdiNewton, "_adi_step", second_step_fails)
+    cfg = ExperimentConfig(grids=[(9, 7)], window="custom", dt=200.0, nt=3, k=3,
+                           modes=["full", "tensorial-pod"], out_dir=str(tmp_path))
+    reports, _ = run_experiment(cfg)
+    rep, (first_step,) = reports[-1], spent
+    assert rep.mode == ("full" if failing is FullSolver else "tensorial-pod")
+    assert rep.status == "nonconverged: residual 5.000e-01 after 25 iterations"
+    assert rep.newton_iters == first_step.newton_iters > 0
+    assert rep.worst_residual == first_step.worst_residual > 0.0
+    if failing is ReducedModel:
+        assert rep.online_nonlinear_s == first_step.nonlinear_s > 0.0
+        assert rep.online_s > rep.online_nonlinear_s
+        assert rep.relerr_u is None
+    else:
+        assert rep.online_s is None
 
 
 # --- plots ------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from swerom.model import (
     build_operators,
     boundary_row_indices,
     coriolis_field,
-    eval_nonlinear,
-    full_rhs,
     geopotential_from_height,
     geostrophic_wind,
     grammeltvedt_height,
 )
+
+from model_oracles import eval_nonlinear, full_rhs
 
 C = DEFAULT_CONSTANTS
 

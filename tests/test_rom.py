@@ -22,7 +22,6 @@ from swerom.model import (
     build_grid,
     build_operators,
     coriolis_field,
-    eval_nonlinear,
 )
 from swerom.pod import PodBasis, build_state_bases
 from swerom.rom import (
@@ -39,6 +38,8 @@ from swerom.rom import (
     tensorial_nonlinear,
 )
 from swerom.solver import SolverConfig
+
+from model_oracles import eval_nonlinear
 
 
 def orthonormal_basis(n, k, rng):
@@ -220,6 +221,47 @@ def test_tensor_matches_quadruple_loop_oracle(k):
             check_product_against_loop(tensors.terms[name].products[j], W, ba.U, ba.xbar,
                                        space.dbasis[bvar, axis], space.dmean[bvar, axis],
                                        coef)
+
+
+@pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
+def test_tensor_symmetric_forms_are_exactly_symmetric(k):
+    # a ⊙ (A b) projected on a's own basis is symmetric in (e, p)
+    space = make_space(build_grid(5, 5), np.random.default_rng(8), k=k)
+    tensors = build_tensor_coefficients(space)
+    symmetric = [(name, j) for name in TERM_NAMES for j, (_, avar, _, _) in enumerate(TERMS[name])
+                 if avar == TERM_EQUATION[name]]
+    assert symmetric == [("F11", 0), ("F22", 0), ("F31", 0), ("F32", 0)]
+    for name, j in symmetric:
+        quad = tensors.terms[name].products[j].quad
+        assert quad.tobytes() == np.ascontiguousarray(quad.transpose(1, 0, 2)).tobytes(), name
+
+
+@pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
+def test_tensor_transposed_pairs_are_exact(k):
+    # u·phi_x projected on phi is phi·phi_x projected on u with (e, p) swapped,
+    # and likewise v·phi_y against phi·phi_y; their coefficients are 1 and 1/2
+    space = make_space(build_grid(5, 5), np.random.default_rng(8), k=k)
+    tensors = build_tensor_coefficients(space)
+    for source, target in (("F11", "F31"), ("F22", "F32")):
+        half = tensors.terms[source].products[1]
+        full = tensors.terms[target].products[1]
+        assert (half.a_var, half.b_var, full.a_var, full.b_var) == (
+            "phi", "phi", TERM_EQUATION[source], "phi")
+        assert full.quad.tobytes() == np.ascontiguousarray(
+            2.0 * half.quad.transpose(1, 0, 2)).tobytes(), target
+
+
+def test_tensor_matches_einsum_on_pod_bases(pipeline31):
+    bases = build_state_bases(pipeline31.snaps.states, k=20)
+    space = ReducedSpace(bases, pipeline31.ops, pipeline31.f)
+    tensors = build_tensor_coefficients(space)
+    for name in TERM_NAMES:
+        W = space.bases[TERM_EQUATION[name]].U
+        for j, (coef, avar, bvar, axis) in enumerate(TERMS[name]):
+            want = coef * np.einsum("ie,ip,iq->epq", W, space.bases[avar].U,
+                                    space.dbasis[bvar, axis])
+            got = tensors.terms[name].products[j].quad
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (name, j)
 
 
 def test_tensorial_zero_at_origin_no_centering():

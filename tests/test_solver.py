@@ -14,7 +14,6 @@ from swerom.model import (
     build_grid,
     build_operators,
     coriolis_field,
-    eval_nonlinear,
     initial_state,
 )
 from swerom.rom import ReducedModel
@@ -24,6 +23,8 @@ from swerom.solver import (
     SolverConfig,
     run_full,
 )
+
+from model_oracles import eval_nonlinear
 
 
 @pytest.fixture(scope="module")
