@@ -50,7 +50,6 @@ __all__ = [
     "ExperimentConfig",
     "RunReport",
     "offline_pass",
-    "deim_step",
     "run_experiment",
     "write_run_report",
     "read_run_report",
@@ -110,6 +109,8 @@ class ExperimentConfig:
     domain_km: tuple[float, float] | None = None  # (L, D); SI internally
 
     def validate(self) -> None:
+        if not self.modes:
+            raise ValueError(f"at least one mode is required; expected subset of {ALL_MODES}")
         for mode in self.modes:
             if mode not in ALL_MODES:
                 raise ValueError(f"unknown mode {mode!r}; expected subset of {ALL_MODES}")
@@ -126,6 +127,8 @@ class ExperimentConfig:
             raise ValueError("pod-deim needs at least one m")
         if not self.grids:
             raise ValueError("at least one grid is required")
+        for nx, ny in self.grids:  # checks each mesh size and the domain
+            build_grid(nx, ny, self.constants())
 
     def solver_config(self) -> SolverConfig:
         dt, nt = resolve_window(self.window, self.dt, self.nt)
@@ -210,8 +213,7 @@ def offline_pass(snaps, ops, f, k, gamma, center, modes, m_values) -> dict:
     with pod-deim one per term matrix (``term_svds``, each term's ``(U, s)``)
     and each term's DEIM ``points`` at max(m_values); with standard-pod or
     tensorial-pod the full-sum ``tensors``; the seconds of each. A failed
-    state stage's exception is kept as ``error``; a failed point selection
-    leaves ``points`` out."""
+    state stage's exception is kept as ``error``."""
     shared = {}
     t0 = time.perf_counter()
     try:
@@ -227,34 +229,17 @@ def offline_pass(snaps, ops, f, k, gamma, center, modes, m_values) -> dict:
                                for t in TERM_NAMES}
         shared["term_s"] = time.perf_counter() - t0
         # greedy points are nested: the first m at max(m) are the points at m, since
-        # the pivot of each LU stage depends only on the columns up to its own
+        # the pivot of each LU stage depends only on the columns up to its own; on
+        # orthonormal columns each pivot is at least 1/sqrt(n), so none degenerates
         t0 = time.perf_counter()
-        try:
-            shared["points"] = {t: deim_select_points(U[:, :max(m_values)])
-                                for t, (U, _) in shared["term_svds"].items()}
-            shared["points_s"] = time.perf_counter() - t0
-        except (np.linalg.LinAlgError, ValueError):
-            pass  # each row selects its own points
+        shared["points"] = {t: deim_select_points(U[:, :max(m_values)])
+                            for t, (U, _) in shared["term_svds"].items()}
+        shared["points_s"] = time.perf_counter() - t0
     if "space" in shared and {"standard-pod", "tensorial-pod"} & set(modes):
         t0 = time.perf_counter()
         shared["tensors"] = build_tensor_coefficients(shared["space"])
         shared["tensors_s"] = time.perf_counter() - t0
     return shared
-
-
-def deim_step(shared: dict, m: int):
-    """The pass's pod-deim operators at ``m``, from the first m shared points
-    or, when their selection failed, points of its own; with the seconds of
-    those points and of :func:`swerom.deim.deim_operators`."""
-    points, points_s = shared.get("points"), shared.get("points_s")
-    if points is None:
-        t0 = time.perf_counter()
-        points = {term: deim_select_points(U[:, :m])
-                  for term, (U, _) in shared["term_svds"].items()}
-        points_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    deim_ops = deim_operators(shared["space"], shared["term_svds"], points, m)
-    return deim_ops, points_s, time.perf_counter() - t0
 
 
 def _rom_pipeline(grid, ic, snaps, scfg, shared, mode, m, report) -> None:
@@ -273,12 +258,12 @@ def _rom_pipeline(grid, ic, snaps, scfg, shared, mode, m, report) -> None:
 
     deim_ops = None
     if mode == "pod-deim":
-        # a row whose operators fail (m above the bound) leaves these columns empty
-        deim_ops, report.deim_points_s, report.deim_projector_s = deim_step(shared, m)
-        report.svd_nonlinear_s = shared["term_s"]
-        shared_s = report.svd_state_s + report.svd_nonlinear_s
-        if "points" in shared:  # selected before this row's clock started
-            shared_s += report.deim_points_s
+        t0 = time.perf_counter()
+        deim_ops = deim_operators(space, shared["term_svds"], shared["points"], m)
+        # set only now: a row whose operators fail (m above the bound) leaves them empty
+        report.deim_projector_s = time.perf_counter() - t0
+        report.svd_nonlinear_s, report.deim_points_s = shared["term_s"], shared["points_s"]
+        shared_s = report.svd_state_s + report.svd_nonlinear_s + report.deim_points_s
         t0 = time.perf_counter()
         tensors = deim_tensor_coefficients(deim_ops, space)
         report.tensors_s = time.perf_counter() - t0
@@ -338,7 +323,7 @@ def _spectra_rows(cfg, grid_name, snaps, shared) -> list[tuple]:
 def _deim_point_rows(cfg, grid_name, grid, snaps, shared) -> list[tuple]:
     """Each term's shared greedy points at the largest m, in selection order,
     with the term's maximum magnitude over the trajectory there. The points
-    at a smaller m are a term's first m rows; none when that selection failed.
+    at a smaller m are a term's first m rows.
     """
     x, y = grid.x_coords(), grid.y_coords()
     rows = []

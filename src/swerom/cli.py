@@ -27,13 +27,17 @@ from swerom.bench import (
     ALL_MODES,
     WINDOWS,
     ExperimentConfig,
-    deim_step,
     offline_pass,
     read_run_report,
     resolve_window,
     run_experiment,
 )
-from swerom.deim import deim_tensor_coefficients, load_deim_operator, save_deim_operator
+from swerom.deim import (
+    deim_operators,
+    deim_tensor_coefficients,
+    load_deim_operator,
+    save_deim_operator,
+)
 from swerom.errors import FileFormatError, NonConvergenceError
 from swerom.flops import flop_count, reference_table
 from swerom.metrics import trajectory_errors
@@ -171,7 +175,8 @@ def cmd_build_rom(args) -> int:
     artifacts = {f"{var}.pod": (save_basis, bases[var]) for var in VARIABLES}
     k_shared = max(b.k for b in bases.values())
     if deim:
-        for term, op in deim_step(shared, args.m)[0].items():
+        deim_ops = deim_operators(shared["space"], shared["term_svds"], shared["points"], args.m)
+        for term, op in deim_ops.items():
             artifacts[f"{term}.deim"] = (save_deim_operator, op)
     elif len({b.k for b in bases.values()}) == 1:  # the tensor file holds one shared k
         artifacts["tensors.tpod"] = (save_tensors, shared["tensors"])

@@ -13,6 +13,7 @@ from swerom.bench import (
     resolve_window,
     run_experiment,
 )
+from swerom.cli import main
 from swerom.errors import NonConvergenceError
 from swerom.model import TERM_NAMES
 from swerom.plots import emit_plot_data, svg_line_plot
@@ -210,28 +211,17 @@ def test_one_svd_per_snapshot_matrix(tmp_path, monkeypatch):
                 assert getattr(alone[0], f.name) == getattr(rep, f.name), (rep.mode, f.name)
 
 
-def test_rows_select_own_points_when_shared_selection_fails(tmp_path, monkeypatch):
-    select = bench.deim_select_points
+def test_failed_point_selection_exits_3(tmp_path, capsys, monkeypatch):
+    # a sweep has one point selection per grid and no fallback: a selection
+    # that raises ends the sweep as a numerical failure
+    def degenerate(V):
+        raise np.linalg.LinAlgError("degenerate interpolation residual at selection stage 0")
 
-    def failing_at_8(V):
-        if V.shape[1] == 8:
-            raise np.linalg.LinAlgError("singular interpolation system")
-        return select(V)
-
-    grid = dict(grids=[(13, 11)], window="custom", dt=300.0, nt=10, k=5,
-                modes=["pod-deim"], m_values=[6, 8])
-    shared, _ = run_experiment(ExperimentConfig(**grid, out_dir=str(tmp_path / "shared")))
-    monkeypatch.setattr(bench, "deim_select_points", failing_at_8)
-    own, _ = run_experiment(ExperimentConfig(**grid, out_dir=str(tmp_path / "own")))
-    assert [r.status for r in shared] == ["ok", "ok"]
-    assert own[0].status == "ok" and own[1].status.startswith("failed: LinAlgError")
-    assert own[0].deim_points_s > 0.0
-    for f in fields(RunReport):
-        if not f.name.endswith("_s"):
-            assert getattr(own[0], f.name) == getattr(shared[0], f.name), f.name
-    # no shared points to export: the table holds its header only
-    header = ",".join(bench.DEIM_POINT_COLUMNS) + "\r\n"
-    assert (tmp_path / "own" / "deim_points.csv").read_bytes() == header.encode()
+    monkeypatch.setattr(bench, "deim_select_points", degenerate)
+    assert main(["bench", "--grid", "13x11", "--dt", "300", "--nt", "10", "--k", "5",
+                 "--mode", "pod-deim", "--m", "6", "--m", "8",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: degenerate interpolation residual" in capsys.readouterr().err
 
 
 def test_failed_rows_recorded_and_sweep_continues(tmp_path):

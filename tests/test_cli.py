@@ -9,6 +9,7 @@ import pytest
 from swerom import bench
 from swerom.cli import main
 from swerom.deim import (
+    deim_operators,
     deim_operators_from_snapshots,
     deim_tensor_coefficients,
     save_deim_operator,
@@ -154,7 +155,8 @@ def test_build_rom_takes_the_offline_pass(full_run_dir, tmp_path, monkeypatch, m
     for var in VARIABLES:
         save_basis(shared["bases"][var], want / f"{var}.pod")
     if deim:
-        for term, op in bench.deim_step(shared, 6)[0].items():
+        for term, op in deim_operators(shared["space"], shared["term_svds"],
+                                       shared["points"], 6).items():
             save_deim_operator(op, want / f"{term}.deim")
     else:
         save_tensors(shared["tensors"], want / "tensors.tpod")
@@ -207,7 +209,7 @@ def test_linalg_failure_exit_3(full_run_dir, tmp_path, capsys, monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("sampled basis P^T V is singular")
 
-    monkeypatch.setattr("swerom.cli.deim_step", singular)
+    monkeypatch.setattr("swerom.cli.deim_operators", singular)
     code = main(["build-rom", "--snapshots", str(full_run_dir / "snapshots.snap"),
                  "--k", "4", "--mode", "pod-deim", "--m", "6", "--out", str(tmp_path)])
     assert code == 3
@@ -472,6 +474,27 @@ def test_bench_bad_config_exit_2(tmp_path, capsys):
         assert main(["bench", "--config", str(cfg_path), "--grid", "9x7",
                      "--out", str(tmp_path / "o")]) == 2, text
         assert message in capsys.readouterr().err, text
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--grid", "9x7", "--grid", "2x5"], {}, "grid needs nx >= 3 and ny >= 3, got 2x5"),
+    (["--grid", "9x7", "--domain-km", "0x100"], {},
+     "domain needs finite L > 0 and D > 0, got 0.0 x 100000.0"),
+    (["--grid", "9x7"], {"modes": []}, "at least one mode is required"),
+], ids=["second-grid-too-small", "zero-length-domain", "no-modes"])
+def test_bench_checks_every_grid_and_mode_before_it_runs(tmp_path, capsys, monkeypatch,
+                                                         argv, config, message):
+    # a bad grid, domain or mode list exits 2 before any grid runs or any file is made
+    def run_full(*args):
+        raise AssertionError("run_full was called")
+
+    monkeypatch.setattr(bench, "run_full", run_full)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(cfg_path), *argv, "--dt", "300", "--nt", "3",
+                 "--k", "3", "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf
 
 from swerom.errors import FileFormatError
 from swerom.deim import (
@@ -87,6 +88,23 @@ def test_select_matches_greedy_on_term_bases():
         greedy = greedy_oracle(U[:, :rank])  # nested: its first m are the points at m
         for m in range(1, rank + 1):
             assert np.array_equal(deim_select_points(U[:, :m]), greedy[:m]), (term, m)
+
+
+@pytest.mark.parametrize("nx, ny, nt", [(11, 9, 8), (13, 11, 10)])
+def test_select_pivots_on_orthonormal_term_bases_stay_above_bound(nx, ny, nt):
+    """Stage j's pivot |U[j, j]| is the largest entry of a residual whose
+    2-norm is at least 1 when V's columns are orthonormal, so it is at least
+    1/sqrt(n): selection on the columns of an SVD's U never degenerates."""
+    grid = build_grid(nx, ny)
+    ops = build_operators(grid)
+    _, snaps, _ = run_full(initial_state(grid, ops), SolverConfig(dt=300.0, nt=nt), ops,
+                           coriolis_field(grid), grid)
+    for term in TERM_NAMES:
+        U = np.linalg.svd(snaps.nonlinear[term], full_matrices=False)[0]  # min(n, nt) columns
+        lu, _, info = dgetrf(U)
+        assert info == 0, term
+        assert np.min(np.abs(np.diagonal(lu))) >= 1.0 / np.sqrt(grid.n), term
+        assert deim_select_points(U).shape == (U.shape[1],), term
 
 
 def test_select_displaced_twin_takes_lower_index():

@@ -18,6 +18,7 @@ from swerom.model import (
 )
 from swerom.rom import ReducedModel
 from swerom.solver import (
+    AdiNewton,
     FullSolver,
     PhaseTimings,
     SolverConfig,
@@ -410,3 +411,66 @@ def test_non_finite_state_raises_before_factorization():
     assert [str(w.message) for w in caught] == []
     assert err.value.iterations == 0
     assert factored == [] and tm.newton_iters == 0 and tm.solve_s == 0.0
+
+
+class _Cubic(AdiNewton):
+    """A one-unknown-per-block model for the quasi-Newton loop: dw/dt = -w**3
+    in both directions, with a chosen slope in its Newton matrix. It counts
+    its factorizations and right-hand sides and keeps each half-step's
+    equation and accepted w."""
+
+    _sizes = (1, 1, 1)
+
+    def __init__(self, cfg, slope):
+        self.cfg, self.slope = cfg, slope
+        self._solves = {}
+        self.factors = self.rhs_calls = 0
+        self.half_steps = []
+
+    def _rhs(self, axis, w, timings):
+        self.rhs_calls += 1
+        return -w ** 3
+
+    def _factor(self, axis, w, dt2, timings):
+        self.factors += 1
+        d = 1.0 - dt2 * self.slope(w)
+        return lambda rhs: rhs / d
+
+    def _half_step(self, w0, explicit_part, axis, dt2, solve, timings):
+        w, solve, r = super()._half_step(w0, explicit_part, axis, dt2, solve, timings)
+        self.half_steps.append((w0, explicit_part, dt2, w))
+        return w, solve, r
+
+
+def _cubic_start():
+    return FieldState(u=np.array([3.0]), v=np.array([2.0]), phi=np.array([1.0]))
+
+
+def test_backtracking_and_safeguard_refactorization():
+    # from (3, 2, 1) at dt = 2 the full quasi-Newton step overshoots, so the
+    # loop backtracks; with the slope of a stale factorization the residual
+    # then falls by less than 4x on two iterations in a row, so the safeguard
+    # refactorizes
+    cfg = SolverConfig(dt=2.0, nt=1)
+    model = _Cubic(cfg, lambda w: -3.0 * w ** 2)
+    tm = PhaseTimings()
+    model._adi_step(_cubic_start(), 0, tm)
+    # a refresh step factorizes once per direction
+    assert model.factors > 2
+    # one right-hand side for the explicit part and one per residual; each
+    # half-step's first residual and one per iteration leave the backtracks
+    assert model.rhs_calls > 1 + 2 + tm.newton_iters
+    assert len(model.half_steps) == 2
+    for w0, explicit_part, dt2, w in model.half_steps:
+        residual = w - explicit_part - dt2 * -w ** 3
+        assert np.linalg.norm(residual) <= cfg.newton_tol * np.linalg.norm(w0)
+
+
+def test_stalled_iteration_names_max_iterations():
+    # a zero slope makes every Newton step the fixed-point step, which stalls
+    cfg = SolverConfig(dt=2.0, nt=1, newton_max_iters=7)
+    model = _Cubic(cfg, lambda w: 0.0 * w)
+    with pytest.raises(NonConvergenceError, match="after 7 iterations") as err:
+        model._adi_step(_cubic_start(), 0, PhaseTimings())
+    assert err.value.iterations == cfg.newton_max_iters
+    assert "stalled" in str(err.value)
