@@ -190,6 +190,7 @@ class RunReport:
     end_to_end_s: float | None = None
     newton_iters: int | None = None
     worst_residual: float | None = None
+    deim_cond_max: float | None = None  # largest cond(P^T V) of the six terms
     relerr_u: float | None = None
     relerr_v: float | None = None
     relerr_phi: float | None = None
@@ -262,6 +263,7 @@ def _rom_pipeline(grid, ic, snaps, scfg, shared, mode, m, report) -> None:
         deim_ops = deim_operators(space, shared["term_svds"], shared["points"], m)
         # set only now: a row whose operators fail (m above the bound) leaves them empty
         report.deim_projector_s = time.perf_counter() - t0
+        report.deim_cond_max = max(op.cond for op in deim_ops.values())
         report.svd_nonlinear_s, report.deim_points_s = shared["term_s"], shared["points_s"]
         shared_s = report.svd_state_s + report.svd_nonlinear_s + report.deim_points_s
         t0 = time.perf_counter()

@@ -187,6 +187,8 @@ def cmd_build_rom(args) -> int:
     meta = {"nx": grid.nx, "ny": grid.ny, "L": grid.L, "D": grid.D,
             "dt": snaps.dt, "nt": snaps.nt, "k": k_shared, "m": args.m,
             "center": not args.no_center, "mode": args.mode}
+    if deim:
+        meta["deim_cond_max"] = max(op.cond for op in deim_ops.values())
     (out / "rom_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     print(f"wrote reduced artifacts (k={k_shared}) to {out}")
     return 0

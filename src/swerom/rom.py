@@ -43,6 +43,7 @@ matrices, constant vector).
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,23 +353,24 @@ class PackedDirection:
     def __init__(self, terms, space: ReducedSpace, tensors: TensorCoefficients,
                  mode: str, deim_ops: dict | None):
         k = tensors.k
-        K = sum(k[var] for var in VARIABLES)
-        q = max(k.values())
-        offset = dict(zip(VARIABLES, np.cumsum([0] + [k[var] for var in VARIABLES])))
-
-        def slots(var, pad):  # z positions of var's modes, padded to q
-            out = np.full(q, pad)
-            out[:k[var]] = offset[var] + np.arange(k[var])
-            return out
+        sizes = [k[var] for var in VARIABLES]
+        K, q = sum(sizes), max(sizes)
+        start = np.cumsum([0] + sizes)
+        offset = dict(zip(VARIABLES, start))
 
         def sl(var):
             return slice(offset[var], offset[var] + k[var])
 
+        # slots[pad][i]: the z positions of variable i's modes, padded to q with pad
+        modes = np.arange(q)
+        slots = {pad: np.where(modes < np.array(sizes)[:, None], start[:3, None] + modes, pad)
+                 for pad in (0, K)}
+
         products = [(TERM_EQUATION[t], p) for t in terms for p in tensors.terms[t].products]
         P = len(products)
-        ga = np.stack([slots(p.a_var, 0) for _, p in products])
-        gb = np.stack([slots(p.b_var, 0) for _, p in products])
-        rows = np.stack([slots(eq, K) for eq, _ in products])
+        a, b, e = np.array([[VARIABLES.index(var) for var in (p.a_var, p.b_var, eq)]
+                            for eq, p in products]).T
+        ga, gb, rows = slots[0][a], slots[0][b], slots[K][e]
 
         # quad[0, p] is (row, a-mode) x b-mode; quad[1, p] is (row, b-mode) x a-mode
         quad = np.zeros((2, P, q, q, q))
@@ -377,17 +379,15 @@ class PackedDirection:
         for j, (eq, p) in enumerate(products):
             ke, ka, kb = p.quad.shape
             quad[0, j, :ke, :ka, :kb] = p.quad
-            quad[1, j, :ke, :kb, :ka] = p.quad.transpose(0, 2, 1)
             jac_lin[sl(eq), sl(p.a_var)] -= p.lin_a
             jac_lin[sl(eq), sl(p.b_var)] -= p.lin_b
             tensor_const[sl(eq)] -= p.const
+        quad[1] = quad[0].transpose(0, 1, 3, 2)
         self.K = K
         self.quad = quad.reshape(2 * P, q * q, q)
         self.g_jac = np.concatenate([gb, ga])
-        cols = np.concatenate([np.stack([slots(p.a_var, K) for _, p in products]),
-                               np.stack([slots(p.b_var, K) for _, p in products])])
         self.jac_index = (np.repeat(np.concatenate([rows, rows]), q, axis=1) * (K + 1)
-                          + np.tile(cols, q)).ravel()
+                          + np.tile(slots[K][np.concatenate([a, b])], q)).ravel()
 
         cor_lin = np.zeros((K, K))
         cor_const = np.zeros(K)
@@ -413,7 +413,8 @@ class PackedDirection:
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """d rhs / dz from the tensors: both derivative blocks of every
-        product in one batched contraction, scattered in one pass."""
+        product in one batched contraction, scattered in one pass. The
+        array is fresh, so the caller may overwrite it."""
         K = self.K
         blocks = np.matmul(self.quad, z[self.g_jac][:, :, None])
         J = np.bincount(self.jac_index, weights=blocks.ravel(), minlength=(K + 1) ** 2)
@@ -474,12 +475,24 @@ class ReducedModel(AdiNewton):
         return out
 
     def _factor(self, axis: str, z: np.ndarray, dt2: float, timings: RomTimings):
-        """Dense LU of I - dt2*J at ``z``; returns the solve."""
+        """Dense LU of I - dt2*J at ``z``; returns the solve. A matrix that is
+        not finite or exactly singular raises :class:`NonConvergenceError`."""
         t0 = time.perf_counter()
-        A = np.eye(z.shape[0]) - dt2 * self._directions[axis].jacobian(z)
+        A = self._directions[axis].jacobian(z)  # a fresh array: I - dt2*J is built in it
+        A *= -dt2
+        A.flat[::A.shape[0] + 1] += 1.0
         timings.jacobian_s += time.perf_counter() - t0
         t0 = time.perf_counter()
-        lu, piv = scipy.linalg.lu_factor(A)
+        if not np.isfinite(A).all():
+            raise NonConvergenceError("Newton matrix is not finite",
+                                      residual=float("nan"), iterations=0)
+        with warnings.catch_warnings():  # a zero pivot raises instead of printing
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True, check_finite=False)
+            except scipy.linalg.LinAlgWarning:
+                raise NonConvergenceError("Newton matrix is singular (exactly zero pivot)",
+                                          residual=float("nan"), iterations=0) from None
         timings.factorization_s += time.perf_counter() - t0
 
         def solve(rhs):

@@ -30,6 +30,7 @@ it calls ``dgbtrs``. Both routes give the same bits on unpivoted factors.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -267,13 +268,14 @@ class AdiNewton:
                 G[fixed] = wk[fixed]
             return G, r
 
+        # each norm is np.linalg.norm's value for a 1-D float vector, without its dispatch
         w = w0
-        scale = np.linalg.norm(w0)
+        scale = math.sqrt(w0.dot(w0))
         if scale == 0.0:
             scale = 1.0
         G, r = residual(w)
-        res = np.linalg.norm(G)
-        if not np.isfinite(res):
+        res = math.sqrt(G.dot(G))
+        if not math.isfinite(res):
             raise NonConvergenceError("quasi-Newton residual is not finite",
                                       residual=float("inf"), iterations=0)
         if solve is None:
@@ -293,13 +295,13 @@ class AdiNewton:
             alpha = 1.0
             w_try = w + delta
             G_try, r_try = residual(w_try)
-            res_try = np.linalg.norm(G_try)
-            while alpha > 0.015 and (not np.isfinite(res_try) or res_try >= res):
+            res_try = math.sqrt(G_try.dot(G_try))
+            while alpha > 0.015 and (not math.isfinite(res_try) or res_try >= res):
                 alpha *= 0.5
                 w_try = w + alpha * delta
                 G_try, r_try = residual(w_try)
-                res_try = np.linalg.norm(G_try)
-            if not np.isfinite(res_try):
+                res_try = math.sqrt(G_try.dot(G_try))
+            if not math.isfinite(res_try):
                 raise NonConvergenceError(
                     "quasi-Newton residual is not finite", residual=float("inf"),
                     iterations=it + 1)

@@ -137,6 +137,30 @@ def test_csv_outputs_exist_and_parse(small_sweep):
     assert len(lines) == 1 + sum(1 for r in reports if r.status == "ok")
 
 
+def test_deim_cond_max_column(tmp_path, monkeypatch):
+    # the largest cond(P^T V) of a pod-deim row's six operators; empty in the
+    # other rows and in a pod-deim row whose operators fail (m above nt)
+    built = []
+    deim_operators = bench.deim_operators
+
+    def recording(*args):
+        built.append(deim_operators(*args))
+        return built[-1]
+
+    monkeypatch.setattr(bench, "deim_operators", recording)
+    cfg = ExperimentConfig(grids=[(9, 7)], window="custom", dt=200.0, nt=6, k=3,
+                           m_values=[4, 8], out_dir=str(tmp_path))
+    reports, _ = run_experiment(cfg)
+    assert [(r.mode, r.m, r.status[:6]) for r in reports[-2:]] == [
+        ("pod-deim", 4, "ok"), ("pod-deim", 8, "failed")]
+    assert len(built) == 1
+    cond = max(op.cond for op in built[0].values())
+    assert cond >= 1.0
+    assert [r.deim_cond_max for r in reports] == [None] * (len(reports) - 2) + [cond, None]
+    back = read_run_report(tmp_path / "run_report.csv")
+    assert [r.deim_cond_max for r in back] == [r.deim_cond_max for r in reports]
+
+
 def test_deim_points_rows_complete(small_sweep):
     # one row per selected point: m_max = 8 per term, in selection order
     cfg, reports, extras, out = small_sweep

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from swerom.deim import (
     deim_operators,
     deim_operators_from_snapshots,
     deim_tensor_coefficients,
+    load_deim_operator,
     save_deim_operator,
 )
 from swerom.metrics import trajectory_errors
 from swerom.model import (
+    TERM_NAMES,
     VARIABLES,
     PhysicalConstants,
     build_grid,
@@ -25,6 +28,7 @@ from swerom.model import (
 )
 from swerom.pod import build_state_bases, save_basis
 from swerom.rom import (
+    PackedDirection,
     ReducedModel,
     ReducedSpace,
     build_tensor_coefficients,
@@ -114,11 +118,15 @@ def test_build_rom_artifacts(rom_dir, full_run_dir, tmp_path):
     assert not (rom_dir / "tensors.tpod").exists()
     meta = json.loads((rom_dir / "rom_meta.json").read_text())
     assert meta["k"] == 4 and meta["m"] == 6
+    # the largest cond(P^T V) of the six written operators
+    assert meta["deim_cond_max"] == max(load_deim_operator(rom_dir / f"{t}.deim").cond
+                                        for t in TERM_NAMES) >= 1.0
     code = main(["build-rom", "--snapshots", str(full_run_dir / "snapshots.snap"),
                  "--k", "4", "--mode", "tensorial-pod", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "tensors.tpod").exists()
     assert not (tmp_path / "F11.deim").exists()
+    assert "deim_cond_max" not in json.loads((tmp_path / "rom_meta.json").read_text())
 
 
 @pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
@@ -230,6 +238,26 @@ def test_run_rom_all_modes(rom_dir, full_run_dir, tmp_path, mode, capsys):
     assert len(text) == 4
     stdout = capsys.readouterr().out
     assert "relative error" in stdout and "right-hand sides" in stdout
+
+
+@pytest.mark.parametrize("matrix", ["inf", "singular"])
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_run_rom_bad_newton_matrix_exit_3(rom_dir, tmp_path, capsys, monkeypatch, mode,
+                                          matrix):
+    # the snapshots' dt = 300 s gives dt2 = 150, and 150 * (1/150) is exactly 1,
+    # so J = I/dt2 makes I - dt2*J exactly zero
+    def jacobian(self, z):
+        return (np.full((z.size, z.size), np.inf) if matrix == "inf"
+                else np.eye(z.size) / 150.0)
+
+    monkeypatch.setattr(PackedDirection, "jacobian", jacobian)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run-rom", "--rom", str(rom_dir), "--mode", mode,
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    reason = "not finite" if matrix == "inf" else "singular"
+    assert capsys.readouterr().err.startswith(f"numerical failure: Newton matrix is {reason}")
 
 
 def test_run_rom_truncated_operator_exit_2(rom_dir, tmp_path, capsys):

@@ -487,6 +487,54 @@ def test_non_finite_half_step_raises_nonconvergence(mode):
     assert [str(w.message) for w in caught] == []  # no overflow warnings on stderr
 
 
+@pytest.mark.parametrize("matrix", ["inf", "singular"])
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_bad_newton_matrix_raises_nonconvergence(monkeypatch, mode, matrix):
+    # I - dt2*J not finite, or exactly zero (J = I/dt2), ends the run as a
+    # numerical failure, as the full solver's band LU does, with no warning
+    rng = np.random.default_rng(25)
+    space = make_space(build_grid(9, 7), rng, k=3)
+    tensors, deim_ops = mode_operators(space, mode, rng)
+    cfg = SolverConfig(dt=128.0, nt=2)  # dt2 = 64, so dt2 * (1/dt2) is exactly 1
+    jac = {"inf": np.full((9, 9), np.inf), "singular": np.eye(9) / 64.0}[matrix]
+    monkeypatch.setattr(PackedDirection, "jacobian", lambda self, z: jac.copy())
+    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    message = {"inf": "Newton matrix is not finite", "singular": "Newton matrix is singular"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match=message[matrix]) as err:
+            model.run(random_reduced(space, rng, scale=0.1))
+    assert err.value.timings.steps == 0 and err.value.timings.newton_iters == 0
+
+
+@pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_newton_matrix_build_leaves_directions_unchanged(mode, k):
+    # _factor builds I - dt2*J in place on the array jacobian returns; every
+    # factorization, the refresh at step 6 included, must leave the arrays
+    # the direction evaluates with bit for bit as packed
+    rng = np.random.default_rng(26)
+    space = make_space(build_grid(9, 7), rng, k=k)
+    tensors, deim_ops = mode_operators(space, mode, rng)
+    cfg = SolverConfig(dt=100.0, nt=7, lu_refresh_every=6)
+    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    factored = []
+    factor = model._factor
+
+    def recording_factor(axis, *args):
+        factored.append(axis)
+        return factor(axis, *args)
+
+    model._factor = recording_factor
+    model.run(random_reduced(space, rng, scale=0.1))
+    assert factored.count("x") >= 2 and factored.count("y") >= 2
+    for axis, terms in (("x", X_TERMS), ("y", Y_TERMS)):
+        packed = PackedDirection(terms, space, tensors, mode, deim_ops)
+        for name in ("jac_lin", "lin", "const", "quad"):
+            got, want = getattr(model._directions[axis], name), getattr(packed, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (axis, name)
+
+
 @pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
 def test_one_rhs_per_accepted_iterate(pipeline31, mode):
     # each half-step returns the right-hand side its last residual took at
