@@ -20,7 +20,7 @@ import numpy as np
 from swerom.errors import FileFormatError
 
 MAGIC = {"snapshot": b"SWESNAP1", "basis": b"PODBAS1\0", "operator": b"DEIMOP2\0",
-         "tensor": b"TPODCF1\0"}
+         "tensor": b"TPODCF2\0"}
 
 
 class Writer:
@@ -77,10 +77,11 @@ class Reader:
         return s.unpack(self._read(s.size, what))
 
     def tag(self, what: str, known=None) -> str:
-        """An 8-byte tag; with ``known``, it must be one of those names."""
-        name = self._read(8, what).rstrip(b"\0").decode()
-        self.require(known is None or name in known, "bad {} {!r} in {} file",
-                     what, name, self._kind)
+        """An 8-byte UTF-8 tag; with ``known``, it must be one of those names."""
+        raw = self._read(8, what).rstrip(b"\0")
+        name = raw.decode(errors="replace")
+        self.require(name.encode() == raw and (known is None or name in known),
+                     "bad {} {!r} in {} file", what, name, self._kind)
         return name
 
     def array(self, shape: tuple, what: str, dtype: str = "<f8", order: str = "C",

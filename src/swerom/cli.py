@@ -55,6 +55,7 @@ from swerom.model import (
 from swerom.plots import emit_plot_data
 from swerom.pod import load_basis, save_basis
 from swerom.rom import (
+    MODES,
     ReducedModel,
     ReducedSpace,
     build_tensor_coefficients,
@@ -173,24 +174,24 @@ def cmd_build_rom(args) -> int:
     bases = shared["bases"]
     # everything is built before anything is written, so a failure leaves no file
     artifacts = {f"{var}.pod": (save_basis, bases[var]) for var in VARIABLES}
-    k_shared = max(b.k for b in bases.values())
+    k_max = max(b.k for b in bases.values())
     if deim:
         deim_ops = deim_operators(shared["space"], shared["term_svds"], shared["points"], args.m)
         for term, op in deim_ops.items():
             artifacts[f"{term}.deim"] = (save_deim_operator, op)
-    elif len({b.k for b in bases.values()}) == 1:  # the tensor file holds one shared k
+    else:
         artifacts["tensors.tpod"] = (save_tensors, shared["tensors"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, (save, obj) in artifacts.items():
         save(obj, out / name)
     meta = {"nx": grid.nx, "ny": grid.ny, "L": grid.L, "D": grid.D,
-            "dt": snaps.dt, "nt": snaps.nt, "k": k_shared, "m": args.m,
+            "dt": snaps.dt, "nt": snaps.nt, "k": k_max, "m": args.m,
             "center": not args.no_center, "mode": args.mode}
     if deim:
         meta["deim_cond_max"] = max(op.cond for op in deim_ops.values())
     (out / "rom_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    print(f"wrote reduced artifacts (k={k_shared}) to {out}")
+    print(f"wrote reduced artifacts (k={k_max}) to {out}")
     return 0
 
 
@@ -225,6 +226,9 @@ def cmd_run_rom(args) -> int:
         if isinstance(meta.get(key), bool) or not isinstance(meta.get(key), (int, kind)):
             raise ValueError(f"{meta_path} key {key!r} must be {kind.__name__}, "
                              f"got {meta.get(key)!r}")
+    mode = args.mode or meta.get("mode")
+    if mode not in MODES:
+        raise ValueError(f"{meta_path} key 'mode' must be one of {MODES}, got {mode!r}")
     grid = build_grid(meta["nx"], meta["ny"],
                       PhysicalConstants(L=float(meta["L"]), D=float(meta["D"])))
     ops = build_operators(grid)
@@ -237,7 +241,6 @@ def cmd_run_rom(args) -> int:
             raise ValueError(f"{path} holds a {basis.var} basis of n={basis.n}, not a {var} "
                              f"basis on the {grid.nx}x{grid.ny} grid (n={grid.n})")
     space = ReducedSpace(bases, ops, f)
-    mode = args.mode
     deim_ops = None
     if mode == "pod-deim":
         deim_ops = {}
@@ -250,9 +253,9 @@ def cmd_run_rom(args) -> int:
         tensors_path = romdir / "tensors.tpod"
         if tensors_path.exists():
             tensors = load_tensors(tensors_path)
-            if tensors.k != {var: bases[var].k for var in VARIABLES}:
-                raise ValueError(f"{tensors_path} holds k={tensors.k['u']}, the bases k="
-                                 + "/".join(str(bases[var].k) for var in VARIABLES))
+            if tensors.k != {var: b.k for var, b in bases.items()}:
+                raise ValueError(f"{tensors_path} holds k={'/'.join(map(str, tensors.k.values()))}"
+                                 f", the bases k={'/'.join(str(b.k) for b in bases.values())}")
         else:
             tensors = build_tensor_coefficients(space)
     nt = args.nt if args.nt is not None else int(meta["nt"])
@@ -391,16 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--m", type=int)
-    p.add_argument("--mode", default="tensorial-pod",
-                   choices=["standard-pod", "tensorial-pod", "pod-deim"])
+    p.add_argument("--mode", default="tensorial-pod", choices=MODES)
     p.add_argument("--no-center", action="store_true")
     p.add_argument("--out", default="rom_out")
     p.set_defaults(func=cmd_build_rom)
 
     p = sub.add_parser("run-rom", help="integrate a reduced model from artifacts")
     p.add_argument("--rom", required=True, help="directory from build-rom")
-    p.add_argument("--mode", default="tensorial-pod",
-                   choices=["standard-pod", "tensorial-pod", "pod-deim"])
+    p.add_argument("--mode", choices=MODES, help="default: the mode in rom_meta.json")
     p.add_argument("--nt", type=int)
     p.add_argument("--snapshots", help="full snapshots for error metrics")
     _add_solver_flags(p)

@@ -31,6 +31,7 @@ __all__ = [
     "geostrophic_wind",
     "geopotential_from_height",
     "initial_state",
+    "direction_terms",
     "all_nonlinear",
     "boundary_row_indices",
     "cfl_indicator",
@@ -121,10 +122,15 @@ class DifferenceOperators:
     ``Ay``: central differences on interior rows, first-order one-sided
     differences on the y = 0 and y = D rows. Every row annihilates
     constants, consistent with the zero-gradient closure for u and phi.
+
+    ``Ax3`` and ``Ay3`` apply them, block diagonally, to the flattened
+    3-by-n stack of u, v and phi: one sparse product for all three.
     """
 
     Ax: sp.csr_matrix
     Ay: sp.csr_matrix
+    Ax3: sp.csr_matrix
+    Ay3: sp.csr_matrix
 
 
 def _stencil_x(nx: int, dx: float) -> sp.csr_matrix:
@@ -161,7 +167,8 @@ def build_operators(grid: Grid) -> DifferenceOperators:
     Ty = _stencil_y(grid.ny, grid.dy)
     Ax = sp.kron(sp.identity(grid.ny, format="csr"), Tx, format="csr")
     Ay = sp.kron(Ty, sp.identity(grid.nx, format="csr"), format="csr")
-    return DifferenceOperators(Ax=Ax, Ay=Ay)
+    return DifferenceOperators(Ax=Ax, Ay=Ay, Ax3=sp.block_diag([Ax] * 3, format="csr"),
+                               Ay3=sp.block_diag([Ay] * 3, format="csr"))
 
 
 def boundary_row_indices(grid: Grid) -> np.ndarray:
@@ -257,22 +264,36 @@ TERMS: dict[str, tuple[tuple[float, str, str, str], ...]] = {
 
 TERM_NAMES = tuple(TERMS)
 TERM_EQUATION = {"F11": "u", "F12": "u", "F21": "v", "F22": "v", "F31": "phi", "F32": "phi"}
+# each direction has one term per equation, in ``VARIABLES`` order
 X_TERMS = ("F11", "F21", "F31")
 Y_TERMS = ("F12", "F22", "F32")
 
 
-def all_nonlinear(state: FieldState, ops: DifferenceOperators) -> dict[str, np.ndarray]:
-    """Every nonlinear term F11..F32 on the full state, from one derivative
-    per (axis, variable); each product is coef * a * (A_axis b), summed in
-    ``TERMS`` order."""
-    deriv = {(axis, var): A @ state[var]
-             for axis, A in (("x", ops.Ax), ("y", ops.Ay)) for var in VARIABLES}
-    out = {}
-    for name in TERM_NAMES:
-        out[name] = acc = np.zeros(state.n)
-        for coef, avar, bvar, axis in TERMS[name]:
-            acc += coef * state[avar] * deriv[axis, bvar]
+def direction_terms(fields: np.ndarray, A: sp.csr_matrix, terms: tuple[str, ...]) -> np.ndarray:
+    """The terms of one ADI direction, one row each in ``terms`` order, on
+    u, v and phi stacked as the rows of a C-ordered 3-by-n array, which ``A``
+    (``DifferenceOperators.Ax3`` or ``Ay3``) differentiates. Each row sums the
+    term's products (coef * a) * (A b) in ``TERMS`` order, in place and
+    started from zero, so no row holds -0; each scaled field is made once."""
+    factor = {(1.0, var): row for var, row in zip(VARIABLES, fields)}  # coef * a
+    deriv = dict(zip(VARIABLES, (A @ fields.reshape(-1)).reshape(fields.shape)))
+    out = np.empty((len(terms), fields.shape[1]))
+    tmp = np.empty(fields.shape[1])
+    for acc, name in zip(out, terms):
+        total = 0.0
+        for coef, avar, bvar, _ in TERMS[name]:
+            if (coef, avar) not in factor:
+                factor[coef, avar] = coef * factor[1.0, avar]
+            total = np.add(total, np.multiply(factor[coef, avar], deriv[bvar], out=tmp), out=acc)
     return out
+
+
+def all_nonlinear(state: FieldState, ops: DifferenceOperators) -> dict[str, np.ndarray]:
+    """Every nonlinear term F11..F32 on the full state, by direction."""
+    fields = np.stack([state[var] for var in VARIABLES])
+    rows = dict(zip(X_TERMS, direction_terms(fields, ops.Ax3, X_TERMS)))
+    rows.update(zip(Y_TERMS, direction_terms(fields, ops.Ay3, Y_TERMS)))
+    return {name: rows[name] for name in TERM_NAMES}
 
 
 def cfl_indicator(state: FieldState, grid: Grid, dt: float) -> float:

@@ -4,9 +4,9 @@ A :class:`ReducedSpace` bundles per-variable bases with the difference
 operators and precomputes every projected array the reduced model needs.
 The nonlinear right-hand side can then be evaluated three ways:
 
-* plain lift-evaluate-project: one lift of each variable and of its
-  derivative, the latter by the sparse difference operator applied to the
-  lifted field (cost grows with the full dimension n),
+* plain lift-evaluate-project: the full model's own evaluation
+  (:func:`swerom.model.direction_terms`) on the lifted state, projected
+  back per equation (cost grows with the full dimension n),
 * contraction against precomputed coefficient tensors (cost depends only
   on the basis sizes; both builds share the GEMM routine
   :func:`trilinear_sum`, with P = U^T over all n rows here and the DEIM
@@ -34,10 +34,10 @@ also generates linear and constant reduced pieces; they are precomputed
 alongside the quadratic tensors.
 
 Tensor coefficient file layout (little-endian): header
-``{magic b"TPODCF1\\0", k, p, term count}`` followed by the Coriolis blocks
-and, per term, the tag, product count, and each product's variable tags,
-scale factor, and dense float64 arrays (quadratic tensor, two linear
-matrices, constant vector).
+``{magic b"TPODCF2\\0", k_u, k_v, k_phi, p, term count}`` followed by the
+Coriolis blocks and, per term, the tag, product count, and each product's
+variable tags, scale factor, and dense float64 arrays (quadratic tensor, two
+linear matrices, constant vector), sized by the basis sizes they couple.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from swerom.model import (
     VARIABLES,
     X_TERMS,
     Y_TERMS,
+    direction_terms,
 )
 from swerom.pod import PodBasis
 from swerom.solver import AdiNewton, SolverConfig
@@ -307,29 +308,19 @@ def _sampled_products(terms, deim_ops, sl, K):
 
 
 def _lift_project(terms, space, sl, K):
-    """One lift of each variable and of its derivative: U @ x + xbar, then
-    the direction's sparse difference operator applied to the lifted field.
-    Each equation's products are summed in place over all n rows and
-    projected with U^T, which reads the arrays the lift just read."""
-    A = space.ops.Ax if TERMS[terms[0]][0][3] == "x" else space.ops.Ay
+    """Lift each variable (U @ x + xbar) into a 3-by-n stack, evaluate the
+    direction's terms on it by :func:`~swerom.model.direction_terms` and
+    project each with its equation's U^T."""
+    A = space.ops.Ax3 if TERMS[terms[0]][0][3] == "x" else space.ops.Ay3
     lifts = [(sl(var), space.bases[var].U, space.bases[var].xbar) for var in VARIABLES]
-    equations = [(sl(eq), space.bases[eq].U.T,
-                  [(coef, VARIABLES.index(avar), VARIABLES.index(bvar))
-                   for t in terms if TERM_EQUATION[t] == eq
-                   for coef, avar, bvar, _ in TERMS[t]]) for eq in VARIABLES]
 
     def quadratic(z):
-        a = [U @ z[s] + xbar for s, U, xbar in lifts]
-        bx = [A @ field for field in a]
+        fields = np.empty((3, space.n))
+        for (s, U, xbar), row in zip(lifts, fields):
+            np.add(np.matmul(U, z[s], out=row), xbar, out=row)
         out = np.empty(K)
-        for s, Wt, prods in equations:
-            acc = None
-            for coef, i, j in prods:
-                prod = a[i] * bx[j]
-                if coef != 1.0:
-                    prod *= coef
-                acc = prod if acc is None else np.add(acc, prod, out=acc)
-            out[s] = Wt @ acc
+        for (s, U, _), term in zip(lifts, direction_terms(fields, A, terms)):
+            out[s] = U.T @ term
         return out
     return quadratic
 
@@ -540,12 +531,8 @@ class ReducedModel(AdiNewton):
 # --- tensor coefficient file -----------------------------------------------------
 
 def save_tensors(tensors: TensorCoefficients, path) -> None:
-    ks = set(tensors.k.values())
-    if len(ks) != 1:
-        raise ValueError("only homogeneous basis sizes can be serialized")
-    k = ks.pop()
     with binfile.writing(path, "tensor") as w:
-        w.fields("qqq", k, 2, len(tensors.terms))
+        w.fields("qqqqq", *(tensors.k[var] for var in VARIABLES), 2, len(tensors.terms))
         for arr in (tensors.coriolis_uv, tensors.coriolis_vu,
                     tensors.coriolis_u0, tensors.coriolis_v0):
             w.array(arr)
@@ -563,13 +550,14 @@ def save_tensors(tensors: TensorCoefficients, path) -> None:
 
 def load_tensors(path) -> TensorCoefficients:
     with binfile.reading(path, "tensor") as r:
-        k, p, n_terms = r.fields("qqq", "header")
+        *sizes, p, n_terms = r.fields("qqqqq", "header")
         r.require(p == 2, "unsupported tensor degree {}", p)
         r.require(n_terms == len(TERM_NAMES), "tensor file holds {} terms", n_terms)
-        cor_uv = r.array((k, k), "coriolis")
-        cor_vu = r.array((k, k), "coriolis")
-        cor_u0 = r.array((k,), "coriolis")
-        cor_v0 = r.array((k,), "coriolis")
+        k = dict(zip(VARIABLES, sizes))
+        cor_uv = r.array((k["u"], k["v"]), "coriolis")
+        cor_vu = r.array((k["v"], k["u"]), "coriolis")
+        cor_u0 = r.array((k["u"],), "coriolis")
+        cor_v0 = r.array((k["v"],), "coriolis")
         terms = {}
         for name in TERM_NAMES:  # terms and products in the order save_tensors writes
             r.tag("term tag", (name,))
@@ -580,12 +568,12 @@ def load_tensors(path) -> TensorCoefficients:
                 r.tag("variable tag", (a_var,))
                 r.tag("variable tag", (b_var,))
                 (coef,) = r.fields("d", "scale factor")
+                ke, ka, kb = k[TERM_EQUATION[name]], k[a_var], k[b_var]
                 products.append(ProductTensors(
-                    a_var=a_var, b_var=b_var, coef=coef, quad=r.array((k, k, k), "quad"),
-                    lin_a=r.array((k, k), "lin_a"), lin_b=r.array((k, k), "lin_b"),
-                    const=r.array((k,), "const")))
+                    a_var=a_var, b_var=b_var, coef=coef, quad=r.array((ke, ka, kb), "quad"),
+                    lin_a=r.array((ke, ka), "lin_a"), lin_b=r.array((ke, kb), "lin_b"),
+                    const=r.array((ke,), "const")))
             terms[name] = TermTensors(term=name, products=products)
-        # no r.end(): perfbench's reload test expects a padded file to load (ROADMAP dir. 4)
+        # no r.end(): perfbench's reload test expects a padded file to load [snapshots-v2]
     return TensorCoefficients(terms=terms, coriolis_uv=cor_uv, coriolis_vu=cor_vu,
-                              coriolis_u0=cor_u0, coriolis_v0=cor_v0,
-                              k={var: k for var in VARIABLES})
+                              coriolis_u0=cor_u0, coriolis_v0=cor_v0, k=k)

@@ -13,11 +13,13 @@ where the Newton matrix is assembled and LU-factorized only every
 ``lu_refresh_every`` steps and reused (stale) in between. That loop,
 :class:`AdiNewton`, also steps the reduced model (:mod:`swerom.rom`) and
 packs the states of both; each model supplies only its block sizes, its
-right-hand side and its factorization. A half-step hands its accepted
-right-hand side on: the x half-step's is the y half-step's explicit part,
-and the y half-step's starts the next step when that step begins from the
-bit-identical state, so a run evaluates one explicit right-hand side, at
-its first step, besides one per residual.
+right-hand side (the full model's is 0 minus
+:func:`swerom.model.direction_terms` plus half the Coriolis term) and its
+factorization. A half-step hands its accepted right-hand side on: the x
+half-step's is the y half-step's explicit part, and the y half-step's
+starts the next step when that step begins from the bit-identical state,
+so a run evaluates one explicit right-hand side, at its first step,
+besides one per residual.
 
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
@@ -53,6 +55,7 @@ from swerom.model import (
     all_nonlinear,
     boundary_row_indices,
     cfl_indicator,
+    direction_terms,
 )
 from swerom.snapshots import SnapshotSet
 
@@ -132,7 +135,7 @@ class _BandedNewton:
         self.order = np.empty_like(self.band)  # the inverse permutation
         self.order[self.band] = np.arange(3 * n)
         # every product of a direction's terms differentiates along its axis
-        self.A = ops.Ax if axis == "x" else ops.Ay
+        self.A, self.A3 = (ops.Ax, ops.Ax3) if axis == "x" else (ops.Ay, ops.Ay3)
         coo = self.A.tocoo()
         self._row, self._data = coo.row, coo.data
         self._products = []
@@ -143,8 +146,6 @@ class _BandedNewton:
                 rows += [eq + nodes, eq + coo.row]
                 cols += [_VAR_SLOT[avar] * n + nodes, _VAR_SLOT[bvar] * n + coo.col]
                 self._products.append((coef, avar, bvar))
-        # (coef, a variable) of the products with coef != 1: _rhs scales each field once
-        self.scaled = sorted({(coef, avar) for coef, avar, _ in self._products if coef != 1.0})
         # trapezoidal Coriolis: each half-step carries half of it implicitly
         rows += [nodes, n + nodes]
         cols += [n + nodes, nodes]
@@ -360,32 +361,18 @@ class FullSolver(AdiNewton):
 
     def _rhs(self, axis: str, w: np.ndarray, timings: PhaseTimings) -> np.ndarray:
         """The direction's F-terms' part of (u', v', phi') plus half the
-        Coriolis term, packed.
-
-        Each product is (coef * a) * (A b), subtracted in ``TERMS`` order from
-        zero, with the Coriolis half added last: the operations of the plain
-        expression, in place in one scratch vector.
-        """
+        Coriolis term, packed: 0 - :func:`~swerom.model.direction_terms`,
+        with the Coriolis half added last."""
         t0 = time.perf_counter()
-        n = self.n
-        fields = self._fields(w)
         band = self._bands[axis]
-        deriv = {var: band.A @ fields[var] for var in _VAR_SLOT}
-        scaled = {(coef, avar): coef * fields[avar] for coef, avar in band.scaled}
-        out = np.zeros(3 * n)
-        tmp = np.empty(n)
-        for name in band.terms:
-            slot = _VAR_SLOT[TERM_EQUATION[name]]
-            acc = out[slot * n:(slot + 1) * n]
-            for coef, avar, bvar, _ in TERMS[name]:
-                a = fields[avar] if coef == 1.0 else scaled[coef, avar]
-                np.subtract(acc, np.multiply(a, deriv[bvar], out=tmp), out=acc)
-        du, dv = out[:n], out[n:2 * n]
-        np.add(du, np.multiply(self._half_f, fields["v"], out=tmp), out=du)
-        np.subtract(dv, np.multiply(self._half_f, fields["u"], out=tmp), out=dv)
+        fields = w.reshape(3, self.n)
+        out = direction_terms(fields, band.A3, band.terms)
+        np.subtract(0.0, out, out=out)
+        out[0] += self._half_f * fields[1]
+        out[1] -= self._half_f * fields[0]
         timings.assembly_s += time.perf_counter() - t0
         timings.rhs_evals += 1
-        return out
+        return out.reshape(-1)
 
     def _factor(self, axis: str, w: np.ndarray, dt2: float, timings: PhaseTimings):
         """Assemble and LU-factorize I - dt2*J at ``w``; returns the solve."""

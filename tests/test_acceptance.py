@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from swerom.model import (
     TERM_EQUATION,
     TERM_NAMES,
     VARIABLES,
+    X_TERMS,
+    Y_TERMS,
     boundary_row_indices,
     build_grid,
     build_operators,
@@ -34,6 +37,7 @@ from swerom.model import (
 )
 from swerom.pod import build_state_bases, center_snapshots, energy_index, numerical_rank
 from swerom.rom import (
+    PackedDirection,
     ReducedModel,
     ReducedSpace,
     build_tensor_coefficients,
@@ -190,8 +194,14 @@ def test_criterion_6_energy_capture_and_rom_accuracy(pipeline31):
             detail)
 
 
-def _scaling_phases(grid, rng, k=20, m=20):
-    """The four timed phases of criterion 7 on one grid, as callables."""
+def _scaling_phases(grid, rng, copies, k=20, m=20):
+    """The four timed phases of criterion 7 on one grid, as one dict of
+    callables per copy: lift-project (the reference evaluator of the six
+    terms), the two directions' right-hand sides by tensor contraction as
+    the reduced model evaluates them (``PackedDirection.rhs``), and the
+    full-sum and sampled tensor builds, which only the first copy holds.
+    Each copy evaluates on its own copies of the bases and the reduced
+    state, and on its own packed directions."""
     space = make_space(grid, rng, k=k, centered=False)
     tensors = build_tensor_coefficients(space)
     xt = random_reduced(space, rng)
@@ -199,12 +209,22 @@ def _scaling_phases(grid, rng, k=20, m=20):
     for term in TERM_NAMES:
         V = orthonormal_basis(grid.n, m, rng)
         ops_by_term[term] = build_deim_term_operator(space, term, V, deim_select_points(V))
-    return {
-        "std": lambda: [standard_pod_nonlinear(t, xt, space) for t in TERM_NAMES],
-        "tns": lambda: [tensorial_nonlinear(t, xt, tensors) for t in TERM_NAMES],
-        "build_full": lambda: build_tensor_coefficients(space),
-        "build_sampled": lambda: deim_tensor_coefficients(ops_by_term, space),
-    }
+    phases = []
+    for _ in range(copies):
+        bases = {var: replace(b, U=b.U.copy(), xbar=b.xbar.copy())
+                 for var, b in space.bases.items()}
+        own = ReducedSpace(bases, space.ops, space.f)
+        x = FieldState(u=xt.u.copy(), v=xt.v.copy(), phi=xt.phi.copy())
+        z = np.concatenate([x[var] for var in VARIABLES])
+        tns = [PackedDirection(terms, own, tensors, "tensorial-pod", None)
+               for terms in (X_TERMS, Y_TERMS)]
+        phases.append({
+            "std": lambda own=own, x=x: [standard_pod_nonlinear(t, x, own) for t in TERM_NAMES],
+            "tns": lambda tns=tns, z=z: [d.rhs(z) for d in tns],
+        })
+    phases[0]["build_full"] = lambda: build_tensor_coefficients(space)
+    phases[0]["build_sampled"] = lambda: deim_tensor_coefficients(ops_by_term, space)
+    return phases
 
 
 def _calls_per_block(fn, min_block_s):
@@ -218,30 +238,42 @@ def _calls_per_block(fn, min_block_s):
         number *= 2
 
 
-def scaling_timings(rounds=10, min_block_s=0.005):
-    """Fastest single call of each phase at each grid size.
+def scaling_timings(rounds=10, min_block_s=0.005, copies=5, build_rounds=3):
+    """Each phase's time at each grid size: the median over the size's
+    copies of the fastest single call of each.
 
     Each phase runs in blocks of consecutive calls lasting at least
-    min_block_s, one block per size in turn, for the given number of
-    rounds. On a shared host the speed can switch between a fast and a
-    slow state within milliseconds, so a block's mean mixes the two states
-    in varying shares; the fastest call is what every size reaches alike.
-    Meant to run in a process with one BLAS thread.
+    min_block_s, one block per copy and size in turn, for the given number
+    of rounds; the builds, whose ratios have a wide margin, in the first
+    build_rounds only. On a shared host the speed can switch between a fast
+    and a slow state within milliseconds, so a block's mean mixes the two
+    states in varying shares; the fastest call is what every size reaches
+    alike. A call's speed can also depend on where its arrays sit: one copy
+    can stay 1.3 times slower or more through every round while another,
+    at other addresses, does not. The median over copies keeps one such
+    copy from setting a size's time. Meant to run in a process with one BLAS
+    thread.
     """
     rng = np.random.default_rng(103)
     grids = [build_grid(nx, ny) for nx, ny in [(31, 23), (61, 45), (101, 71)]]
-    phases = [_scaling_phases(grid, rng) for grid in grids]
-    numbers = [{name: _calls_per_block(fn, min_block_s) for name, fn in ph.items()}
+    phases = [_scaling_phases(grid, rng, copies) for grid in grids]
+    numbers = [{name: _calls_per_block(fn, min_block_s) for name, fn in ph[0].items()}
                for ph in phases]
-    best = [dict.fromkeys(ph, np.inf) for ph in phases]
-    for _ in range(rounds):
-        for name in phases[0]:
-            for ph, number, b in zip(phases, numbers, best):
-                for _ in range(number[name]):
-                    t0 = time.perf_counter()
-                    ph[name]()
-                    b[name] = min(b[name], time.perf_counter() - t0)
-    return {"n": [grid.n for grid in grids], "best": best}
+    best = [[dict.fromkeys(copy, np.inf) for copy in ph] for ph in phases]
+    builds = ("build_full", "build_sampled")
+    for r in range(rounds):
+        for name in phases[0][0]:
+            if name in builds and r >= build_rounds:
+                continue
+            for c in range(1 if name in builds else copies):
+                for ph, number, b in zip(phases, numbers, best):
+                    for _ in range(number[name]):
+                        t0 = time.perf_counter()
+                        ph[c][name]()
+                        b[c][name] = min(b[c][name], time.perf_counter() - t0)
+    return {"n": [grid.n for grid in grids],
+            "best": [{name: float(np.median([bc[name] for bc in b if name in bc]))
+                      for name in b[0]} for b in best]}
 
 
 def test_criterion_7_scaling_trends():

@@ -26,12 +26,13 @@ from swerom.model import (
     coriolis_field,
     initial_state,
 )
-from swerom.pod import build_state_bases, save_basis
+from swerom.pod import build_state_bases, load_basis, save_basis
 from swerom.rom import (
     PackedDirection,
     ReducedModel,
     ReducedSpace,
     build_tensor_coefficients,
+    load_tensors,
     project_initial,
     save_tensors,
 )
@@ -307,6 +308,71 @@ def test_run_rom_old_operator_magic_exit_2(rom_dir, tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
+def tpod_dir(full_run_dir, tmp_path_factory):
+    """Tensorial-POD artifacts at --k 50: the 8 snapshots give ranks 7/7/8."""
+    out = tmp_path_factory.mktemp("tpod")
+    assert main(["build-rom", "--snapshots", str(full_run_dir / "snapshots.snap"),
+                 "--k", "50", "--out", str(out)]) == 0
+    return out
+
+
+def test_tensor_file_holds_per_variable_basis_sizes(tpod_dir, full_run_dir, tmp_path):
+    ks = {var: load_basis(tpod_dir / f"{var}.pod").k for var in VARIABLES}
+    assert len(set(ks.values())) > 1
+    assert load_tensors(tpod_dir / "tensors.tpod").k == ks
+    # the tensors run-rom loads give the bits of those it builds without the file
+    romdir = tmp_path / "rom"
+    shutil.copytree(tpod_dir, romdir)
+    snap = str(full_run_dir / "snapshots.snap")
+    written = {}
+    for source in ("file", "memory"):
+        if source == "memory":
+            (romdir / "tensors.tpod").unlink()
+        for mode in ("tensorial-pod", "standard-pod"):
+            out = tmp_path / source / mode
+            assert main(["run-rom", "--rom", str(romdir), "--mode", mode,
+                         "--snapshots", snap, "--out", str(out)]) == 0
+            written[source, mode] = [(out / name).read_bytes()
+                                     for name in ("rom_trajectory.snap", "metrics.csv")]
+    for mode in ("tensorial-pod", "standard-pod"):
+        assert written["file", mode] == written["memory", mode]
+
+
+def test_run_rom_old_tensor_magic_exit_2(tpod_dir, tmp_path, capsys):
+    # a TPODCF1 file (one shared k) is refused, not misread
+    romdir = tmp_path / "rom"
+    shutil.copytree(tpod_dir, romdir)
+    data = (romdir / "tensors.tpod").read_bytes()
+    (romdir / "tensors.tpod").write_bytes(b"TPODCF1\0" + data[8:])
+    assert main(["run-rom", "--rom", str(romdir), "--out", str(tmp_path / "o")]) == 2
+    assert "bad tensor magic" in capsys.readouterr().err
+
+
+def test_run_rom_mode_defaults_to_meta(rom_dir, full_run_dir, tmp_path):
+    snap = str(full_run_dir / "snapshots.snap")
+    written = []
+    for flags in ([], ["--mode", "pod-deim"]):
+        out = tmp_path / str(len(flags))
+        assert main(["run-rom", "--rom", str(rom_dir), *flags, "--snapshots", snap,
+                     "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("mode", ["pod", None, ["pod-deim"]])
+def test_run_rom_bad_meta_mode_exit_2(rom_dir, tmp_path, capsys, mode):
+    romdir = tmp_path / "rom"
+    shutil.copytree(rom_dir, romdir)
+    meta = json.loads((romdir / "rom_meta.json").read_text())
+    meta["mode"] = mode
+    (romdir / "rom_meta.json").write_text(json.dumps(meta))
+    assert main(["run-rom", "--rom", str(romdir), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {romdir / 'rom_meta.json'} key 'mode'")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
 def foreign_dir(full_run_dir, rom_dir, tmp_path_factory):
     """Artifacts that do not fit rom_dir: k=3 ones from the same snapshots
     (k3/), k=4 ones from a 9x7 run (n63/, whose snapshots are in full63/)
@@ -330,7 +396,7 @@ def foreign_dir(full_run_dir, rom_dir, tmp_path_factory):
     ("n63", "F11.deim", "it samples n=63 nodes, the grid has n=99"),
     ("k3", "F21.deim", "E has 3 rows, the v basis k=4"),
     ("swapped", "F11.deim", "it holds F12"),
-    ("k3", "tensors.tpod", "holds k=3, the bases k=4/4/4"),
+    ("k3", "tensors.tpod", "holds k=3/3/3, the bases k=4/4/4"),
     ("n63", "v.pod", "holds a v basis of n=63, not a v basis on the 11x9 grid (n=99)"),
 ], ids=["deim-n", "deim-k", "deim-term", "tpod-k", "basis-n"])
 def test_run_rom_artifact_that_does_not_fit_exit_2(rom_dir, foreign_dir, tmp_path, capsys,

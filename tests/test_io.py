@@ -126,9 +126,10 @@ LOADERS = {"s.snap": load_snapshots, "b.pod": load_basis,
 SAVERS = {"s.snap": save_snapshots, "b.pod": save_basis,
           "op.deim": save_deim_operator, "t.tpod": save_tensors}
 # offsets of the 8-byte header fields after the magic: snap nx, ny, nt, n, dt,
-# flags, L, D; pod n, k, nsigma, tag; deim n, m, k, tag; tpod k, degree, terms
+# flags, L, D; pod n, k, nsigma, tag; deim n, m, k, tag; tpod k_u, k_v, k_phi,
+# degree, terms
 HEADER_FIELDS = {"s.snap": range(8, 72, 8), "b.pod": range(8, 40, 8),
-                 "op.deim": range(8, 40, 8), "t.tpod": range(8, 32, 8)}
+                 "op.deim": range(8, 40, 8), "t.tpod": range(8, 48, 8)}
 
 
 def write_every_format(tmp_path, rng):
@@ -175,18 +176,23 @@ HUGE = 2 ** 40
     ("op.deim", 16, "<q", HUGE, FileFormatError),           # m
     ("op.deim", 16, "<q", 5, FileFormatError),              # m: later counts shift
     ("op.deim", 24, "<q", HUGE, FileFormatError),           # k
-    ("t.tpod", 8, "<q", 2 ** 21, FileFormatError),          # k: k**3 wraps in int64
+    ("t.tpod", 8, "<q", 2 ** 21, FileFormatError),          # k_u: k**3 wraps in int64
     ("t.tpod", 8, "<q", -2, FileFormatError),
+    ("t.tpod", 16, "<q", HUGE, FileFormatError),            # k_v
+    ("t.tpod", 24, "<q", -1, FileFormatError),              # k_phi: the arrays shift
+    ("t.tpod", 24, "<q", 0, FileFormatError),
+    ("t.tpod", 24, "<q", 1, FileFormatError),
+    ("t.tpod", 32, "<q", 3, FileFormatError),               # degree
     ("s.snap", 48, "<q", 7, FileFormatError),               # flags: unknown bit 2
     ("s.snap", 40, "<d", float("nan"), FileFormatError),    # dt
     ("s.snap", 40, "<d", float("inf"), FileFormatError),
     ("s.snap", 40, "<d", 0.0, FileFormatError),
     ("s.snap", 40, "<d", -5.0, FileFormatError),
-    ("t.tpod", 24, "<q", 0, FileFormatError),               # term count
-    ("t.tpod", 24, "<q", 1, FileFormatError),
-    ("t.tpod", 24, "<q", -1, FileFormatError),
+    ("t.tpod", 40, "<q", 0, FileFormatError),               # term count
+    ("t.tpod", 40, "<q", 1, FileFormatError),
+    ("t.tpod", 40, "<q", -1, FileFormatError),
     ("op.deim", 32, "<8s", b"u", FileFormatError),          # term tag
-    ("t.tpod", 128, "<8s", b"F12", FileFormatError),        # first term tag, out of order
+    ("t.tpod", 144, "<8s", b"F12", FileFormatError),        # first term tag, out of order
 ])
 def test_malformed_header_rejected_before_reading(tmp_path, name, offset, code, value,
                                                   error):

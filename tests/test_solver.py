@@ -8,6 +8,8 @@ from swerom.errors import NonConvergenceError
 from swerom.model import (
     TERMS,
     VARIABLES,
+    X_TERMS,
+    Y_TERMS,
     FieldState,
     all_nonlinear,
     boundary_row_indices,
@@ -382,6 +384,43 @@ def test_run_full_records_each_stepped_state_and_its_terms(setup):
     for name, got in {**snaps.states, **snaps.nonlinear}.items():
         assert got.shape == (grid.n, cfg.nt) and got.flags.c_contiguous
         assert np.array_equal(got, want[name])
+
+
+def test_rhs_is_zero_minus_recorded_terms_plus_half_coriolis(setup):
+    # the solver and the snapshot recorder evaluate the terms in one function:
+    # bit for bit, a direction's right-hand side is 0 - its recorded terms plus
+    # half the Coriolis term, and no recorded term holds -0
+    grid, ops, f = setup
+    rng = np.random.default_rng(21)
+    v = rng.standard_normal(grid.n)
+    v[boundary_row_indices(grid)] = 0.0
+    random = FieldState(u=rng.standard_normal(grid.n), v=v,
+                        phi=282.0 + rng.standard_normal(grid.n))
+    cfg = SolverConfig(dt=960.0, nt=6)
+    stepped, snaps, _ = run_full(initial_state(grid, ops), cfg, ops, f, grid)
+    # at rest every term is +0, which a plain negation would turn into -0
+    rest = FieldState(u=np.zeros(grid.n), v=np.zeros(grid.n), phi=np.full(grid.n, 282.0))
+    solver = FullSolver(grid, ops, f, cfg)
+    for state in (random, stepped, rest):
+        terms = all_nonlinear(state, ops)
+        w = np.concatenate([state.u, state.v, state.phi])
+        for axis, names in (("x", X_TERMS), ("y", Y_TERMS)):
+            du, dv, dphi = (0.0 - terms[name] for name in names)
+            du += 0.5 * f * state.v
+            dv -= 0.5 * f * state.u
+            want = np.concatenate([du, dv, dphi])
+            assert solver._rhs(axis, w, PhaseTimings()).tobytes() == want.tobytes()
+    for state in (random, stepped):
+        # the bare wall-row products u * v_x and v * u_y do hold -0
+        terms = all_nonlinear(state, ops)
+        for a, b, name in ((state.u, ops.Ax @ state.v, "F21"),
+                           (state.v, ops.Ay @ state.u, "F12")):
+            assert np.any(np.signbit(a * b) & (a * b == 0.0))
+            assert not np.any(np.signbit(terms[name]) & (terms[name] == 0.0))
+    for name in ("F21", "F12"):
+        recorded = snaps.nonlinear[name]
+        assert not np.any(np.signbit(recorded) & (recorded == 0.0))
+        assert recorded[:, -1].tobytes() == all_nonlinear(stepped, ops)[name].tobytes()
 
 
 def test_full_and_reduced_models_share_one_newton_loop():
