@@ -199,7 +199,9 @@ def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
 
     Contracting these against xt reproduces the sampled evaluation exactly;
     they are cheaper to build than the full-sum tensors whenever m << n and
-    serve as the Newton matrices of the sampled reduced model.
+    serve as the Newton matrices of the sampled reduced model. Their packed
+    directions also hold ``ops``' sampled products, which that model's
+    right-hand side evaluates.
     """
     terms = {}
     for name in TERM_NAMES:
@@ -212,7 +214,7 @@ def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
         terms=terms,
         coriolis_uv=space.coriolis_uv, coriolis_vu=space.coriolis_vu,
         coriolis_u0=space.coriolis_u0, coriolis_v0=space.coriolis_v0,
-        k={var: space.k(var) for var in ("u", "v", "phi")})
+        k={var: space.k(var) for var in ("u", "v", "phi")}, deim_ops=ops)
 
 
 # --- operator file ---------------------------------------------------------------

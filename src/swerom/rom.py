@@ -27,7 +27,11 @@ The per-term functions (:func:`standard_pod_nonlinear`,
 evaluation. The stepper runs on :class:`PackedDirection` instead: each ADI
 direction's three terms and its Coriolis half packed over the stacked
 reduced vector, so a right-hand side or a Jacobian is a few batched calls
-rather than one Python call per term and product.
+rather than one Python call per term and product. The directions are packed
+once, off-line, when a :class:`TensorCoefficients` is built (by
+:func:`build_tensor_coefficients`, :func:`load_tensors` or
+:func:`swerom.deim.deim_tensor_coefficients`); every on-line run on those
+tensors shares them and only steps.
 
 With centering enabled the lift is xbar + U*xt, so each quadratic product
 also generates linear and constant reduced pieces; they are precomputed
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -166,7 +170,14 @@ class TermTensors:
 
 @dataclass
 class TensorCoefficients:
-    """Everything the tensorial evaluator and reduced Jacobians need."""
+    """Everything the tensorial evaluator and reduced Jacobians need.
+
+    Construction packs the two ADI directions once (``directions``, axis ->
+    :class:`PackedDirection`), off-line, so an on-line run only steps.
+    ``deim_ops``, the per-term sampled operators, is given only by
+    :func:`swerom.deim.deim_tensor_coefficients`; the directions then also
+    pack the sampled products that POD/DEIM evaluates.
+    """
 
     terms: dict[str, TermTensors]
     coriolis_uv: np.ndarray
@@ -174,6 +185,12 @@ class TensorCoefficients:
     coriolis_u0: np.ndarray
     coriolis_v0: np.ndarray
     k: dict[str, int]
+    deim_ops: InitVar[dict | None] = None
+    directions: dict[str, PackedDirection] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, deim_ops):
+        self.directions = {axis: PackedDirection(terms, self, deim_ops)
+                           for axis, terms in (("x", X_TERMS), ("y", Y_TERMS))}
 
 
 def trilinear_sum(P, Ua, Ubx, symmetric: bool = False) -> np.ndarray:
@@ -285,9 +302,10 @@ def _contraction(quad, ga, gb, rows, K):
     return quadratic
 
 
-def _sampled_products(terms, deim_ops, sl, K):
-    """c ⊙ (A z + a0) ⊙ (B z + b0) over every product's m sample rows, then
-    one stacked oblique projector with the coefficients c folded in."""
+def _pack_sampled(terms, deim_ops, sl, K):
+    """Every product's m sample rows stacked: the rows of A and B over z and
+    their means a0 and b0 as AB and ab0, and the oblique projectors, with
+    the coefficients c folded in, as one E."""
     products = [(TERM_EQUATION[t], deim_ops[t].E, p) for t in terms
                 for p in deim_ops[t].products]
     m = products[0][1].shape[1]
@@ -297,9 +315,16 @@ def _sampled_products(terms, deim_ops, sl, K):
     E = np.zeros((K, Pm))
     for j, (eq, Et, p) in enumerate(products):
         a, b = slice(j * m, (j + 1) * m), slice(Pm + j * m, Pm + (j + 1) * m)
-        AB[a, sl(p.a_var)], ab0[a] = p.Uam, p.am
-        AB[b, sl(p.b_var)], ab0[b] = p.Ubxm, p.bxm
-        E[sl(eq), a] = p.coef * Et
+        AB[a, sl[p.a_var]], ab0[a] = p.Uam, p.am
+        AB[b, sl[p.b_var]], ab0[b] = p.Ubxm, p.bxm
+        E[sl[eq], a] = p.coef * Et
+    return AB, ab0, E
+
+
+def _sampled_products(AB, ab0, E):
+    """c ⊙ (A z + a0) ⊙ (B z + b0) over every product's m sample rows, then
+    one stacked oblique projector with the coefficients c folded in."""
+    Pm = E.shape[1]
 
     def quadratic(z):
         t = AB @ z + ab0
@@ -307,12 +332,12 @@ def _sampled_products(terms, deim_ops, sl, K):
     return quadratic
 
 
-def _lift_project(terms, space, sl, K):
+def _lift_project(terms, space, slices, K):
     """Lift each variable (U @ x + xbar) into a 3-by-n stack, evaluate the
     direction's terms on it by :func:`~swerom.model.direction_terms` and
     project each with its equation's U^T."""
     A = space.ops.Ax3 if TERMS[terms[0]][0][3] == "x" else space.ops.Ay3
-    lifts = [(sl(var), space.bases[var].U, space.bases[var].xbar) for var in VARIABLES]
+    lifts = [(slices[var], space.bases[var].U, space.bases[var].xbar) for var in VARIABLES]
 
     def quadratic(z):
         fields = np.empty((3, space.n))
@@ -329,28 +354,29 @@ class PackedDirection:
     """One ADI direction's three terms and its Coriolis half, packed over the
     stacked reduced vector z = (u, v, phi) of length K.
 
-    The right-hand side is ``lin @ z + const - quadratic(z)``: the nonlinear
-    terms enter with a minus sign, half the Coriolis coupling with a plus.
-    ``quadratic`` is the mode's evaluation of the direction's five products;
-    for tensorial POD ``lin`` and ``const`` also hold every product's linear
-    and constant pieces. ``jacobian`` is the derivative taken from the
-    coefficient tensors in every mode.
+    :class:`TensorCoefficients` packs its two directions once, when it is
+    built; every reduced model on those tensors shares the arrays, so they
+    are read-only. In each mode the right-hand side is ``lin @ z + const -
+    quadratic(z)`` (see :meth:`rhs`): the nonlinear terms enter with a minus
+    sign, half the Coriolis coupling with a plus. ``jac_lin`` and
+    ``tensor_const`` hold every product's linear and constant pieces plus the
+    Coriolis half, ``cor_lin`` and ``cor_const`` the Coriolis half alone.
+    ``AB``, ``ab0`` and ``E`` are the sampled products, packed only from
+    DEIM operators (:func:`swerom.deim.deim_tensor_coefficients`).
+    ``jacobian`` is the derivative taken from the coefficient tensors in
+    every mode.
 
     Each product's tensors are padded to the largest basis size q. Padded
     slots gather z[0] against zero coefficients and scatter into a spare
     entry K that is dropped, so per-variable k needs no other branch.
     """
 
-    def __init__(self, terms, space: ReducedSpace, tensors: TensorCoefficients,
-                 mode: str, deim_ops: dict | None):
+    def __init__(self, terms, tensors: TensorCoefficients, deim_ops: dict | None = None):
         k = tensors.k
         sizes = [k[var] for var in VARIABLES]
         K, q = sum(sizes), max(sizes)
         start = np.cumsum([0] + sizes)
-        offset = dict(zip(VARIABLES, start))
-
-        def sl(var):
-            return slice(offset[var], offset[var] + k[var])
+        sl = {var: slice(s, s + k[var]) for var, s in zip(VARIABLES, start)}
 
         # slots[pad][i]: the z positions of variable i's modes, padded to q with pad
         modes = np.arange(q)
@@ -361,7 +387,7 @@ class PackedDirection:
         P = len(products)
         a, b, e = np.array([[VARIABLES.index(var) for var in (p.a_var, p.b_var, eq)]
                             for eq, p in products]).T
-        ga, gb, rows = slots[0][a], slots[0][b], slots[K][e]
+        rows = slots[K][e]
 
         # quad[0, p] is (row, a-mode) x b-mode; quad[1, p] is (row, b-mode) x a-mode
         quad = np.zeros((2, P, q, q, q))
@@ -370,37 +396,56 @@ class PackedDirection:
         for j, (eq, p) in enumerate(products):
             ke, ka, kb = p.quad.shape
             quad[0, j, :ke, :ka, :kb] = p.quad
-            jac_lin[sl(eq), sl(p.a_var)] -= p.lin_a
-            jac_lin[sl(eq), sl(p.b_var)] -= p.lin_b
-            tensor_const[sl(eq)] -= p.const
+            jac_lin[sl[eq], sl[p.a_var]] -= p.lin_a
+            jac_lin[sl[eq], sl[p.b_var]] -= p.lin_b
+            tensor_const[sl[eq]] -= p.const
         quad[1] = quad[0].transpose(0, 1, 3, 2)
-        self.K = K
+        self.terms, self.K, self.slices = terms, K, sl
         self.quad = quad.reshape(2 * P, q * q, q)
-        self.g_jac = np.concatenate([gb, ga])
+        self.ga, self.gb, self.rows = slots[0][a], slots[0][b], rows.ravel()
+        self.g_jac = np.concatenate([self.gb, self.ga])
         self.jac_index = (np.repeat(np.concatenate([rows, rows]), q, axis=1) * (K + 1)
                           + np.tile(slots[K][np.concatenate([a, b])], q)).ravel()
 
-        cor_lin = np.zeros((K, K))
-        cor_const = np.zeros(K)
-        cor_lin[sl("u"), sl("v")] = 0.5 * tensors.coriolis_uv
-        cor_lin[sl("v"), sl("u")] = -0.5 * tensors.coriolis_vu
-        cor_const[sl("u")] = 0.5 * tensors.coriolis_u0
-        cor_const[sl("v")] = -0.5 * tensors.coriolis_v0
-        self.jac_lin = jac_lin + cor_lin
-        # the evaluators close over arrays only, so a direction holds no
-        # reference cycle and is freed as soon as its model is
-        if mode == "tensorial-pod":
-            self.lin, self.const = self.jac_lin, tensor_const + cor_const
-            self.quadratic = _contraction(self.quad[:P], ga, gb, rows.ravel(), K)
-        elif mode == "pod-deim":
-            self.lin, self.const = cor_lin, cor_const
-            self.quadratic = _sampled_products(terms, deim_ops, sl, K)
-        else:
-            self.lin, self.const = cor_lin, cor_const
-            self.quadratic = _lift_project(terms, space, sl, K)
+        self.cor_lin = np.zeros((K, K))
+        self.cor_const = np.zeros(K)
+        self.cor_lin[sl["u"], sl["v"]] = 0.5 * tensors.coriolis_uv
+        self.cor_lin[sl["v"], sl["u"]] = -0.5 * tensors.coriolis_vu
+        self.cor_const[sl["u"]] = 0.5 * tensors.coriolis_u0
+        self.cor_const[sl["v"]] = -0.5 * tensors.coriolis_v0
+        self.jac_lin = jac_lin + self.cor_lin
+        self.tensor_const = tensor_const + self.cor_const
 
-    def rhs(self, z: np.ndarray) -> np.ndarray:
-        return self.lin @ z + self.const - self.quadratic(z)
+        self.AB = self.ab0 = self.E = None
+        if deim_ops is not None:
+            self.AB, self.ab0, self.E = _pack_sampled(terms, deim_ops, sl, K)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+
+    def rhs(self, mode: str, space: ReducedSpace):
+        """The direction's right-hand side z -> ``lin @ z + const -
+        quadratic(z)`` in ``mode``, over these arrays. Only standard POD
+        reads ``space``, to lift and project. The function closes over
+        arrays only, so it holds no reference cycle and is freed with its
+        model."""
+        if mode == "tensorial-pod":
+            P = self.ga.shape[0]
+            lin, const = self.jac_lin, self.tensor_const
+            quadratic = _contraction(self.quad[:P], self.ga, self.gb, self.rows, self.K)
+        elif mode == "pod-deim":
+            if self.AB is None:
+                raise ValueError("pod-deim mode needs tensors packed with the per-term "
+                                 "sampled operators (deim_tensor_coefficients)")
+            lin, const = self.cor_lin, self.cor_const
+            quadratic = _sampled_products(self.AB, self.ab0, self.E)
+        else:
+            lin, const = self.cor_lin, self.cor_const
+            quadratic = _lift_project(self.terms, space, self.slices, self.K)
+
+        def rhs(z):
+            return lin @ z + const - quadratic(z)
+        return rhs
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """d rhs / dz from the tensors: both derivative blocks of every
@@ -422,7 +467,7 @@ class RomTimings:
     jacobian_s: float = 0.0
     factorization_s: float = 0.0
     solve_s: float = 0.0
-    total_s: float = 0.0        # includes packing the directions
+    total_s: float = 0.0        # the whole run; the tensors were packed before it
     newton_iters: int = 0
     rhs_evals: int = 0          # right-hand sides evaluated: one per residual, plus the
                                 # first step's explicit part (later steps carry theirs)
@@ -437,8 +482,9 @@ class ReducedModel(AdiNewton):
     The right-hand side nonlinear terms come from the selected mode
     (lift-project, tensor contraction, or a sampled evaluator); the Newton
     matrices always come from the coefficient tensors, which for sampled
-    tensors are exactly the derivative of the sampled right-hand side. Each
-    direction is packed into one :class:`PackedDirection` on the first step.
+    tensors are exactly the derivative of the sampled right-hand side. Both
+    run on the :class:`PackedDirection` arrays the tensors were built with;
+    a model packs nothing.
     """
 
     def __init__(self, space: ReducedSpace, tensors: TensorCoefficients,
@@ -453,18 +499,18 @@ class ReducedModel(AdiNewton):
         self.cfg = cfg
         self.deim_ops = deim_ops
         self._sizes = tuple(space.k(var) for var in VARIABLES)
-        self._directions: dict[str, PackedDirection] | None = None
+        self._directions = tensors.directions
+        self._evaluate = {axis: d.rhs(mode, space) for axis, d in self._directions.items()}
         self._solves = {}  # axis -> solve with the current factorization
 
     # -- the two hooks of the quasi-Newton loop ------------------------------
 
     def _rhs(self, axis: str, z: np.ndarray, timings: RomTimings) -> np.ndarray:
         t0 = time.perf_counter()
-        out = self._directions[axis].rhs(z)
+        out = self._evaluate[axis](z)
         timings.nonlinear_s += time.perf_counter() - t0
         timings.rhs_evals += 1
         return out
-
     def _factor(self, axis: str, z: np.ndarray, dt2: float, timings: RomTimings):
         """Dense LU of I - dt2*J at ``z``; returns the solve. A matrix that is
         not finite or exactly singular raises :class:`NonConvergenceError`."""
@@ -499,10 +545,6 @@ class ReducedModel(AdiNewton):
              timings: RomTimings | None = None) -> FieldState:
         """Advance one full dt; see :meth:`swerom.solver.AdiNewton._adi_step`."""
         timings = timings if timings is not None else RomTimings()
-        if self._directions is None:
-            self._directions = {
-                axis: PackedDirection(terms, self.space, self.tensors, self.mode, self.deim_ops)
-                for axis, terms in (("x", X_TERMS), ("y", Y_TERMS))}
         return self._adi_step(state, step_index, timings)
 
     def run(self, x0: FieldState, nt: int | None = None

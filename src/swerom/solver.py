@@ -335,7 +335,9 @@ class AdiNewton:
             else:
                 r = self._rhs("y", w, timings)
             for axis in ("x", "y"):
-                solve = None if refresh else self._solves.get(axis)
+                if refresh:  # free the stale factorization before the new one is built
+                    self._solves.pop(axis, None)
+                solve = self._solves.get(axis)
                 w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
                                                            solve, timings)
         self._carried = (w, r)

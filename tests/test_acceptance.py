@@ -198,10 +198,10 @@ def _scaling_phases(grid, rng, copies, k=20, m=20):
     """The four timed phases of criterion 7 on one grid, as one dict of
     callables per copy: lift-project (the reference evaluator of the six
     terms), the two directions' right-hand sides by tensor contraction as
-    the reduced model evaluates them (``PackedDirection.rhs``), and the
-    full-sum and sampled tensor builds, which only the first copy holds.
-    Each copy evaluates on its own copies of the bases and the reduced
-    state, and on its own packed directions."""
+    the reduced model evaluates them (the function ``PackedDirection.rhs``
+    returns), and the full-sum and sampled tensor builds, packing included,
+    which only the first copy holds. Each copy evaluates on its own copies
+    of the bases and the reduced state, and on its own packed directions."""
     space = make_space(grid, rng, k=k, centered=False)
     tensors = build_tensor_coefficients(space)
     xt = random_reduced(space, rng)
@@ -216,11 +216,11 @@ def _scaling_phases(grid, rng, copies, k=20, m=20):
         own = ReducedSpace(bases, space.ops, space.f)
         x = FieldState(u=xt.u.copy(), v=xt.v.copy(), phi=xt.phi.copy())
         z = np.concatenate([x[var] for var in VARIABLES])
-        tns = [PackedDirection(terms, own, tensors, "tensorial-pod", None)
+        tns = [PackedDirection(terms, tensors).rhs("tensorial-pod", own)
                for terms in (X_TERMS, Y_TERMS)]
         phases.append({
             "std": lambda own=own, x=x: [standard_pod_nonlinear(t, x, own) for t in TERM_NAMES],
-            "tns": lambda tns=tns, z=z: [d.rhs(z) for d in tns],
+            "tns": lambda tns=tns, z=z: [rhs(z) for rhs in tns],
         })
     phases[0]["build_full"] = lambda: build_tensor_coefficients(space)
     phases[0]["build_sampled"] = lambda: deim_tensor_coefficients(ops_by_term, space)

@@ -10,6 +10,8 @@ from swerom.deim import (
     deim_operators_from_snapshots,
     deim_select_points,
     deim_tensor_coefficients,
+    load_deim_operator,
+    save_deim_operator,
 )
 from swerom.errors import FileFormatError, NonConvergenceError
 from swerom.model import (
@@ -395,6 +397,10 @@ def test_mode_validation():
         ReducedModel(space, tensors, "magic", cfg)
     with pytest.raises(ValueError, match="sampled operators"):
         ReducedModel(space, tensors, "pod-deim", cfg)
+    # the sampled products are packed with the tensors deim_tensor_coefficients builds
+    _, deim_ops = mode_operators(space, "pod-deim", rng)
+    with pytest.raises(ValueError, match="deim_tensor_coefficients"):
+        ReducedModel(space, tensors, "pod-deim", cfg, deim_ops=deim_ops)
 
 
 def mode_operators(space, mode, rng, m=5):
@@ -407,6 +413,21 @@ def mode_operators(space, mode, rng, m=5):
         V = orthonormal_basis(space.n, m, rng)
         deim_ops[term] = build_deim_term_operator(space, term, V, deim_select_points(V))
     return deim_tensor_coefficients(deim_ops, space), deim_ops
+
+
+def packed_arrays(direction):
+    """Every array a PackedDirection holds, by name."""
+    return {name: arr for name, arr in vars(direction).items() if isinstance(arr, np.ndarray)}
+
+
+def assert_same_packing(got, want):
+    """Two packed directions hold the same arrays, bit for bit."""
+    a, b = packed_arrays(got), packed_arrays(want)
+    assert set(a) == set(b) and a
+    for name in a:
+        assert a[name].shape == b[name].shape and a[name].dtype == b[name].dtype, name
+        assert a[name].tobytes() == b[name].tobytes(), name
+    assert (got.K, got.slices, got.terms) == (want.K, want.slices, want.terms)
 
 
 def per_term_direction(space, tensors, mode, deim_ops, terms, xt):
@@ -441,14 +462,14 @@ def test_packed_directions_equal_per_term_sums(mode, centered, k):
     rng = np.random.default_rng(21)
     space = make_space(build_grid(7, 5), rng, k=k, centered=centered)
     tensors, deim_ops = mode_operators(space, mode, rng)
-    packed = {"x": PackedDirection(X_TERMS, space, tensors, mode, deim_ops),
-              "y": PackedDirection(Y_TERMS, space, tensors, mode, deim_ops)}
+    packed = tensors.directions
+    evaluate = {name: d.rhs(mode, space) for name, d in packed.items()}
     for trial in range(3):
         xt = random_reduced(space, rng, scale=2.0)
         z = np.concatenate([xt.u, xt.v, xt.phi])
         for name, terms in (("x", X_TERMS), ("y", Y_TERMS)):
             rhs, jac = per_term_direction(space, tensors, mode, deim_ops, terms, xt)
-            got_rhs, got_jac = packed[name].rhs(z), packed[name].jacobian(z)
+            got_rhs, got_jac = evaluate[name](z), packed[name].jacobian(z)
             assert got_rhs.shape == rhs.shape and got_jac.shape == jac.shape
             assert np.linalg.norm(got_rhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
             assert np.linalg.norm(got_jac - jac) <= 1e-12 * np.linalg.norm(jac)
@@ -456,17 +477,22 @@ def test_packed_directions_equal_per_term_sums(mode, centered, k):
 
 @pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
 def test_packed_direction_freed_without_cycle_collector(mode):
-    # a reference cycle would keep every finished model's packed arrays
-    # alive until the cycle collector runs, which raises peak memory
+    # a reference cycle would keep every finished model, or every dropped
+    # set of tensors, with its packed arrays alive until the cycle
+    # collector runs, which raises peak memory
     rng = np.random.default_rng(24)
     space = make_space(build_grid(7, 5), rng, k=3)
     tensors, deim_ops = mode_operators(space, mode, rng)
     gc.disable()
     try:
-        packed = {"x": PackedDirection(X_TERMS, space, tensors, mode, deim_ops),
-                  "y": PackedDirection(Y_TERMS, space, tensors, mode, deim_ops)}
-        refs = [weakref.ref(d) for d in packed.values()]
-        del packed
+        model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=2),
+                             deim_ops=deim_ops)
+        model.run(random_reduced(space, rng, scale=0.1))
+        refs = [weakref.ref(model), weakref.ref(model._evaluate["x"])]
+        del model
+        assert all(ref() is None for ref in refs)
+        refs = [weakref.ref(tensors)] + [weakref.ref(d) for d in tensors.directions.values()]
+        del tensors
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
@@ -529,10 +555,76 @@ def test_newton_matrix_build_leaves_directions_unchanged(mode, k):
     model.run(random_reduced(space, rng, scale=0.1))
     assert factored.count("x") >= 2 and factored.count("y") >= 2
     for axis, terms in (("x", X_TERMS), ("y", Y_TERMS)):
-        packed = PackedDirection(terms, space, tensors, mode, deim_ops)
-        for name in ("jac_lin", "lin", "const", "quad"):
-            got, want = getattr(model._directions[axis], name), getattr(packed, name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (axis, name)
+        packed = PackedDirection(terms, tensors, deim_ops)
+        assert_same_packing(model._directions[axis], packed)
+
+
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_run_packs_nothing(monkeypatch, mode):
+    # the directions are packed with the tensors, off-line; a model and its
+    # run only wrap the packed arrays
+    rng = np.random.default_rng(27)
+    space = make_space(build_grid(9, 7), rng, k=(2, 3, 4))
+    tensors, deim_ops = mode_operators(space, mode, rng)
+    directions = dict(tensors.directions)
+
+    def no_packing(*args, **kwargs):
+        raise AssertionError("packed on-line")
+
+    monkeypatch.setattr(PackedDirection, "__init__", no_packing)
+    model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=7),
+                         deim_ops=deim_ops)
+    _, traj, timings = model.run(random_reduced(space, rng, scale=0.1))
+    assert timings.steps == 7 and all(np.isfinite(traj[var]).all() for var in traj)
+    assert all(model._directions[axis] is d for axis, d in directions.items())
+
+
+@pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
+def test_reloaded_tensors_pack_the_same_arrays(tmp_path, k):
+    # a .tpod file, and the .deim files of the sampled operators, give the
+    # packed arrays of the tensors built in memory, bit for bit
+    rng = np.random.default_rng(28)
+    space = make_space(build_grid(9, 7), rng, k=k)
+    tensors = build_tensor_coefficients(space)
+    save_tensors(tensors, tmp_path / "tensors.tpod")
+    back = load_tensors(tmp_path / "tensors.tpod")
+    for axis in ("x", "y"):
+        assert_same_packing(back.directions[axis], tensors.directions[axis])
+    sampled, deim_ops = mode_operators(space, "pod-deim", rng)
+    for term, op in deim_ops.items():
+        save_deim_operator(op, tmp_path / f"{term}.deim")
+    loaded = {term: load_deim_operator(tmp_path / f"{term}.deim") for term in TERM_NAMES}
+    resampled = deim_tensor_coefficients(loaded, space)
+    for axis in ("x", "y"):
+        assert sampled.directions[axis].AB is not None
+        assert_same_packing(resampled.directions[axis], sampled.directions[axis])
+
+
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_runs_share_read_only_packing(mode):
+    # every model on one set of tensors runs on the same packed arrays:
+    # they are read-only, two runs give the same trajectory bit for bit,
+    # and the arrays end as they were packed
+    rng = np.random.default_rng(29)
+    space = make_space(build_grid(9, 7), rng, k=(4, 2, 3))
+    tensors, deim_ops = mode_operators(space, mode, rng)
+    before = {axis: {name: arr.copy() for name, arr in packed_arrays(d).items()}
+              for axis, d in tensors.directions.items()}
+    xt0 = random_reduced(space, rng, scale=0.1)
+    cfg = SolverConfig(dt=100.0, nt=7, lu_refresh_every=3)
+    runs = [ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops).run(xt0)
+            for _ in range(2)]
+    for var in ("u", "v", "phi"):
+        assert runs[0][1][var].tobytes() == runs[1][1][var].tobytes()
+    assert runs[0][2].newton_iters == runs[1][2].newton_iters
+    for axis, d in tensors.directions.items():
+        arrays = packed_arrays(d)
+        assert set(arrays) == set(before[axis])
+        for name, arr in arrays.items():
+            assert arr.tobytes() == before[axis][name].tobytes(), (axis, name)
+            assert not arr.flags.writeable, (axis, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
 
 
 @pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -254,6 +255,30 @@ def test_factorization_cadence(setup):
     for k in range(12):
         state = solver.step(state, k)
     assert count == 4  # steps 0 and 6 refresh, two factorizations each
+
+
+def test_refresh_frees_stale_factorization_first(setup):
+    # at a refresh step the axis's old band LU is dropped, and freed, before
+    # _factor assembles and factorizes the new one, so two are never alive
+    grid, ops, f = setup
+    cfg = SolverConfig(dt=120.0, nt=1, lu_refresh_every=3)
+    solver = FullSolver(grid, ops, f, cfg)
+    orig = solver._factor
+    step, old, first = 0, {}, {}
+
+    def recording(axis, *args):
+        first.setdefault((step, axis), (axis in solver._solves, old[axis]() is None))
+        return orig(axis, *args)
+
+    solver._factor = recording
+    state = initial_state(grid, ops)
+    for step in range(7):
+        old = {axis: weakref.ref(solver._solves[axis]) if axis in solver._solves
+               else (lambda: None) for axis in ("x", "y")}
+        state = solver.step(state, step)
+    refreshes = [key for key in first if key[0] % 3 == 0]
+    assert refreshes == [(0, "x"), (0, "y"), (3, "x"), (3, "y"), (6, "x"), (6, "y")]
+    assert all(first[key] == (False, True) for key in refreshes)
 
 
 def test_newton_residual_below_tol_each_step(setup):
