@@ -103,9 +103,9 @@ class ExperimentConfig:
     modes: list[str] = field(default_factory=lambda: list(ALL_MODES))
     out_dir: str = "bench_out"
     center: bool = True
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 25
-    lu_refresh_every: int = 6
+    newton_tol: float = SolverConfig.newton_tol
+    newton_max_iters: int = SolverConfig.newton_max_iters
+    lu_refresh_every: int = SolverConfig.lu_refresh_every
     domain_km: tuple[float, float] | None = None  # (L, D); SI internally
 
     def validate(self) -> None:
@@ -257,7 +257,6 @@ def _rom_pipeline(grid, ic, snaps, scfg, shared, mode, m, report) -> None:
     report.k = max(b.k for b in space.bases.values())
     t_start = time.perf_counter()
 
-    deim_ops = None
     if mode == "pod-deim":
         t0 = time.perf_counter()
         deim_ops = deim_operators(space, shared["term_svds"], shared["points"], m)
@@ -274,7 +273,7 @@ def _rom_pipeline(grid, ic, snaps, scfg, shared, mode, m, report) -> None:
         report.tensors_s = shared["tensors_s"]
         shared_s = report.svd_state_s + report.tensors_s
 
-    model = ReducedModel(space, tensors, mode, scfg, deim_ops=deim_ops)
+    model = ReducedModel(space, tensors, mode, scfg)
     _, traj, rom_tm = model.run(project_initial(ic, space), scfg.nt)
     report.end_to_end_s = time.perf_counter() - t_start + shared_s
 

@@ -27,6 +27,7 @@ from swerom.bench import (
     ALL_MODES,
     WINDOWS,
     ExperimentConfig,
+    _json_fits,
     offline_pass,
     read_run_report,
     resolve_window,
@@ -97,9 +98,9 @@ def _solver_config(args, dt: float, nt: int) -> SolverConfig:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--newton-tol", type=float, default=1e-10)
-    p.add_argument("--newton-max-iters", type=int, default=25)
-    p.add_argument("--lu-refresh-every", type=int, default=6)
+    p.add_argument("--newton-tol", type=float, default=SolverConfig.newton_tol)
+    p.add_argument("--newton-max-iters", type=int, default=SolverConfig.newton_max_iters)
+    p.add_argument("--lu-refresh-every", type=int, default=SolverConfig.lu_refresh_every)
 
 
 def _add_window_flags(p):
@@ -221,11 +222,10 @@ def cmd_run_rom(args) -> int:
     meta = json.loads(meta_path.read_text())
     if "L" not in meta or "D" not in meta:
         raise ValueError(f"{meta_path} has no domain size L, D; rerun build-rom")
-    for key, kind in [("nx", int), ("ny", int), ("nt", int), ("dt", float), ("L", float),
-                      ("D", float)]:
-        if isinstance(meta.get(key), bool) or not isinstance(meta.get(key), (int, kind)):
-            raise ValueError(f"{meta_path} key {key!r} must be {kind.__name__}, "
-                             f"got {meta.get(key)!r}")
+    for key, kind in [("nx", "int"), ("ny", "int"), ("nt", "int"), ("dt", "float"),
+                      ("L", "float"), ("D", "float")]:
+        if not _json_fits(meta.get(key), kind):
+            raise ValueError(f"{meta_path} key {key!r} must be {kind}, got {meta.get(key)!r}")
     mode = args.mode or meta.get("mode")
     if mode not in MODES:
         raise ValueError(f"{meta_path} key 'mode' must be one of {MODES}, got {mode!r}")
@@ -241,7 +241,6 @@ def cmd_run_rom(args) -> int:
             raise ValueError(f"{path} holds a {basis.var} basis of n={basis.n}, not a {var} "
                              f"basis on the {grid.nx}x{grid.ny} grid (n={grid.n})")
     space = ReducedSpace(bases, ops, f)
-    deim_ops = None
     if mode == "pod-deim":
         deim_ops = {}
         for term in TERM_NAMES:
@@ -275,7 +274,7 @@ def cmd_run_rom(args) -> int:
             raise ValueError(f"{args.snapshots} holds {full.nt} snapshots, "
                              f"fewer than the {nt} steps of --nt")
     ic = initial_state(grid, ops)
-    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    model = ReducedModel(space, tensors, mode, cfg)
     x0 = project_initial(ic, space)
     t0 = time.perf_counter()
     _, traj, tm = model.run(x0, nt)

@@ -199,9 +199,9 @@ def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
 
     Contracting these against xt reproduces the sampled evaluation exactly;
     they are cheaper to build than the full-sum tensors whenever m << n and
-    serve as the Newton matrices of the sampled reduced model. Their packed
-    directions also hold ``ops``' sampled products, which that model's
-    right-hand side evaluates.
+    serve as the Newton matrices of the sampled reduced model. The tensors
+    carry ``ops`` as their ``deim_ops``, and their packed directions hold
+    its sampled products, which that model's right-hand side evaluates.
     """
     terms = {}
     for name in TERM_NAMES:

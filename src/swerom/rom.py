@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -67,7 +67,7 @@ from swerom.model import (
     direction_terms,
 )
 from swerom.pod import PodBasis
-from swerom.solver import AdiNewton, SolverConfig
+from swerom.solver import AdiNewton, PhaseTimings, SolverConfig
 
 # LAPACK's solve with an LU factorization, as lu_solve calls it
 _getrs = scipy.linalg.lapack.dgetrs
@@ -85,7 +85,6 @@ __all__ = [
     "tensorial_nonlinear",
     "reduced_jacobian",
     "PackedDirection",
-    "RomTimings",
     "ReducedModel",
     "MODES",
     "save_tensors",
@@ -174,9 +173,9 @@ class TensorCoefficients:
 
     Construction packs the two ADI directions once (``directions``, axis ->
     :class:`PackedDirection`), off-line, so an on-line run only steps.
-    ``deim_ops``, the per-term sampled operators, is given only by
-    :func:`swerom.deim.deim_tensor_coefficients`; the directions then also
-    pack the sampled products that POD/DEIM evaluates.
+    ``deim_ops``, the per-term operators the tensors were sampled from, is
+    set only by :func:`swerom.deim.deim_tensor_coefficients`; the directions
+    then also pack the sampled products that POD/DEIM evaluates.
     """
 
     terms: dict[str, TermTensors]
@@ -185,11 +184,11 @@ class TensorCoefficients:
     coriolis_u0: np.ndarray
     coriolis_v0: np.ndarray
     k: dict[str, int]
-    deim_ops: InitVar[dict | None] = None
+    deim_ops: dict | None = None
     directions: dict[str, PackedDirection] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, deim_ops):
-        self.directions = {axis: PackedDirection(terms, self, deim_ops)
+    def __post_init__(self):
+        self.directions = {axis: PackedDirection(terms, self)
                            for axis, terms in (("x", X_TERMS), ("y", Y_TERMS))}
 
 
@@ -362,16 +361,16 @@ class PackedDirection:
     ``tensor_const`` hold every product's linear and constant pieces plus the
     Coriolis half, ``cor_lin`` and ``cor_const`` the Coriolis half alone.
     ``AB``, ``ab0`` and ``E`` are the sampled products, packed only from
-    DEIM operators (:func:`swerom.deim.deim_tensor_coefficients`).
-    ``jacobian`` is the derivative taken from the coefficient tensors in
-    every mode.
+    the tensors' own ``deim_ops``. ``jacobian`` is the derivative taken from
+    the coefficient tensors in every mode.
 
-    Each product's tensors are padded to the largest basis size q. Padded
-    slots gather z[0] against zero coefficients and scatter into a spare
-    entry K that is dropped, so per-variable k needs no other branch.
+    Each product's tensors are padded to the largest basis size q, and its
+    ``quad`` becomes a read-only view of its slot. Padded slots gather z[0]
+    against zero coefficients and scatter into a spare entry K that is
+    dropped, so per-variable k needs no other branch.
     """
 
-    def __init__(self, terms, tensors: TensorCoefficients, deim_ops: dict | None = None):
+    def __init__(self, terms, tensors: TensorCoefficients):
         k = tensors.k
         sizes = [k[var] for var in VARIABLES]
         K, q = sum(sizes), max(sizes)
@@ -417,11 +416,15 @@ class PackedDirection:
         self.tensor_const = tensor_const + self.cor_const
 
         self.AB = self.ab0 = self.E = None
-        if deim_ops is not None:
-            self.AB, self.ab0, self.E = _pack_sampled(terms, deim_ops, sl, K)
+        if tensors.deim_ops is not None:
+            self.AB, self.ab0, self.E = _pack_sampled(terms, tensors.deim_ops, sl, K)
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
+        # views of the read-only store are read-only; the products' own arrays are freed
+        for slot, (_, p) in zip(self.quad.reshape(2, P, q, q, q)[0], products):
+            ke, ka, kb = p.quad.shape
+            p.quad = slot[:ke, :ka, :kb]
 
     def rhs(self, mode: str, space: ReducedSpace):
         """The direction's right-hand side z -> ``lin @ z + const -
@@ -459,22 +462,6 @@ class PackedDirection:
 
 # --- reduced ADI stepping -------------------------------------------------------------
 
-@dataclass
-class RomTimings:
-    """On-line phase decomposition (seconds)."""
-
-    nonlinear_s: float = 0.0    # right-hand sides, Coriolis part included
-    jacobian_s: float = 0.0
-    factorization_s: float = 0.0
-    solve_s: float = 0.0
-    total_s: float = 0.0        # the whole run; the tensors were packed before it
-    newton_iters: int = 0
-    rhs_evals: int = 0          # right-hand sides evaluated: one per residual, plus the
-                                # first step's explicit part (later steps carry theirs)
-    steps: int = 0
-    worst_residual: float = 0.0  # largest accepted relative residual
-
-
 class ReducedModel(AdiNewton):
     """Reduced ADI stepper: the full solver's quasi-Newton loop over the
     stacked reduced vector, with a dense LU in place of the band LU.
@@ -484,34 +471,35 @@ class ReducedModel(AdiNewton):
     matrices always come from the coefficient tensors, which for sampled
     tensors are exactly the derivative of the sampled right-hand side. Both
     run on the :class:`PackedDirection` arrays the tensors were built with;
-    a model packs nothing.
+    a model packs nothing. Sampled tensors carry their DEIM operators, so a
+    model takes none; ``deim_ops``, if given, must be the tensors' own.
     """
 
     def __init__(self, space: ReducedSpace, tensors: TensorCoefficients,
                  mode: str, cfg: SolverConfig, deim_ops: dict | None = None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        if mode == "pod-deim" and deim_ops is None:
-            raise ValueError("pod-deim mode needs the per-term sampled operators")
-        self.space = space
-        self.tensors = tensors
+        if deim_ops is not None and deim_ops is not tensors.deim_ops:
+            # the keyword is kept for callers that still pass the tensors' own operators
+            raise ValueError("deim_ops are not the operators these tensors were sampled from; "
+                             "build sampled tensors with deim_tensor_coefficients and pass none")
         self.mode = mode
         self.cfg = cfg
-        self.deim_ops = deim_ops
-        self._sizes = tuple(space.k(var) for var in VARIABLES)
+        self._sizes = tuple(tensors.k[var] for var in VARIABLES)
         self._directions = tensors.directions
         self._evaluate = {axis: d.rhs(mode, space) for axis, d in self._directions.items()}
         self._solves = {}  # axis -> solve with the current factorization
 
     # -- the two hooks of the quasi-Newton loop ------------------------------
 
-    def _rhs(self, axis: str, z: np.ndarray, timings: RomTimings) -> np.ndarray:
+    def _rhs(self, axis: str, z: np.ndarray, timings: PhaseTimings) -> np.ndarray:
         t0 = time.perf_counter()
         out = self._evaluate[axis](z)
         timings.nonlinear_s += time.perf_counter() - t0
         timings.rhs_evals += 1
         return out
-    def _factor(self, axis: str, z: np.ndarray, dt2: float, timings: RomTimings):
+
+    def _factor(self, axis: str, z: np.ndarray, dt2: float, timings: PhaseTimings):
         """Dense LU of I - dt2*J at ``z``; returns the solve. A matrix that is
         not finite or exactly singular raises :class:`NonConvergenceError`."""
         t0 = time.perf_counter()
@@ -542,18 +530,18 @@ class ReducedModel(AdiNewton):
         return solve
 
     def step(self, state: FieldState, step_index: int,
-             timings: RomTimings | None = None) -> FieldState:
+             timings: PhaseTimings | None = None) -> FieldState:
         """Advance one full dt; see :meth:`swerom.solver.AdiNewton._adi_step`."""
-        timings = timings if timings is not None else RomTimings()
+        timings = timings if timings is not None else PhaseTimings()
         return self._adi_step(state, step_index, timings)
 
     def run(self, x0: FieldState, nt: int | None = None
-            ) -> tuple[FieldState, dict[str, np.ndarray], RomTimings]:
+            ) -> tuple[FieldState, dict[str, np.ndarray], PhaseTimings]:
         """Integrate nt steps; returns the reduced trajectory (k-by-nt per
         variable, column t at time (t+1)*dt, matching snapshot columns). A
         :class:`NonConvergenceError` carries the timings up to the failure."""
         nt = nt if nt is not None else self.cfg.nt
-        timings = RomTimings()
+        timings = PhaseTimings()
         t_start = time.perf_counter()
         traj = {var: np.empty((k, nt)) for var, k in zip(VARIABLES, self._sizes)}
         state = x0

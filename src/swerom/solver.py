@@ -15,11 +15,11 @@ where the Newton matrix is assembled and LU-factorized only every
 packs the states of both; each model supplies only its block sizes, its
 right-hand side (the full model's is 0 minus
 :func:`swerom.model.direction_terms` plus half the Coriolis term) and its
-factorization. A half-step hands its accepted right-hand side on: the x
-half-step's is the y half-step's explicit part, and the y half-step's
-starts the next step when that step begins from the bit-identical state,
-so a run evaluates one explicit right-hand side, at its first step,
-besides one per residual.
+factorization; both fill one :class:`PhaseTimings`. A half-step hands its
+accepted right-hand side on: the x half-step's is the y half-step's
+explicit part, and the y half-step's starts the next step when that step
+begins from the bit-identical state, so a run evaluates one explicit
+right-hand side, at its first step, besides one per residual.
 
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
@@ -91,19 +91,25 @@ class SolverConfig:
 
 @dataclass
 class PhaseTimings:
-    """Wall-clock decomposition of a run (seconds, monotonic clock)."""
+    """Wall-clock decomposition of a run of either model (seconds, monotonic clock)."""
 
-    assembly_s: float = 0.0
+    nonlinear_s: float = 0.0    # right-hand sides, Coriolis part included
+    jacobian_s: float = 0.0     # Newton-matrix assembly
     factorization_s: float = 0.0
     solve_s: float = 0.0
-    recording_s: float = 0.0    # snapshot rows and terms, and their final transposition
-    total_s: float = 0.0
+    recording_s: float = 0.0    # full model: snapshot rows and terms, and their transposition
+    total_s: float = 0.0        # the whole run; a reduced model's tensors were packed before it
     newton_iters: int = 0
     rhs_evals: int = 0          # right-hand sides evaluated: one per residual, plus the
                                 # first step's explicit part (later steps carry theirs)
     steps: int = 0
     worst_residual: float = 0.0  # largest accepted relative residual
-    pivoted_factorizations: int = 0  # band LUs that interchanged rows (solved by dgbtrs)
+    pivoted_factorizations: int = 0  # full model: band LUs that interchanged rows (dgbtrs)
+
+    @property
+    def assembly_s(self) -> float:
+        """Right-hand sides plus Newton matrices, as run_meta.json records it."""
+        return self.nonlinear_s + self.jacobian_s
 
 
 class _BandedNewton:
@@ -221,7 +227,8 @@ class AdiNewton:
     timings)``, that direction's part of dw/dt plus half the Coriolis term,
     and ``_factor(axis, w, dt2, timings)``, which factorizes I - dt2*J at w
     and returns the solve. Each hook times and counts its own work in
-    ``timings``.
+    ``timings``, a :class:`PhaseTimings`: ``_rhs`` in ``nonlinear_s``,
+    ``_factor`` in ``jacobian_s`` and ``factorization_s``.
 
     A step keeps the packed w it returns and that step's accepted
     ``_rhs("y", w)``. The next step starts from that value instead of
@@ -346,11 +353,9 @@ class AdiNewton:
 
 
 class FullSolver(AdiNewton):
-    """Stateful stepper holding operators and cached LU factorizations."""
+    """Stateful stepper holding band Newton layouts and cached LU factorizations."""
 
     def __init__(self, grid: Grid, ops: DifferenceOperators, f: np.ndarray, cfg: SolverConfig):
-        self.ops = ops
-        self.f = f
         self.cfg = cfg
         self.n = grid.n
         self._half_f = 0.5 * f  # exact: a power-of-two scaling
@@ -372,7 +377,7 @@ class FullSolver(AdiNewton):
         np.subtract(0.0, out, out=out)
         out[0] += self._half_f * fields[1]
         out[1] -= self._half_f * fields[0]
-        timings.assembly_s += time.perf_counter() - t0
+        timings.nonlinear_s += time.perf_counter() - t0
         timings.rhs_evals += 1
         return out.reshape(-1)
 
@@ -381,7 +386,7 @@ class FullSolver(AdiNewton):
         band = self._bands[axis]
         t0 = time.perf_counter()
         ab = band.assemble(self._fields(w), dt2)
-        timings.assembly_s += time.perf_counter() - t0
+        timings.jacobian_s += time.perf_counter() - t0
         t0 = time.perf_counter()
         solve, pivoted = band.factorize(ab)
         timings.factorization_s += time.perf_counter() - t0

@@ -67,13 +67,12 @@ def _run_rom(pipe, mode, k=None, gamma=None, m=None, newton_tol=1e-10):
     bases = build_state_bases(pipe.snaps.states, k=k, gamma=gamma)
     space = ReducedSpace(bases, pipe.ops, pipe.f)
     cfg = SolverConfig(dt=pipe.cfg.dt, nt=pipe.cfg.nt, newton_tol=newton_tol)
-    deim_ops = None
     if mode == "pod-deim":
         deim_ops = deim_operators_from_snapshots(space, pipe.snaps.nonlinear, m)
         tensors = deim_tensor_coefficients(deim_ops, space)
     else:
         tensors = build_tensor_coefficients(space)
-    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    model = ReducedModel(space, tensors, mode, cfg)
     x0 = project_initial(pipe.ic, space)
     _, traj, timings = model.run(x0, cfg.nt)
     lifted = {v: bases[v].lift(traj[v]) for v in VARIABLES}

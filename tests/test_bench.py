@@ -272,6 +272,28 @@ def test_full_run_failure_is_structured(tmp_path):
     assert reports[0].status.startswith("nonconverged")
 
 
+def test_failed_state_stage_fails_each_reduced_row(tmp_path):
+    # one step gives one snapshot, which centring zeroes: the shared state
+    # stage fails once, every reduced row records its error, the full row
+    # stands, and the state spectra come from their own SVDs
+    out = tmp_path / "b"
+    assert main(["bench", "--grid", "9x7", "--dt", "120", "--nt", "1", "--gamma", "0.9",
+                 "--m", "1", "--out", str(out)]) == 0
+    reports = read_run_report(out / "run_report.csv")
+    assert [(rep.mode, rep.m, rep.status) for rep in reports] == [("full", None, "ok")] + [
+        (mode, m, "failed: ValueError: spectrum is identically zero")
+        for mode, m in (("standard-pod", None), ("tensorial-pod", None), ("pod-deim", 1))]
+    assert reports[0].newton_iters > 0
+    assert all(rep.k is None and rep.online_s is None for rep in reports[1:])
+    with open(out / "spectra.csv", newline="") as fh:
+        rows = [(r["kind"], r["name"], int(r["index"]), float(r["sigma"]), float(r["lambda"]))
+                for r in csv.DictReader(fh)]
+    assert rows[:3] == [("state", var, 1, 0.0, 0.0) for var in ("u", "v", "phi")]
+    assert [(kind, name, i) for kind, name, i, _, _ in rows[3:]] == [
+        ("nonlinear", term, 1) for term in TERM_NAMES]
+    assert all(sigma > 0.0 for _, _, _, sigma, _ in rows[3:])
+
+
 @pytest.mark.parametrize("failing", [FullSolver, ReducedModel], ids=["full", "reduced"])
 def test_nonconverged_row_keeps_its_work(tmp_path, monkeypatch, failing):
     # the run fails on its second step; the row keeps what the first step spent

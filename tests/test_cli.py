@@ -190,6 +190,27 @@ def test_build_rom_m_above_snapshot_count_exit_2(full_run_dir, tmp_path, capsys)
     assert not list(tmp_path.iterdir())  # every artifact is built before the first is written
 
 
+def test_build_rom_pod_deim_without_m_exit_2(full_run_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["build-rom", "--snapshots", str(full_run_dir / "snapshots.snap"),
+                 "--k", "4", "--mode", "pod-deim", "--out", str(out)])
+    assert code == 2
+    assert "pod-deim needs --m" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_rom_pod_deim_from_states_only_exit_2(rom_dir, tmp_path, capsys):
+    # a run-rom trajectory holds states only, not the term snapshots DEIM needs
+    run = tmp_path / "run"
+    assert main(["run-rom", "--rom", str(rom_dir), "--out", str(run)]) == 0
+    out = tmp_path / "o"
+    code = main(["build-rom", "--snapshots", str(run / "rom_trajectory.snap"),
+                 "--k", "4", "--mode", "pod-deim", "--m", "2", "--out", str(out)])
+    assert code == 2
+    assert "no nonlinear-term matrices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["build-rom", "--k", "-1"], "k must be at least 1"),
     (["build-rom", "--k", "0"], "k must be at least 1"),
@@ -477,13 +498,12 @@ def test_rom_verbs_use_the_snapshot_domain(tmp_path, mode):
 
     bases = build_state_bases(snaps.states, k=4)
     space = ReducedSpace(bases, ops, f)
-    deim_ops = None
     if mode == "pod-deim":
         deim_ops = deim_operators_from_snapshots(space, snaps.nonlinear, 4)
         tensors = deim_tensor_coefficients(deim_ops, space)
     else:
         tensors = build_tensor_coefficients(space)
-    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    model = ReducedModel(space, tensors, mode, cfg)
     _, traj, _ = model.run(project_initial(ic, space))
     for var, b in bases.items():
         want = b.xbar[:, None] + b.U @ traj[var]

@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 import warnings
@@ -27,10 +28,10 @@ from swerom.model import (
 )
 from swerom.pod import PodBasis, build_state_bases
 from swerom.rom import (
+    MODES,
     PackedDirection,
     ReducedModel,
     ReducedSpace,
-    RomTimings,
     build_tensor_coefficients,
     load_tensors,
     project_initial,
@@ -39,7 +40,7 @@ from swerom.rom import (
     standard_pod_nonlinear,
     tensorial_nonlinear,
 )
-from swerom.solver import SolverConfig
+from swerom.solver import PhaseTimings, SolverConfig
 
 from model_oracles import eval_nonlinear
 
@@ -398,21 +399,21 @@ def test_mode_validation():
     with pytest.raises(ValueError, match="sampled operators"):
         ReducedModel(space, tensors, "pod-deim", cfg)
     # the sampled products are packed with the tensors deim_tensor_coefficients builds
-    _, deim_ops = mode_operators(space, "pod-deim", rng)
+    deim_ops = mode_operators(space, "pod-deim", rng).deim_ops
     with pytest.raises(ValueError, match="deim_tensor_coefficients"):
         ReducedModel(space, tensors, "pod-deim", cfg, deim_ops=deim_ops)
 
 
 def mode_operators(space, mode, rng, m=5):
-    """Tensors and sampled operators as a ReducedModel in ``mode`` takes them;
-    the sampled operators use random orthonormal term bases."""
+    """Tensors as a ReducedModel in ``mode`` takes them; sampled tensors
+    carry their operators, which use random orthonormal term bases."""
     if mode != "pod-deim":
-        return build_tensor_coefficients(space), None
+        return build_tensor_coefficients(space)
     deim_ops = {}
     for term in TERM_NAMES:
         V = orthonormal_basis(space.n, m, rng)
         deim_ops[term] = build_deim_term_operator(space, term, V, deim_select_points(V))
-    return deim_tensor_coefficients(deim_ops, space), deim_ops
+    return deim_tensor_coefficients(deim_ops, space)
 
 
 def packed_arrays(direction):
@@ -430,7 +431,7 @@ def assert_same_packing(got, want):
     assert (got.K, got.slices, got.terms) == (want.K, want.slices, want.terms)
 
 
-def per_term_direction(space, tensors, mode, deim_ops, terms, xt):
+def per_term_direction(space, tensors, mode, terms, xt):
     """A direction's right-hand side and its derivative from the public
     per-term functions plus half the Coriolis blocks, as K-vector and K-by-K."""
     k = [space.k(var) for var in ("u", "v", "phi")]
@@ -445,7 +446,7 @@ def per_term_direction(space, tensors, mode, deim_ops, terms, xt):
         elif mode == "tensorial-pod":
             rhs[eq] -= tensorial_nonlinear(term, xt, tensors)
         else:
-            rhs[eq] -= deim_ops[term].evaluate(xt)
+            rhs[eq] -= tensors.deim_ops[term].evaluate(xt)
         for var, block in reduced_jacobian(term, xt, tensors).items():
             jac[eq, sl[var]] -= block
     rhs[sl["u"]] += 0.5 * (tensors.coriolis_u0 + tensors.coriolis_uv @ xt["v"])
@@ -461,14 +462,14 @@ def per_term_direction(space, tensors, mode, deim_ops, terms, xt):
 def test_packed_directions_equal_per_term_sums(mode, centered, k):
     rng = np.random.default_rng(21)
     space = make_space(build_grid(7, 5), rng, k=k, centered=centered)
-    tensors, deim_ops = mode_operators(space, mode, rng)
+    tensors = mode_operators(space, mode, rng)
     packed = tensors.directions
     evaluate = {name: d.rhs(mode, space) for name, d in packed.items()}
     for trial in range(3):
         xt = random_reduced(space, rng, scale=2.0)
         z = np.concatenate([xt.u, xt.v, xt.phi])
         for name, terms in (("x", X_TERMS), ("y", Y_TERMS)):
-            rhs, jac = per_term_direction(space, tensors, mode, deim_ops, terms, xt)
+            rhs, jac = per_term_direction(space, tensors, mode, terms, xt)
             got_rhs, got_jac = evaluate[name](z), packed[name].jacobian(z)
             assert got_rhs.shape == rhs.shape and got_jac.shape == jac.shape
             assert np.linalg.norm(got_rhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -482,11 +483,10 @@ def test_packed_direction_freed_without_cycle_collector(mode):
     # collector runs, which raises peak memory
     rng = np.random.default_rng(24)
     space = make_space(build_grid(7, 5), rng, k=3)
-    tensors, deim_ops = mode_operators(space, mode, rng)
+    tensors = mode_operators(space, mode, rng)
     gc.disable()
     try:
-        model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=2),
-                             deim_ops=deim_ops)
+        model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=2))
         model.run(random_reduced(space, rng, scale=0.1))
         refs = [weakref.ref(model), weakref.ref(model._evaluate["x"])]
         del model
@@ -502,9 +502,8 @@ def test_packed_direction_freed_without_cycle_collector(mode):
 def test_non_finite_half_step_raises_nonconvergence(mode):
     rng = np.random.default_rng(22)
     space = make_space(build_grid(9, 7), rng, k=3)
-    tensors, deim_ops = mode_operators(space, mode, rng)
-    model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=1),
-                         deim_ops=deim_ops)
+    tensors = mode_operators(space, mode, rng)
+    model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NonConvergenceError, match="not finite") as err:
@@ -520,11 +519,11 @@ def test_bad_newton_matrix_raises_nonconvergence(monkeypatch, mode, matrix):
     # numerical failure, as the full solver's band LU does, with no warning
     rng = np.random.default_rng(25)
     space = make_space(build_grid(9, 7), rng, k=3)
-    tensors, deim_ops = mode_operators(space, mode, rng)
+    tensors = mode_operators(space, mode, rng)
     cfg = SolverConfig(dt=128.0, nt=2)  # dt2 = 64, so dt2 * (1/dt2) is exactly 1
     jac = {"inf": np.full((9, 9), np.inf), "singular": np.eye(9) / 64.0}[matrix]
     monkeypatch.setattr(PackedDirection, "jacobian", lambda self, z: jac.copy())
-    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    model = ReducedModel(space, tensors, mode, cfg)
     message = {"inf": "Newton matrix is not finite", "singular": "Newton matrix is singular"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -541,9 +540,9 @@ def test_newton_matrix_build_leaves_directions_unchanged(mode, k):
     # the direction evaluates with bit for bit as packed
     rng = np.random.default_rng(26)
     space = make_space(build_grid(9, 7), rng, k=k)
-    tensors, deim_ops = mode_operators(space, mode, rng)
+    tensors = mode_operators(space, mode, rng)
     cfg = SolverConfig(dt=100.0, nt=7, lu_refresh_every=6)
-    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    model = ReducedModel(space, tensors, mode, cfg)
     factored = []
     factor = model._factor
 
@@ -555,7 +554,7 @@ def test_newton_matrix_build_leaves_directions_unchanged(mode, k):
     model.run(random_reduced(space, rng, scale=0.1))
     assert factored.count("x") >= 2 and factored.count("y") >= 2
     for axis, terms in (("x", X_TERMS), ("y", Y_TERMS)):
-        packed = PackedDirection(terms, tensors, deim_ops)
+        packed = PackedDirection(terms, tensors)
         assert_same_packing(model._directions[axis], packed)
 
 
@@ -565,15 +564,14 @@ def test_run_packs_nothing(monkeypatch, mode):
     # run only wrap the packed arrays
     rng = np.random.default_rng(27)
     space = make_space(build_grid(9, 7), rng, k=(2, 3, 4))
-    tensors, deim_ops = mode_operators(space, mode, rng)
+    tensors = mode_operators(space, mode, rng)
     directions = dict(tensors.directions)
 
     def no_packing(*args, **kwargs):
         raise AssertionError("packed on-line")
 
     monkeypatch.setattr(PackedDirection, "__init__", no_packing)
-    model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=7),
-                         deim_ops=deim_ops)
+    model = ReducedModel(space, tensors, mode, SolverConfig(dt=100.0, nt=7))
     _, traj, timings = model.run(random_reduced(space, rng, scale=0.1))
     assert timings.steps == 7 and all(np.isfinite(traj[var]).all() for var in traj)
     assert all(model._directions[axis] is d for axis, d in directions.items())
@@ -590,14 +588,64 @@ def test_reloaded_tensors_pack_the_same_arrays(tmp_path, k):
     back = load_tensors(tmp_path / "tensors.tpod")
     for axis in ("x", "y"):
         assert_same_packing(back.directions[axis], tensors.directions[axis])
-    sampled, deim_ops = mode_operators(space, "pod-deim", rng)
-    for term, op in deim_ops.items():
+    sampled = mode_operators(space, "pod-deim", rng)
+    for term, op in sampled.deim_ops.items():
         save_deim_operator(op, tmp_path / f"{term}.deim")
     loaded = {term: load_deim_operator(tmp_path / f"{term}.deim") for term in TERM_NAMES}
     resampled = deim_tensor_coefficients(loaded, space)
     for axis in ("x", "y"):
         assert sampled.directions[axis].AB is not None
         assert_same_packing(resampled.directions[axis], sampled.directions[axis])
+
+
+@pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
+def test_product_tensors_are_views_of_the_packed_store(tmp_path, k):
+    # each product's quadratic tensor is held once, in its direction's
+    # read-only store, and writes and reads the .tpod bytes it did
+    rng = np.random.default_rng(30)
+    space = make_space(build_grid(9, 7), rng, k=k)
+    for tensors in (build_tensor_coefficients(space), mode_operators(space, "pod-deim", rng)):
+        save_tensors(tensors, tmp_path / "a.tpod")
+        back = load_tensors(tmp_path / "a.tpod")
+        save_tensors(back, tmp_path / "b.tpod")
+        assert (tmp_path / "a.tpod").read_bytes() == (tmp_path / "b.tpod").read_bytes()
+        for tns in (tensors, back):
+            for axis, terms in (("x", X_TERMS), ("y", Y_TERMS)):
+                store = tns.directions[axis].quad
+                for term in terms:
+                    eq = TERM_EQUATION[term]
+                    for p in tns.terms[term].products:
+                        assert p.quad.shape == (space.k(eq), space.k(p.a_var),
+                                                space.k(p.b_var))
+                        assert np.shares_memory(p.quad, store)
+                        assert not p.quad.flags.writeable
+                        with pytest.raises(ValueError, match="read-only"):
+                            p.quad[0, 0, 0] = 1.0
+        for term in TERM_NAMES:
+            for p, q in zip(tensors.terms[term].products, back.terms[term].products):
+                assert p.quad.tobytes() == q.quad.tobytes()
+        # a deep copy owns writeable arrays, for callers that perturb a product
+        assert copy.deepcopy(tensors).terms["F21"].products[0].quad.flags.writeable
+
+
+def test_sampled_model_takes_no_deim_ops():
+    # sampled tensors carry their operators: a model built without them runs
+    # the same bits as one handed the tensors' own, and any other operators,
+    # equal ones included, are refused
+    rng = np.random.default_rng(31)
+    space = make_space(build_grid(9, 7), rng, k=(4, 2, 3))
+    sampled = mode_operators(space, "pod-deim", rng)
+    xt0 = random_reduced(space, rng, scale=0.1)
+    cfg = SolverConfig(dt=100.0, nt=7)
+    runs = [ReducedModel(space, sampled, "pod-deim", cfg, **kw).run(xt0)
+            for kw in ({}, {"deim_ops": sampled.deim_ops})]
+    for var in ("u", "v", "phi"):
+        assert runs[0][1][var].tobytes() == runs[1][1][var].tobytes()
+    assert runs[0][2].newton_iters == runs[1][2].newton_iters > 0
+    for other in (dict(sampled.deim_ops), mode_operators(space, "pod-deim", rng).deim_ops):
+        for mode in MODES:
+            with pytest.raises(ValueError, match="deim_tensor_coefficients"):
+                ReducedModel(space, sampled, mode, cfg, deim_ops=other)
 
 
 @pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
@@ -607,12 +655,12 @@ def test_runs_share_read_only_packing(mode):
     # and the arrays end as they were packed
     rng = np.random.default_rng(29)
     space = make_space(build_grid(9, 7), rng, k=(4, 2, 3))
-    tensors, deim_ops = mode_operators(space, mode, rng)
+    tensors = mode_operators(space, mode, rng)
     before = {axis: {name: arr.copy() for name, arr in packed_arrays(d).items()}
               for axis, d in tensors.directions.items()}
     xt0 = random_reduced(space, rng, scale=0.1)
     cfg = SolverConfig(dt=100.0, nt=7, lu_refresh_every=3)
-    runs = [ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops).run(xt0)
+    runs = [ReducedModel(space, tensors, mode, cfg).run(xt0)
             for _ in range(2)]
     for var in ("u", "v", "phi"):
         assert runs[0][1][var].tobytes() == runs[1][1][var].tobytes()
@@ -638,9 +686,9 @@ def test_one_rhs_per_accepted_iterate(pipeline31, mode):
         deim_ops = deim_operators_from_snapshots(space, pipeline31.snaps.nonlinear, 6)
         tensors = deim_tensor_coefficients(deim_ops, space)
     else:
-        deim_ops, tensors = None, build_tensor_coefficients(space)
+        tensors = build_tensor_coefficients(space)
     cfg = SolverConfig(dt=pipeline31.cfg.dt, nt=7)  # spans the refresh at step 6
-    model = ReducedModel(space, tensors, mode, cfg, deim_ops=deim_ops)
+    model = ReducedModel(space, tensors, mode, cfg)
     rhs, half_step = model._rhs, model._half_step
     calls = {"all": 0, "residual": 0}
     inside = False
@@ -666,7 +714,7 @@ def test_one_rhs_per_accepted_iterate(pipeline31, mode):
     assert timings.rhs_evals == calls["all"] == calls["residual"] + 1
 
     def fresh(name, z):
-        return rhs(name, z, RomTimings())
+        return rhs(name, z, PhaseTimings())
 
     assert len(half_steps) == 2 * cfg.nt
     for _, _, name, z, r in half_steps:

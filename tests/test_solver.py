@@ -306,6 +306,17 @@ def test_nonconvergence_carries_residual(setup):
     assert err.value.iterations == 2
 
 
+def test_assembly_is_right_hand_sides_plus_newton_matrices(setup):
+    # both models time right-hand sides in nonlinear_s and Newton matrices in
+    # jacobian_s; a full run's assembly_s, which run_meta.json records, is their sum
+    grid, ops, f = setup
+    _, _, tm = run_full(initial_state(grid, ops), SolverConfig(dt=120.0, nt=3), ops, f, grid)
+    assert tm.nonlinear_s > 0.0 and tm.jacobian_s > 0.0
+    assert tm.assembly_s == tm.nonlinear_s + tm.jacobian_s
+    with pytest.raises(AttributeError):
+        tm.assembly_s = 0.0
+
+
 def test_accepted_residuals_below_tolerance(setup):
     from swerom.solver import PhaseTimings
 

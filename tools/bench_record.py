@@ -173,8 +173,7 @@ def library_digests(wl) -> dict:
     sampled = swerom.deim.deim_tensor_coefficients(deim_ops, space)
     for mode in swerom.rom.MODES:
         model = swerom.rom.ReducedModel(
-            space, sampled if mode == "pod-deim" else tensors, mode, cfg,
-            deim_ops=deim_ops if mode == "pod-deim" else None)
+            space, sampled if mode == "pod-deim" else tensors, mode, cfg)
         _, traj, tm = model.run(swerom.rom.project_initial(ic, space))
         out[f"{mode}.trajectory"] = array_digest(*(traj[var] for var in swerom.model.VARIABLES))
         out[f"{mode}.counts"] = counts_digest(tm)
