@@ -301,34 +301,37 @@ def _contraction(quad, ga, gb, rows, K):
     return quadratic
 
 
-def _pack_sampled(terms, deim_ops, sl, K):
-    """Every product's m sample rows stacked: the rows of A and B over z and
-    their means a0 and b0 as AB and ab0, and the oblique projectors, with
-    the coefficients c folded in, as one E."""
+def _pack_sampled(terms, deim_ops, sl, cor_lin, cor_const):
+    """The Coriolis half and every product's m sample rows stacked in AB and
+    ab0: first the K rows of ``cor_lin`` and ``cor_const``, then the rows of
+    A and B over z and their means a0 and b0; and the oblique projectors,
+    with the coefficients c folded in, as one E."""
     products = [(TERM_EQUATION[t], deim_ops[t].E, p) for t in terms
                 for p in deim_ops[t].products]
-    m = products[0][1].shape[1]
+    K, m = len(cor_const), products[0][1].shape[1]
     Pm = len(products) * m
-    AB = np.zeros((2 * Pm, K))
-    ab0 = np.empty(2 * Pm)
+    AB = np.zeros((K + 2 * Pm, K))
+    ab0 = np.empty(K + 2 * Pm)
+    AB[:K], ab0[:K] = cor_lin, cor_const
     E = np.zeros((K, Pm))
     for j, (eq, Et, p) in enumerate(products):
-        a, b = slice(j * m, (j + 1) * m), slice(Pm + j * m, Pm + (j + 1) * m)
-        AB[a, sl[p.a_var]], ab0[a] = p.Uam, p.am
-        AB[b, sl[p.b_var]], ab0[b] = p.Ubxm, p.bxm
-        E[sl[eq], a] = p.coef * Et
+        a, b = K + j * m, K + Pm + j * m
+        AB[a:a + m, sl[p.a_var]], ab0[a:a + m] = p.Uam, p.am
+        AB[b:b + m, sl[p.b_var]], ab0[b:b + m] = p.Ubxm, p.bxm
+        E[sl[eq], j * m:(j + 1) * m] = p.coef * Et
     return AB, ab0, E
 
 
-def _sampled_products(AB, ab0, E):
-    """c ⊙ (A z + a0) ⊙ (B z + b0) over every product's m sample rows, then
-    one stacked oblique projector with the coefficients c folded in."""
-    Pm = E.shape[1]
+def _sampled_rhs(AB, ab0, E):
+    """cor_lin @ z + cor_const - E @ ((A z + a0) ⊙ (B z + b0)), with c
+    folded into E, from one product over the stacked rows of AB."""
+    K, Pm = E.shape
 
-    def quadratic(z):
-        t = AB @ z + ab0
-        return E @ (t[:Pm] * t[Pm:])
-    return quadratic
+    def rhs(z):
+        t = AB @ z
+        t += ab0
+        return t[:K] - E @ (t[K:K + Pm] * t[K + Pm:])
+    return rhs
 
 
 def _lift_project(terms, space, slices, K):
@@ -355,14 +358,16 @@ class PackedDirection:
 
     :class:`TensorCoefficients` packs its two directions once, when it is
     built; every reduced model on those tensors shares the arrays, so they
-    are read-only. In each mode the right-hand side is ``lin @ z + const -
-    quadratic(z)`` (see :meth:`rhs`): the nonlinear terms enter with a minus
-    sign, half the Coriolis coupling with a plus. ``jac_lin`` and
-    ``tensor_const`` hold every product's linear and constant pieces plus the
-    Coriolis half, ``cor_lin`` and ``cor_const`` the Coriolis half alone.
-    ``AB``, ``ab0`` and ``E`` are the sampled products, packed only from
-    the tensors' own ``deim_ops``. ``jacobian`` is the derivative taken from
-    the coefficient tensors in every mode.
+    are read-only. In every mode the nonlinear terms enter the right-hand
+    side (see :meth:`rhs`) with a minus sign, half the Coriolis coupling
+    with a plus. ``jac_lin`` and ``tensor_const`` hold every product's
+    linear and constant pieces plus the Coriolis half, ``cor_lin`` and
+    ``cor_const`` the Coriolis half alone. ``AB``, ``ab0`` and ``E`` are
+    packed only from the tensors' own ``deim_ops``: ``AB`` and ``ab0``
+    start with the K rows of ``cor_lin`` and ``cor_const`` and go on with
+    the sampled products' rows, so one product ``AB @ z`` gives POD/DEIM's
+    linear part and both factors of every sampled product. ``jacobian`` is
+    the derivative taken from the coefficient tensors in every mode.
 
     Each product's tensors are padded to the largest basis size q, and its
     ``quad`` becomes a read-only view of its slot. Padded slots gather z[0]
@@ -417,7 +422,8 @@ class PackedDirection:
 
         self.AB = self.ab0 = self.E = None
         if tensors.deim_ops is not None:
-            self.AB, self.ab0, self.E = _pack_sampled(terms, tensors.deim_ops, sl, K)
+            self.AB, self.ab0, self.E = _pack_sampled(terms, tensors.deim_ops, sl,
+                                                      self.cor_lin, self.cor_const)
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
@@ -427,21 +433,21 @@ class PackedDirection:
             p.quad = slot[:ke, :ka, :kb]
 
     def rhs(self, mode: str, space: ReducedSpace):
-        """The direction's right-hand side z -> ``lin @ z + const -
-        quadratic(z)`` in ``mode``, over these arrays. Only standard POD
+        """The direction's right-hand side z -> dz/dt in ``mode``, over these
+        arrays: ``lin @ z + const - quadratic(z)`` for the two POD modes, and
+        one product with the stacked ``AB`` for POD/DEIM. Only standard POD
         reads ``space``, to lift and project. The function closes over
         arrays only, so it holds no reference cycle and is freed with its
         model."""
+        if mode == "pod-deim":
+            if self.AB is None:
+                raise ValueError("pod-deim mode needs tensors packed with the per-term "
+                                 "sampled operators (deim_tensor_coefficients)")
+            return _sampled_rhs(self.AB, self.ab0, self.E)
         if mode == "tensorial-pod":
             P = self.ga.shape[0]
             lin, const = self.jac_lin, self.tensor_const
             quadratic = _contraction(self.quad[:P], self.ga, self.gb, self.rows, self.K)
-        elif mode == "pod-deim":
-            if self.AB is None:
-                raise ValueError("pod-deim mode needs tensors packed with the per-term "
-                                 "sampled operators (deim_tensor_coefficients)")
-            lin, const = self.cor_lin, self.cor_const
-            quadratic = _sampled_products(self.AB, self.ab0, self.E)
         else:
             lin, const = self.cor_lin, self.cor_const
             quadratic = _lift_project(self.terms, space, self.slices, self.K)
@@ -522,7 +528,8 @@ class ReducedModel(AdiNewton):
 
         def solve(rhs):
             # lu_solve without its finiteness check and batching wrapper: the
-            # Newton loop solves only for finite residuals
+            # Newton loop solves only for finite residuals, and overwrites the
+            # residual it passes, which it does not read again
             x, info = _getrs(lu, piv, rhs, overwrite_b=True)
             if info != 0:
                 raise ValueError(f"getrs: illegal value in argument {-info}")
@@ -539,23 +546,32 @@ class ReducedModel(AdiNewton):
             ) -> tuple[FieldState, dict[str, np.ndarray], PhaseTimings]:
         """Integrate nt steps; returns the reduced trajectory (k-by-nt per
         variable, column t at time (t+1)*dt, matching snapshot columns). A
-        :class:`NonConvergenceError` carries the timings up to the failure."""
+        :class:`NonConvergenceError` carries the timings up to the failure.
+
+        The run calls :meth:`~swerom.solver.AdiNewton._advance` on one packed
+        vector: x0 is packed once, each step's result is written as a row of
+        an nt-by-K buffer, and the buffer is split into the C-ordered
+        trajectories at the end. Its results equal those of a loop of
+        :meth:`step` calls bit for bit."""
         nt = nt if nt is not None else self.cfg.nt
         timings = PhaseTimings()
         t_start = time.perf_counter()
-        traj = {var: np.empty((k, nt)) for var, k in zip(VARIABLES, self._sizes)}
-        state = x0
+        rows = np.empty((nt, sum(self._sizes)))
+        w, t = self._pack(x0), x0.time
         try:
-            for step in range(nt):
-                state = self.step(state, step, timings)
-                for var in VARIABLES:
-                    traj[var][:, step] = state[var]
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = self._start(w, timings)
+                for step in range(nt):
+                    w, r = self._advance(w, r, step, timings)
+                    rows[step] = w
+                    t += self.cfg.dt
         except NonConvergenceError as err:
             timings.total_s = time.perf_counter() - t_start
             err.timings = timings
             raise
+        traj = {var: np.ascontiguousarray(block) for var, block in self._fields(rows.T).items()}
         timings.total_s = time.perf_counter() - t_start
-        return state, traj, timings
+        return self._unpack(w, t), traj, timings
 
 
 # --- tensor coefficient file -----------------------------------------------------

@@ -15,11 +15,15 @@ where the Newton matrix is assembled and LU-factorized only every
 packs the states of both; each model supplies only its block sizes, its
 right-hand side (the full model's is 0 minus
 :func:`swerom.model.direction_terms` plus half the Coriolis term) and its
-factorization; both fill one :class:`PhaseTimings`. A half-step hands its
-accepted right-hand side on: the x half-step's is the y half-step's
-explicit part, and the y half-step's starts the next step when that step
-begins from the bit-identical state, so a run evaluates one explicit
-right-hand side, at its first step, besides one per residual.
+factorization; both fill one :class:`PhaseTimings`. One step core,
+:meth:`AdiNewton._advance`, holds the refresh cadence and the two
+half-steps on the packed state: a model's ``step`` wraps it in the
+:class:`FieldState` API, and the reduced model's ``run`` steps the packed
+vector through it directly. A half-step hands its accepted right-hand side
+on: the x half-step's is the y half-step's explicit part, and the y
+half-step's starts the next step when that step begins from the
+bit-identical state, so a run evaluates one explicit right-hand side, at
+its first step, besides one per residual.
 
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
@@ -230,11 +234,21 @@ class AdiNewton:
     ``timings``, a :class:`PhaseTimings`: ``_rhs`` in ``nonlinear_s``,
     ``_factor`` in ``jacobian_s`` and ``factorization_s``.
 
+    :meth:`_advance` is the step core: one full dt on the packed w, with
+    the refresh cadence and the two half-steps, written only there. It has
+    two callers. :meth:`_adi_step`, behind each model's ``step``, packs a
+    :class:`FieldState`, advances it and unpacks a copy. The reduced
+    model's ``run`` packs its initial state once and calls the core per
+    step, because at reduced sizes packing, unpacking and the carried check
+    cost as much as a step's arithmetic. :func:`run_full` stays on
+    :meth:`FullSolver.step`: that bookkeeping is under 1% of a full step,
+    and that method is the full model's traced step.
+
     A step keeps the packed w it returns and that step's accepted
     ``_rhs("y", w)``. The next step starts from that value instead of
     evaluating it again, but only when its packed state equals the kept w
-    bit for bit; a state changed in place, or any other state, is evaluated
-    afresh.
+    bit for bit (:meth:`_start`); a state changed in place, or any other
+    state, is evaluated afresh.
     """
 
     _fixed = None
@@ -297,16 +311,19 @@ class AdiNewton:
             if it == cfg.newton_max_iters:
                 break
             t0 = time.perf_counter()
-            delta = solve(-G)
+            # the Newton step is w - solve(G), which needs no negated copy of G.
+            # The reduced model's dense solve overwrites G with the step; the
+            # loop does not read G again before it reassigns G.
+            delta = solve(G)
             timings.solve_s += time.perf_counter() - t0
             # backtracking keeps the iteration from overshooting at large dt
             alpha = 1.0
-            w_try = w + delta
+            w_try = w - delta
             G_try, r_try = residual(w_try)
             res_try = math.sqrt(G_try.dot(G_try))
             while alpha > 0.015 and (not math.isfinite(res_try) or res_try >= res):
                 alpha *= 0.5
-                w_try = w + alpha * delta
+                w_try = w - alpha * delta
                 G_try, r_try = residual(w_try)
                 res_try = math.sqrt(G_try.dot(G_try))
             if not math.isfinite(res_try):
@@ -323,33 +340,42 @@ class AdiNewton:
             f"after {cfg.newton_max_iters} iterations",
             residual=float(res), iterations=cfg.newton_max_iters)
 
-    def _adi_step(self, state: FieldState, step_index: int, timings) -> FieldState:
-        """Advance the state one full dt (two half-steps on the packed w).
+    def _start(self, w: np.ndarray, timings) -> np.ndarray:
+        """``_rhs("y", w)``: the kept value when ``w`` equals the last step's
+        packed result bit for bit, evaluated afresh otherwise."""
+        carried = self._carried
+        if carried is not None and np.array_equal(carried[0], w):
+            return carried[1]
+        return self._rhs("y", w, timings)
+
+    def _advance(self, w: np.ndarray, r: np.ndarray, step_index: int, timings):
+        """Advance the packed ``w``, whose ``_rhs("y", w)`` is ``r``, one full
+        dt (two half-steps); returns the new w and its ``_rhs("y", w)``.
         Factorizations refresh when ``step_index % lu_refresh_every == 0``
-        and are reused otherwise."""
+        and are reused otherwise. The caller enters ``np.errstate``: a
+        blown-up state ends in NonConvergenceError, without overflow warnings."""
         cfg = self.cfg
-        w = self._pack(state)
         dt2 = 0.5 * cfg.dt
         refresh = (step_index % cfg.lu_refresh_every == 0)
         # x implicit with the y terms explicit, then the reverse; the x
         # half-step's accepted _rhs("x", w) is the second one's explicit part,
         # and the y half-step's accepted _rhs("y", w) the next step's first.
-        # A blown-up state ends in NonConvergenceError, without overflow warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            carried = self._carried
-            if carried is not None and np.array_equal(carried[0], w):
-                r = carried[1]
-            else:
-                r = self._rhs("y", w, timings)
-            for axis in ("x", "y"):
-                if refresh:  # free the stale factorization before the new one is built
-                    self._solves.pop(axis, None)
-                solve = self._solves.get(axis)
-                w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
-                                                           solve, timings)
+        for axis in ("x", "y"):
+            if refresh:  # free the stale factorization before the new one is built
+                self._solves.pop(axis, None)
+            solve = self._solves.get(axis)
+            w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
+                                                       solve, timings)
         self._carried = (w, r)
         timings.steps += 1
-        return self._unpack(w, state.time + cfg.dt)
+        return w, r
+
+    def _adi_step(self, state: FieldState, step_index: int, timings) -> FieldState:
+        """Advance the state one full dt: :meth:`_advance` on its packed w."""
+        w = self._pack(state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, _ = self._advance(w, self._start(w, timings), step_index, timings)
+        return self._unpack(w, state.time + self.cfg.dt)
 
 
 class FullSolver(AdiNewton):

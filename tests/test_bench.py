@@ -297,16 +297,16 @@ def test_failed_state_stage_fails_each_reduced_row(tmp_path):
 @pytest.mark.parametrize("failing", [FullSolver, ReducedModel], ids=["full", "reduced"])
 def test_nonconverged_row_keeps_its_work(tmp_path, monkeypatch, failing):
     # the run fails on its second step; the row keeps what the first step spent
-    adi_step = AdiNewton._adi_step
+    advance = AdiNewton._advance
     spent = []
 
-    def second_step_fails(self, state, step_index, timings):
+    def second_step_fails(self, w, r, step_index, timings):
         if step_index == 1 and isinstance(self, failing):
             spent.append(replace(timings))
             raise NonConvergenceError("stalled", residual=0.5, iterations=25)
-        return adi_step(self, state, step_index, timings)
+        return advance(self, w, r, step_index, timings)
 
-    monkeypatch.setattr(AdiNewton, "_adi_step", second_step_fails)
+    monkeypatch.setattr(AdiNewton, "_advance", second_step_fails)
     cfg = ExperimentConfig(grids=[(9, 7)], window="custom", dt=200.0, nt=3, k=3,
                            modes=["full", "tensorial-pod"], out_dir=str(tmp_path))
     reports, _ = run_experiment(cfg)

@@ -727,6 +727,105 @@ def test_one_rhs_per_accepted_iterate(pipeline31, mode):
         assert np.array_equal(z0, z) and np.array_equal(b, z + dt2 * r)
 
 
+def step_loop(model, x0, nt):
+    """A run of ``nt`` :meth:`ReducedModel.step` calls, as run returns it."""
+    timings = PhaseTimings()
+    traj = {var: np.empty((k, nt)) for var, k in zip(("u", "v", "phi"), model._sizes)}
+    state = x0
+    for step in range(nt):
+        state = model.step(state, step, timings)
+        for var in traj:
+            traj[var][:, step] = state[var]
+    return state, traj, timings
+
+
+@pytest.mark.parametrize("cfg_nt, nt", [(7, None), (3, 7)], ids=["cfg-nt", "longer-nt"])
+@pytest.mark.parametrize("mode", ["standard-pod", "tensorial-pod", "pod-deim"])
+def test_run_equals_step_loop(mode, cfg_nt, nt):
+    # run steps one packed vector and a loop of step calls packs and unpacks
+    # a state per step; both give the same bits and counts, across the
+    # refresh at step 6, and run leaves the carried right-hand side that
+    # the next step reuses
+    rng = np.random.default_rng(32)
+    space = make_space(build_grid(9, 7), rng, k=(2, 3, 4))
+    tensors = mode_operators(space, mode, rng)
+    cfg = SolverConfig(dt=100.0, nt=cfg_nt, lu_refresh_every=6)
+    x0 = random_reduced(space, rng, scale=0.1)
+    x0.time = 50.0
+    ran = ReducedModel(space, tensors, mode, cfg)
+    looped = ReducedModel(space, tensors, mode, cfg)
+    final, traj, timings = ran.run(x0, nt)
+    want_final, want_traj, want = step_loop(looped, x0, 7)
+    for var in ("u", "v", "phi"):
+        assert traj[var].flags.c_contiguous and traj[var].shape == (space.k(var), 7)
+        assert traj[var].tobytes() == want_traj[var].tobytes()
+        assert final[var].tobytes() == want_final[var].tobytes()
+    assert final.time == want_final.time == 50.0 + 7 * 100.0
+    for name in ("newton_iters", "rhs_evals", "steps", "worst_residual"):
+        assert getattr(timings, name) == getattr(want, name), name
+    assert timings.steps == 7 and timings.rhs_evals > timings.newton_iters > 0
+
+    calls = []
+    rhs = ran._rhs
+
+    def recording_rhs(axis, z, tm):
+        calls.append(axis)
+        return rhs(axis, z, tm)
+
+    ran._rhs = recording_rhs
+    after, after_want = PhaseTimings(), PhaseTimings()
+    state = ran.step(final, 7, after)
+    want_state = looped.step(want_final, 7, after_want)
+    assert calls[0] == "x"  # the first is the x half-step's residual: "y" was carried
+    assert (after.rhs_evals, after.newton_iters) == (after_want.rhs_evals,
+                                                     after_want.newton_iters)
+    for var in ("u", "v", "phi"):
+        assert state[var].tobytes() == want_state[var].tobytes()
+
+
+def test_dense_solve_of_negated_rhs_is_negated_solve():
+    # the reduced model's getrs solve, like the band solves, gives
+    # solve(-g) == -solve(g) bit for bit; it overwrites its argument
+    rng = np.random.default_rng(33)
+    space = make_space(build_grid(9, 7), rng, k=(4, 2, 3))
+    model = ReducedModel(space, build_tensor_coefficients(space), "tensorial-pod",
+                         SolverConfig(dt=100.0, nt=1))
+    z = rng.standard_normal(9)
+    solve = model._factor("x", z, 50.0, PhaseTimings())
+    for _ in range(3):
+        g = rng.standard_normal(9)
+        neg = -g
+        assert solve(-g).tobytes() == (-solve(g.copy())).tobytes()
+        delta = solve(neg)
+        assert np.shares_memory(delta, neg)  # G holds the step after the solve
+
+
+def test_coriolis_rows_on_top_keep_the_sampled_rhs_bits():
+    # at the on-line workload's shape (k = 20, m = 25: K = 60 and 125 rows
+    # per sampled factor) one product with AB, Coriolis rows first, gives
+    # the bits of the Coriolis half taken on its own and the sampled
+    # factors taken as one stacked (A; B). A matrix-vector product can round
+    # a row differently by its position in the matrix: A z and B z from
+    # separate arrays differ from (A; B) z in the last bit of some rows, as
+    # do the sampled rows at k = 7, m = 13, where K = 21
+    rng = np.random.default_rng(34)
+    space = make_space(build_grid(9, 7), rng, k=20)
+    tensors = mode_operators(space, "pod-deim", rng, m=25)
+    for axis, d in tensors.directions.items():
+        K, Pm = d.E.shape
+        assert (K, Pm) == (60, 125) and d.AB.shape == (K + 2 * Pm, K)
+        cor_lin, cor_const = d.AB[:K].copy(), d.ab0[:K].copy()
+        assert cor_lin.tobytes() == d.cor_lin.tobytes()
+        assert cor_const.tobytes() == d.cor_const.tobytes()
+        sampled, means = d.AB[K:].copy(), d.ab0[K:].copy()
+        rhs = d.rhs("pod-deim", space)
+        for _ in range(5):
+            z = rng.standard_normal(K)
+            t = sampled @ z + means
+            want = cor_lin @ z + cor_const - d.E @ (t[:Pm] * t[Pm:])
+            assert rhs(z).tobytes() == want.tobytes(), axis
+
+
 def test_per_variable_k_trajectory_standard_equals_tensorial():
     rng = np.random.default_rng(23)
     space = make_space(build_grid(7, 7), rng, k=(2, 3, 4), centered=False)

@@ -192,6 +192,23 @@ def test_band_solve_equals_dgbtrs_on_same_factors(setup, dt, nt, pivoted):
     assert routes == [pivoted] * len(captured)
 
 
+@pytest.mark.parametrize("dt, nt, pivoted", [(960.0, 8, False), (6000.0, 4, True)],
+                         ids=["unpivoted", "pivoted"])
+def test_band_solve_of_negated_rhs_is_negated_solve(setup, dt, nt, pivoted):
+    # the Newton step is w - solve(G), not w + solve(-G): the same bits,
+    # because triangular solves and row interchanges commute exactly with
+    # negation and IEEE x - y is x + (-y)
+    grid, ops, f = setup
+    captured, _ = _newton_matrices(grid, ops, f, SolverConfig(dt=dt, nt=nt, newton_max_iters=60))
+    rng = np.random.default_rng(8)
+    for band, ab in captured:
+        solve, used_dgbtrs = band.factorize(ab)
+        assert used_dgbtrs == pivoted
+        for _ in range(3):
+            g = rng.standard_normal(3 * grid.n)
+            assert solve(-g).tobytes() == (-solve(g)).tobytes()
+
+
 def test_cfl_warning_emitted(setup):
     grid, ops, f = setup
     ic = initial_state(grid, ops)
@@ -462,6 +479,7 @@ def test_rhs_is_zero_minus_recorded_terms_plus_half_coriolis(setup):
 def test_full_and_reduced_models_share_one_newton_loop():
     assert FullSolver._half_step is ReducedModel._half_step
     assert FullSolver._adi_step is ReducedModel._adi_step
+    assert FullSolver._advance is ReducedModel._advance
 
 
 def test_non_finite_state_raises_before_factorization():

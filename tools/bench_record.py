@@ -52,8 +52,9 @@ OUT = ROOT / ".perfbench_out"
 WORKLOADS = ("paper-121x89-nt12-k8-m12", "online-61x45-nt30-k20-m25",
              "cli-61x45-nt30-k12-m24")
 SPAN_NOTE = ("The on-line per-layer spans of a traced run (rom.lift_project, rom.contract, "
-             "rom.jacobian, deim.evaluate) read 0 until [perfbench-debt] lands: they wrap "
-             "reference evaluators the reduced model no longer calls.")
+             "rom.jacobian, deim.evaluate, rom.step) read 0 until [perfbench-debt] lands: they "
+             "wrap reference evaluators, or the per-step method, that ReducedModel.run no "
+             "longer calls.")
 BLANK = "T"  # what a non-empty timing field becomes
 
 
