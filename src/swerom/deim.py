@@ -6,9 +6,10 @@ points, and a precomputed oblique projector E = U^T V (P^T V)^{-1}, with U
 the basis of the term's equation. The greedy points are the row pivots of
 one LU factorization of V with partial pivoting
 (:func:`deim_select_points`). On-line evaluation then needs the term's
-componentwise products only at the m sampled mesh rows. Selection matrices
-are never formed; P^T is row gathering throughout. Every route builds its
-operators through :func:`deim_operators`.
+componentwise products only at the m sampled mesh rows, and an operator's
+build derives only those rows of the derivative bases A @ U. Selection
+matrices are never formed; P^T is row gathering throughout. Every route
+builds its operators through :func:`deim_operators`.
 
 The same sampled factors also yield coefficient tensors by summing over
 the m sampled rows instead of all n mesh rows (the full-sum build's GEMM
@@ -154,12 +155,10 @@ def build_deim_term_operator(space: ReducedSpace, term: str, V: np.ndarray,
     products = []
     for coef, avar, bvar, axis in TERMS[term]:
         ba = space.bases[avar]
+        bxm, Ubxm = space.derivative(bvar, axis, points)
         products.append(SampledProduct(
-            a_var=avar, b_var=bvar, coef=coef,
-            Uam=ba.U[points, :].copy(),
-            Ubxm=space.dbasis[bvar, axis][points, :].copy(),
-            am=ba.xbar[points].copy(),
-            bxm=space.dmean[bvar, axis][points].copy()))
+            a_var=avar, b_var=bvar, coef=coef, Uam=ba.U[points, :].copy(),
+            Ubxm=Ubxm, am=ba.xbar[points].copy(), bxm=bxm))
     return DeimTermOperator(term=term, points=points, E=E, cond=cond, products=products,
                             n=space.n)
 

@@ -1,7 +1,9 @@
 """Reduced-order engines: projected dynamics and their evaluation routes.
 
-A :class:`ReducedSpace` bundles per-variable bases with the difference
-operators and precomputes every projected array the reduced model needs.
+A :class:`ReducedSpace` holds the per-variable bases, the difference
+operators and the k-sized Coriolis projections. Each off-line build derives
+the n-by-k derivative bases A @ U it reads (:meth:`ReducedSpace.derivative`)
+and frees them when it returns, so no held object keeps them.
 The nonlinear right-hand side can then be evaluated three ways:
 
 * plain lift-evaluate-project: the full model's own evaluation
@@ -95,7 +97,8 @@ MODES = ("standard-pod", "tensorial-pod", "pod-deim")
 
 
 class ReducedSpace:
-    """Bases for u, v, phi plus every projected array derived from them."""
+    """Bases for u, v, phi, the difference operators, f and the k-sized
+    Coriolis projections; the derivative bases come from :meth:`derivative`."""
 
     def __init__(self, bases: dict[str, PodBasis], ops: DifferenceOperators, f: np.ndarray):
         for var in VARIABLES:
@@ -105,13 +108,6 @@ class ReducedSpace:
         self.ops = ops
         self.f = f
         self.n = bases["u"].n
-        # derivative bases A_axis @ U and means A_axis @ xbar, for the tensor builds
-        self.dbasis: dict[tuple[str, str], np.ndarray] = {}
-        self.dmean: dict[tuple[str, str], np.ndarray] = {}
-        for var, basis in bases.items():
-            for axis, A in (("x", ops.Ax), ("y", ops.Ay)):
-                self.dbasis[var, axis] = A @ basis.U
-                self.dmean[var, axis] = A @ basis.xbar
         # reduced Coriolis coupling (projected exactly; it is linear)
         Uu, Uv = bases["u"].U, bases["v"].U
         self.coriolis_uv = Uu.T @ (f[:, None] * Uv)
@@ -121,6 +117,15 @@ class ReducedSpace:
 
     def k(self, var: str) -> int:
         return self.bases[var].k
+
+    def derivative(self, var: str, axis: str, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """(A @ xbar, A @ U) of ``var``'s basis, A the ``axis`` difference
+        operator, or only its ``rows``: a CSR row slice sums each row in the
+        same order, so the rows equal those of the whole product bit for bit.
+        Computed on every call and never cached."""
+        A = self.ops.Ax if axis == "x" else self.ops.Ay
+        A = A if rows is None else A[rows]
+        return A @ self.bases[var].xbar, A @ self.bases[var].U
 
 
 def project_initial(state: FieldState, space: ReducedSpace) -> FieldState:
@@ -141,7 +146,8 @@ def standard_pod_nonlinear(term: str, xt, space: ReducedSpace) -> np.ndarray:
     for coef, avar, bvar, axis in TERMS[term]:
         ba = space.bases[avar]
         a_full = ba.xbar + ba.U @ xt[avar]
-        bx_full = space.dmean[bvar, axis] + space.dbasis[bvar, axis] @ xt[bvar]
+        bxbar, Ubx = space.derivative(bvar, axis)
+        bx_full = bxbar + Ubx @ xt[bvar]
         out += coef * (U.T @ (a_full * bx_full))
     return out
 
@@ -234,6 +240,9 @@ def build_tensor_coefficients(space: ReducedSpace) -> TensorCoefficients:
     sums make the 10 quadratic tensors; the linear and constant pieces are
     summed per product.
     """
+    # the six derivative pairs (A @ xbar, A @ U), each derived once and freed on return
+    pairs = dict.fromkeys((b, axis) for products in TERMS.values() for _, _, b, axis in products)
+    derived = {pair: space.derivative(*pair) for pair in pairs}
     sums: dict[tuple[str, str, str, str], np.ndarray] = {}
     terms: dict[str, TermTensors] = {}
     for name in TERM_NAMES:
@@ -242,7 +251,7 @@ def build_tensor_coefficients(space: ReducedSpace) -> TensorCoefficients:
         products = []
         for coef, avar, bvar, axis in TERMS[name]:
             ba = space.bases[avar]
-            Ubx = space.dbasis[bvar, axis]
+            bxbar, Ubx = derived[bvar, axis]
             swapped = sums.get((avar, eq, bvar, axis))
             if swapped is None:
                 T = trilinear_sum(P, ba.U, Ubx, symmetric=avar == eq)
@@ -250,7 +259,7 @@ def build_tensor_coefficients(space: ReducedSpace) -> TensorCoefficients:
                 T = np.ascontiguousarray(swapped.transpose(1, 0, 2))
             sums[eq, avar, bvar, axis] = T
             products.append(product_tensors(
-                P, ba.U, ba.xbar, Ubx, space.dmean[bvar, axis], coef, avar, bvar, T))
+                P, ba.U, ba.xbar, Ubx, bxbar, coef, avar, bvar, T))
         terms[name] = TermTensors(term=name, products=products)
     return TensorCoefficients(
         terms=terms,

@@ -379,7 +379,7 @@ def test_criterion_9_oracle_equivalence_suite():
     for name in TERM_NAMES:
         W = space.bases[TERM_EQUATION[name]].U
         for j, (coef, avar, bvar, axis) in enumerate(TERMS[name]):
-            want = loop_tensor(W, space.bases[avar].U, space.dbasis[bvar, axis], coef)
+            want = loop_tensor(W, space.bases[avar].U, space.derivative(bvar, axis)[1], coef)
             ok_tensor &= bool(np.allclose(tensors.terms[name].products[j].quad, want,
                                           rtol=1e-12, atol=1e-13))
 

@@ -1,7 +1,10 @@
-"""The BENCH recorder's summary statistics and timing-field blanking."""
+"""The BENCH recorder's summary statistics, timing-field blanking and
+``--src`` option, and the digest gate's key comparison."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,10 @@ _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 _spec = importlib.util.spec_from_file_location("bench_record", _PATH)
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
+_spec = importlib.util.spec_from_file_location("digest_gate", _PATH.with_name("digest_gate.py"))
+digest_gate = importlib.util.module_from_spec(_spec)
+sys.modules.setdefault("bench_record", bench_record)  # what digest_gate imports
+_spec.loader.exec_module(digest_gate)
 
 
 @pytest.mark.parametrize("values, median, low, iqr", [
@@ -53,3 +60,66 @@ def test_csv_timing_cells_blanked_and_empty_cells_kept():
 def test_other_files_hashed_as_written():
     data = b"SWESNAP1" + bytes(range(40))
     assert bench_record.blank_timing_fields("snapshots.snap", data) == data
+
+
+def test_src_needs_digests_only_and_a_swerom_checkout(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_record.parse_args(["--label", "x", "--src", str(bench_record.ROOT)])
+    with pytest.raises(SystemExit):
+        bench_record.parse_args(["--digests-only", "cli-61x45-nt30-k12-m24", "--src",
+                                 str(tmp_path)])
+    args = bench_record.parse_args(["--digests-only", "cli-61x45-nt30-k12-m24", "--src",
+                                    str(bench_record.ROOT)])
+    assert args.src == bench_record.ROOT
+
+
+def test_src_checkout_is_the_one_imported(tmp_path):
+    # a checkout whose swerom fails on import: the digest run must fail with its message
+    pkg = tmp_path / "src" / "swerom"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("raise ImportError('the swerom of the --src checkout')\n")
+    proc = subprocess.run([sys.executable, str(_PATH), "--digests-only",
+                           "cli-61x45-nt30-k12-m24", "--src", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "the swerom of the --src checkout" in proc.stderr
+
+
+def test_gate_keys_and_their_differences():
+    base = {"w": {"library": {"a": "1", "b": "2"}, "cli": {"f/x.csv": "3"}}}
+    head = {"w": {"library": {"a": "1", "b": "9"}, "cli": {"f/x.csv": "3", "f/y.csv": "4"}}}
+    flat = digest_gate.flatten(head)
+    assert flat == {"w/library/a": "1", "w/library/b": "9", "w/cli/f/x.csv": "3",
+                    "w/cli/f/y.csv": "4"}
+    # a changed digest and a key that only one side has both differ
+    assert digest_gate.differing(digest_gate.flatten(base), flat) == ["w/cli/f/y.csv",
+                                                                      "w/library/b"]
+
+
+def test_gate_reads_only_added_digest_lines():
+    base = "old entry\nDIGESTS CHANGED: */library/a an earlier change\n"
+    head = base + ("new entry\n"
+                   "DIGESTS CHANGED: `*/library/b`, `w/cli/f/*.csv`: the sum starts at zero.\n"
+                   "not a DIGESTS CHANGED: x/y line\n")
+    patterns = digest_gate.named_patterns(head, base)
+    assert patterns == ["*/library/b", "w/cli/f/*.csv"]
+    keys = ["w/library/a", "w/library/b", "w/cli/f/y.csv", "w/cli/g.json"]
+    assert digest_gate.unnamed(keys, patterns) == ["w/library/a", "w/cli/g.json"]
+
+
+@pytest.mark.parametrize("line, code", [("", 0), ("DIGESTS CHANGED: w/library/b why", 0),
+                                        ("DIGESTS CHANGED: w/library/a why", 1)])
+def test_gate_exit_code(tmp_path, monkeypatch, capsys, line, code):
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir()
+    head.mkdir()
+    (base / "CHANGES.md").write_text("entry\n")
+    (head / "CHANGES.md").write_text(f"entry\n{line}\n")
+    same = {"w": {"library": {"a": "1", "b": "2"}}}
+    changed = {"w": {"library": {"a": "1", "b": "9" if line else "2"}}}
+    monkeypatch.setattr(digest_gate.bench_record, "ROOT", head)
+    monkeypatch.setattr(digest_gate.bench_record, "digests",
+                        lambda names, src=head: same if src == base.resolve() else changed)
+    assert digest_gate.main(["--base", str(base)]) == code
+    out = capsys.readouterr().out
+    assert ("w/library/b" in out) == bool(line)

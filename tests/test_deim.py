@@ -21,7 +21,9 @@ from swerom.model import (
     coriolis_field,
     initial_state,
 )
+from swerom.pod import build_state_bases
 from swerom.rom import (
+    ReducedSpace,
     build_tensor_coefficients,
     standard_pod_nonlinear,
     tensorial_nonlinear,
@@ -170,7 +172,7 @@ def term_span_basis(space, term, rng):
     cols = []
     for coef, avar, bvar, axis in TERMS[term]:
         Ua = space.bases[avar].U
-        Ubx = space.dbasis[bvar, axis]
+        _, Ubx = space.derivative(bvar, axis)
         for p in range(Ua.shape[1]):
             for q in range(Ubx.shape[1]):
                 cols.append(Ua[:, p] * Ubx[:, q])
@@ -203,6 +205,21 @@ def test_deim_exact_on_span(term):
         exact = standard_pod_nonlinear(term, xt, space)
         approx = op.evaluate(xt)
         assert np.linalg.norm(approx - exact) <= 1e-10 * (1.0 + np.linalg.norm(exact))
+
+
+def test_sampled_products_are_rows_of_the_whole_derivative(pipeline31):
+    # an operator derives only its points' rows of A @ U and A @ xbar; a CSR
+    # row slice sums each row in the same order, so they equal the rows of
+    # the products over all n rows bit for bit
+    pipe = pipeline31
+    bases = build_state_bases(pipe.snaps.states, k=12)
+    space = ReducedSpace(bases, pipe.ops, pipe.f)
+    ops_by_term = deim_operators_from_snapshots(space, pipe.snaps.nonlinear, 15)
+    for term, op in ops_by_term.items():
+        for p, (_, _, bvar, axis) in zip(op.products, TERMS[term]):
+            A = pipe.ops.Ax if axis == "x" else pipe.ops.Ay
+            assert p.Ubxm.tobytes() == (A @ bases[bvar].U)[op.points].tobytes(), term
+            assert p.bxm.tobytes() == (A @ bases[bvar].xbar)[op.points].tobytes(), term
 
 
 def test_deim_operator_validates_points():
@@ -334,9 +351,6 @@ def test_deim_operator_bad_magic(tmp_path):
 def test_deim_error_band_over_sample_counts(pipeline31):
     """Mean trajectory approximation error is nonincreasing in m within a
     10% tolerance band (greedy selection is not strictly monotone)."""
-    from swerom.pod import build_state_bases
-    from swerom.rom import ReducedSpace
-
     pipe = pipeline31
     bases = build_state_bases(pipe.snaps.states, k=20)
     space = ReducedSpace(bases, pipe.ops, pipe.f)

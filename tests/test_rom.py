@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+import swerom.deim
+import swerom.rom
 from swerom.deim import (
     build_deim_term_operator,
     deim_operators_from_snapshots,
@@ -194,7 +196,7 @@ def test_tensor_zero_for_constant_basis_zero_derivative():
     ones = np.ones(grid.n) / np.sqrt(grid.n)
     for var in ("u", "v", "phi"):
         space.bases[var].U[:, 0] = ones
-    space = ReducedSpace(space.bases, space.ops, space.f)  # rebuild derived arrays
+    space = ReducedSpace(space.bases, space.ops, space.f)  # rebuild the Coriolis projections
     tensors = build_tensor_coefficients(space)
     assert np.allclose(tensors.terms["F11"].products[0].quad, 0.0, atol=1e-15)
 
@@ -206,7 +208,7 @@ def test_tensor_k1_matches_direct_sum():
     tensors = build_tensor_coefficients(space)
     W = space.bases["u"].U[:, 0]
     Ua = space.bases["u"].U[:, 0]
-    Ux = space.dbasis["u", "x"][:, 0]
+    Ux = space.derivative("u", "x")[1][:, 0]
     want = float(np.sum(W * Ua * Ux))
     assert tensors.terms["F11"].products[0].quad[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
@@ -221,9 +223,9 @@ def test_tensor_matches_quadruple_loop_oracle(k):
         W = space.bases[TERM_EQUATION[name]].U
         for j, (coef, avar, bvar, axis) in enumerate(TERMS[name]):
             ba = space.bases[avar]
+            bxbar, Ubx = space.derivative(bvar, axis)
             check_product_against_loop(tensors.terms[name].products[j], W, ba.U, ba.xbar,
-                                       space.dbasis[bvar, axis], space.dmean[bvar, axis],
-                                       coef)
+                                       Ubx, bxbar, coef)
 
 
 @pytest.mark.parametrize("k", [3, (2, 3, 4)], ids=["uniform-k", "per-variable-k"])
@@ -262,9 +264,90 @@ def test_tensor_matches_einsum_on_pod_bases(pipeline31):
         W = space.bases[TERM_EQUATION[name]].U
         for j, (coef, avar, bvar, axis) in enumerate(TERMS[name]):
             want = coef * np.einsum("ie,ip,iq->epq", W, space.bases[avar].U,
-                                    space.dbasis[bvar, axis])
+                                    space.derivative(bvar, axis)[1])
             got = tensors.terms[name].products[j].quad
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (name, j)
+
+
+class UpFrontSpace(ReducedSpace):
+    """A space that forms all six (A @ xbar, A @ U) pairs once, up front and
+    over all n rows, and serves its builds from them."""
+
+    def __init__(self, bases, ops, f):
+        super().__init__(bases, ops, f)
+        self.pairs = {(var, axis): (A @ b.xbar, A @ b.U) for var, b in bases.items()
+                      for axis, A in (("x", ops.Ax), ("y", ops.Ay))}
+
+    def derivative(self, var, axis, rows=None):
+        bxbar, Ubx = self.pairs[var, axis]
+        return (bxbar, Ubx) if rows is None else (bxbar[rows], Ubx[rows])
+
+
+@pytest.mark.parametrize("k", [12, (5, 7, 9)], ids=["pod-bases", "per-variable-k"])
+def test_tensors_equal_a_build_from_up_front_derivatives(pipeline31, k):
+    if isinstance(k, tuple):
+        bases = make_space(pipeline31.grid, np.random.default_rng(11), k=k).bases
+    else:
+        bases = build_state_bases(pipeline31.snaps.states, k=k)
+    got = build_tensor_coefficients(ReducedSpace(bases, pipeline31.ops, pipeline31.f))
+    want = build_tensor_coefficients(UpFrontSpace(bases, pipeline31.ops, pipeline31.f))
+    for name in TERM_NAMES:
+        for g, w in zip(got.terms[name].products, want.terms[name].products):
+            for attr in ("quad", "lin_a", "lin_b", "const"):
+                assert getattr(g, attr).tobytes() == getattr(w, attr).tobytes(), (name, attr)
+    for axis in ("x", "y"):
+        for attr in ("jac_lin", "tensor_const", "quad"):
+            assert (getattr(got.directions[axis], attr).tobytes()
+                    == getattr(want.directions[axis], attr).tobytes()), (axis, attr)
+
+
+def n_row_arrays(obj, n, path, skip, seen=None):
+    """Paths of the arrays with n rows reachable from obj through dicts,
+    lists, tuples and swerom objects, entering none of the objects in skip."""
+    seen = set() if seen is None else seen
+    if id(obj) in skip or id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.ndim and obj.shape[0] == n else []
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif type(obj).__module__.startswith("swerom."):
+        items = vars(obj).items()
+    else:
+        return []
+    return [found for key, value in items
+            for found in n_row_arrays(value, n, f"{path}.{key}", skip, seen)]
+
+
+def test_space_and_builds_hold_no_derivative_arrays(pipeline31):
+    # a space owns n-row arrays only in the bases, ops and f it was given; the
+    # builds derive A @ U and A @ xbar over all rows on each call and free them
+    pipe = pipeline31
+    space = ReducedSpace(build_state_bases(pipe.snaps.states, k=8), pipe.ops, pipe.f)
+    derive, whole = space.derivative, []
+
+    def recording(var, axis, rows=None):
+        out = derive(var, axis, rows)
+        if rows is None:
+            whole.extend(weakref.ref(arr) for arr in out)
+        return out
+    space.derivative = recording
+    tensors = build_tensor_coefficients(space)
+    deim_ops = deim_operators_from_snapshots(space, pipe.snaps.nonlinear, 10)
+    sampled = deim_tensor_coefficients(deim_ops, space)
+    standard_pod_nonlinear("F11", random_reduced(space, np.random.default_rng(12)), space)
+    del space.derivative
+    assert len(whole) == 2 * 6 + 2 * 2 and all(ref() is None for ref in whole)
+
+    modules = {mod.__name__: {name: value for name, value in vars(mod).items()
+                              if not name.startswith("__")}
+               for mod in (swerom.rom, swerom.deim)}
+    held = {"space": vars(space), "tensors": tensors, "deim_ops": deim_ops,
+            "sampled": sampled, **modules}
+    assert n_row_arrays(held, space.n, "", {id(space.bases), id(space.ops), id(space.f)}) == []
 
 
 def test_tensorial_zero_at_origin_no_centering():

@@ -28,6 +28,11 @@ that ``run-full``, ``build-rom`` (tensorial-pod and pod-deim), ``run-rom``
 keys and CSV columns ending in ``_s``) blanked. Two commits whose digest
 blocks are equal computed the same trajectories, counts and files, bit for
 bit, on this machine and BLAS. Only numpy and the standard library are used.
+
+``--digests-only <workload> ... [--src <checkout>]`` prints the digest block
+alone, as JSON. With ``--src`` it hashes the ``src/`` of another checkout
+with this recorder and this checkout's workload configurations, so two
+commits are hashed by the same code (``tools/digest_gate.py`` does this).
 """
 
 from __future__ import annotations
@@ -210,8 +215,9 @@ def cli_digests(wl, workdir: Path) -> dict:
             for path in sorted(workdir.rglob("*")) if path.is_file()}
 
 
-def compute_digests(names) -> dict:
-    sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
+def compute_digests(names, src: Path) -> dict:
+    """Digests of ``src``'s swerom (``<src>/src``) on the named workloads."""
+    sys.path[:0] = [str(src / "src"), str(PERFBENCH)]
     from workloads import WORKLOADS as CONFIGS
 
     out = {}
@@ -222,11 +228,12 @@ def compute_digests(names) -> dict:
     return out
 
 
-def digests(names) -> dict:
+def digests(names, src: Path = ROOT) -> dict:
     """Digests computed in a fresh interpreter with one BLAS thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, __file__, "--digests-only", *names],
+    proc = subprocess.run([sys.executable, __file__, "--digests-only", *names,
+                           "--src", str(src)],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"digest run exited {proc.returncode}: {proc.stderr.strip()}")
@@ -243,8 +250,17 @@ def parse_args(argv=None):
     p.add_argument("--workload", action="append", choices=WORKLOADS,
                    help="a workload to record (repeatable; default all)")
     p.add_argument("--out", type=Path, help="output path (default BENCH_<label>.json)")
-    p.add_argument("--digests-only", nargs="+", metavar="WORKLOAD", help=argparse.SUPPRESS)
+    p.add_argument("--digests-only", nargs="+", metavar="WORKLOAD", choices=WORKLOADS,
+                   help="print the digest block of these workloads as JSON, and nothing else")
+    p.add_argument("--src", type=Path,
+                   help="with --digests-only: the checkout whose src/ is hashed "
+                        "(default this one)")
     args = p.parse_args(argv)
+    if args.src is not None:
+        if args.digests_only is None:
+            p.error("--src needs --digests-only")
+        if not (args.src / "src" / "swerom" / "__init__.py").is_file():
+            p.error(f"--src {args.src}: no src/swerom/__init__.py there")
     if args.digests_only is None:
         if not args.label:
             p.error("--label is required")
@@ -256,7 +272,7 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.digests_only is not None:
-        print(json.dumps(compute_digests(args.digests_only)))
+        print(json.dumps(compute_digests(args.digests_only, (args.src or ROOT).resolve())))
         return 0
     names = args.workload or list(WORKLOADS)
     record = {"label": args.label, "runs": args.runs, "seconds": args.seconds,
