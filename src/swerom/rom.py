@@ -144,10 +144,9 @@ def standard_pod_nonlinear(term: str, xt, space: ReducedSpace) -> np.ndarray:
     U = space.bases[eq].U
     out = np.zeros(space.k(eq))
     for coef, avar, bvar, axis in TERMS[term]:
-        ba = space.bases[avar]
-        a_full = ba.xbar + ba.U @ xt[avar]
-        bxbar, Ubx = space.derivative(bvar, axis)
-        bx_full = bxbar + Ubx @ xt[bvar]
+        A = space.ops.Ax if axis == "x" else space.ops.Ay
+        a_full = space.bases[avar].lift(xt[avar])
+        bx_full = A @ space.bases[bvar].lift(xt[bvar])
         out += coef * (U.T @ (a_full * bx_full))
     return out
 

@@ -3,6 +3,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -123,3 +124,52 @@ def test_gate_exit_code(tmp_path, monkeypatch, capsys, line, code):
     assert digest_gate.main(["--base", str(base)]) == code
     out = capsys.readouterr().out
     assert ("w/library/b" in out) == bool(line)
+
+
+def _base_lacking_build_grid(root: Path) -> Path:
+    # a base whose swerom is this one without swerom.model.build_grid, the
+    # first function the recorder calls
+    pkg = root / "src" / "swerom"
+    shutil.copytree(_PATH.parent.parent / "src" / "swerom", pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(pkg / "__init__.py", "a") as init:
+        init.write("\nfrom swerom import model as _model\ndel _model.build_grid\n")
+    (root / "CHANGES.md").write_text("entry\n")
+    return root
+
+
+@pytest.mark.parametrize("own_recorder, line, code", [
+    (False, "", 1),
+    (False, "DIGESTS CHANGED: */* the base's swerom predates the recorder", 0),
+    (True, "", 0),
+])
+def test_gate_on_a_base_this_recorder_cannot_hash(tmp_path, monkeypatch, capsys,
+                                                  own_recorder, line, code):
+    base = _base_lacking_build_grid(tmp_path / "base")
+    if own_recorder:
+        # the base's own recorder hashes it, to what this checkout gives
+        (base / "tools").mkdir()
+        (base / "tools" / "bench_record.py").write_text(
+            "import json\nprint(json.dumps({'w': {'library': {'a': '1'}}}))\n")
+    head = tmp_path / "head"
+    head.mkdir()
+    (head / "CHANGES.md").write_text(f"entry\n{line}\n")
+    real = digest_gate.bench_record.digests
+    monkeypatch.setattr(digest_gate.bench_record, "ROOT", head)
+    monkeypatch.setattr(digest_gate.bench_record, "digests",
+                        lambda names, src=None, recorder=None:
+                        real(names, src, recorder) if src or recorder
+                        else {"w": {"library": {"a": "1"}}})
+    assert digest_gate.main(["--base", str(base)]) == code
+    captured = capsys.readouterr()
+    assert "could not hash the base" in captured.err
+    assert "build_grid" in captured.err
+    assert ("w/library/a" in captured.out) == (not own_recorder)
+
+
+def test_gate_fails_when_this_checkout_cannot_be_hashed(tmp_path, monkeypatch, capsys):
+    def failing(names, src=None, recorder=None):
+        raise RuntimeError("digest run exited 1: ImportError")
+    monkeypatch.setattr(digest_gate.bench_record, "digests", failing)
+    assert digest_gate.main(["--base", str(tmp_path)]) == 1
+    assert "this checkout's digests could not be computed" in capsys.readouterr().err

@@ -340,7 +340,7 @@ def test_space_and_builds_hold_no_derivative_arrays(pipeline31):
     sampled = deim_tensor_coefficients(deim_ops, space)
     standard_pod_nonlinear("F11", random_reduced(space, np.random.default_rng(12)), space)
     del space.derivative
-    assert len(whole) == 2 * 6 + 2 * 2 and all(ref() is None for ref in whole)
+    assert len(whole) == 2 * 6 and all(ref() is None for ref in whole)
 
     modules = {mod.__name__: {name: value for name, value in vars(mod).items()
                               if not name.startswith("__")}

@@ -228,13 +228,16 @@ def compute_digests(names, src: Path) -> dict:
     return out
 
 
-def digests(names, src: Path = ROOT) -> dict:
-    """Digests computed in a fresh interpreter with one BLAS thread."""
+def digests(names, src: Path | None = None, recorder: Path | None = None) -> dict:
+    """Digests computed in a fresh interpreter with one BLAS thread, by this
+    recorder or by another checkout's ``recorder`` (which may predate
+    ``--src``), of ``src``'s swerom or, without ``src``, of the recorder's own."""
+    recorder = recorder or Path(__file__).resolve()
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, __file__, "--digests-only", *names,
-                           "--src", str(src)],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+    src_args = [] if src is None else ["--src", str(src)]
+    proc = subprocess.run([sys.executable, str(recorder), "--digests-only", *names, *src_args],
+                          cwd=recorder.parent.parent, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"digest run exited {proc.returncode}: {proc.stderr.strip()}")
     return json.loads(proc.stdout)

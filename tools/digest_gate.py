@@ -5,12 +5,15 @@ except where its ``CHANGES.md`` says otherwise.
 Usage (from the repository root, with the base commit checked out in
 another directory, for example by ``git worktree add --detach <dir> <rev>``):
 
-    python3 tools/digest_gate.py --base <dir> [--workload <name> ...]
+    python3 tools/digest_gate.py --base <dir>
 
-Both sides are hashed by this checkout's recorder (``tools/bench_record.py
---digests-only``, one BLAS thread, this checkout's workload configurations),
-the base with ``--src <dir>``, so only the code under test differs. Each
-digest has a key ``<workload>/<route>/<name>``, for example
+Both sides are hashed on the three benchmark workloads by this checkout's
+recorder (``tools/bench_record.py --digests-only``, one BLAS thread, this
+checkout's workload configurations), the base with ``--src <dir>``, so only
+the code under test differs. If this recorder cannot hash the base (it calls
+what the base's swerom lacks), the base's own recorder hashes it; if that
+fails too, every key of this checkout counts as differing. Each digest has
+a key ``<workload>/<route>/<name>``, for example
 ``paper-121x89-nt12-k8-m12/library/tensorial-pod.trajectory``. The gate
 prints every key whose digest differs or that only one side has.
 
@@ -23,9 +26,9 @@ Each word of the line that holds a ``/`` is an ``fnmatch`` pattern over the
 keys (``*/library/pod-deim.*``, say), once the backticks, quotes,
 parentheses, colons, semicolons and full stops at its ends are stripped;
 the other words give the reason. The gate exits 1 if a differing key
-matches no pattern of such a line, and 0 otherwise. Digests hold for one
-machine and BLAS only, so both sides are hashed in the same run, and no
-committed digest is compared.
+matches no pattern of such a line, or if this checkout cannot be hashed,
+and 0 otherwise. Digests hold for one machine and BLAS only, so both sides
+are hashed in the same run, and no committed digest is compared.
 """
 
 from __future__ import annotations
@@ -70,18 +73,34 @@ def read_text(path: Path) -> str:
     return path.read_text() if path.is_file() else ""
 
 
+def hashed(what: str, *runs) -> dict[str, str] | None:
+    """The flattened digests of the first of ``runs`` that succeeds, or None."""
+    for run in runs:
+        try:
+            return flatten(run())
+        except (RuntimeError, ValueError) as err:
+            print(f"could not hash {what}: {err}", file=sys.stderr)
+    return None
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", type=Path, required=True, help="checkout of the base commit")
-    p.add_argument("--workload", action="append", choices=bench_record.WORKLOADS,
-                   help="a workload to hash (repeatable; default all three)")
-    args = p.parse_args(argv)
-    names = args.workload or list(bench_record.WORKLOADS)
-    base = flatten(bench_record.digests(names, args.base.resolve()))
-    head = flatten(bench_record.digests(names))
+    base_dir = p.parse_args(argv).base.resolve()
+    names = list(bench_record.WORKLOADS)
+    head = hashed("this checkout", lambda: bench_record.digests(names))
+    if head is None:
+        print("FAIL: this checkout's digests could not be computed", file=sys.stderr)
+        return 1
+    own = base_dir / "tools" / "bench_record.py"
+    base = hashed("the base", lambda: bench_record.digests(names, base_dir),
+                  lambda: bench_record.digests(names, recorder=own))
+    if base is None:
+        print("the base could not be hashed: every key counts as differing", file=sys.stderr)
+        base = {}
     keys = differing(base, head)
     patterns = named_patterns(read_text(bench_record.ROOT / "CHANGES.md"),
-                              read_text(args.base / "CHANGES.md"))
+                              read_text(base_dir / "CHANGES.md"))
     missing = unnamed(keys, patterns)
     print(f"{len(head)} digests, {len(keys)} differ from the base")
     for key in keys:
