@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from swerom.deim import (
     save_deim_operator,
 )
 from swerom.errors import FileFormatError, NonConvergenceError
-from swerom.flops import flop_count, reference_table
+from swerom.flops import METHODS, flop_count, reference_table
 from swerom.metrics import trajectory_errors
 from swerom.model import (
     TERM_EQUATION,
@@ -117,10 +116,10 @@ def cmd_flops(args) -> int:
         print(count)
         return 0
     writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "k", "m", "p", "standard-pod", "pod-deim", "tensorial-pod"])
+    header = ["n", "k", "m", "p", *METHODS]
+    writer.writerow(header)
     for row in reference_table():
-        writer.writerow([row["n"], row["k"], row["m"], row["p"],
-                         row["standard-pod"], row["pod-deim"], row["tensorial-pod"]])
+        writer.writerow([row[key] for key in header])
     return 0
 
 
@@ -134,20 +133,18 @@ def cmd_run_full(args) -> int:
     cfg = _solver_config(args, dt, nt)
     print(f"grid {nx}x{ny} (n={grid.n}), dt={dt:g}s, nt={nt}, "
           f"CFL indicator {cfl_indicator(ic, grid, dt):.4f}")
-    t0 = time.perf_counter()
     final, snaps, tm = run_full(ic, cfg, ops, f, grid)
-    elapsed = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_snapshots(snaps, out / "snapshots.snap")
     meta = {"nx": nx, "ny": ny, "dt": dt, "nt": nt,
             "newton_tol": cfg.newton_tol, "newton_iters": tm.newton_iters,
             "rhs_evals": tm.rhs_evals, "pivoted_factorizations": tm.pivoted_factorizations,
-            "wall_s": elapsed, "assembly_s": tm.assembly_s,
+            "wall_s": tm.total_s, "assembly_s": tm.assembly_s,
             "factorization_s": tm.factorization_s, "solve_s": tm.solve_s,
             "recording_s": tm.recording_s}
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    print(f"completed {nt} steps to t={final.time:g}s in {elapsed:.3f}s "
+    print(f"completed {nt} steps to t={final.time:g}s in {tm.total_s:.3f}s "
           f"({tm.newton_iters} Newton iterations, {tm.rhs_evals} right-hand sides, "
           f"{tm.pivoted_factorizations} pivoted factorizations)")
     print(f"wrote {out / 'snapshots.snap'}")
@@ -276,16 +273,14 @@ def cmd_run_rom(args) -> int:
     ic = initial_state(grid, ops)
     model = ReducedModel(space, tensors, mode, cfg)
     x0 = project_initial(ic, space)
-    t0 = time.perf_counter()
     _, traj, tm = model.run(x0, nt)
-    elapsed = time.perf_counter() - t0
     lifted = {var: bases[var].lift(traj[var]) for var in VARIABLES}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     times = float(meta["dt"]) * np.arange(1, nt + 1)
     save_snapshots(SnapshotSet(grid=grid, dt=float(meta["dt"]), times=times,
                                states=lifted), out / "rom_trajectory.snap")
-    print(f"{mode}: {nt} steps in {elapsed:.3f}s "
+    print(f"{mode}: {nt} steps in {tm.total_s:.3f}s "
           f"(nonlinear phase {tm.nonlinear_s:.3f}s, {tm.newton_iters} Newton iterations, "
           f"{tm.rhs_evals} right-hand sides)")
     if full is not None:
@@ -374,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("flops", help="operation-count model (no args: full table)")
-    p.add_argument("--method", choices=["standard-pod", "pod-deim", "tensorial-pod"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)

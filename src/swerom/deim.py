@@ -209,11 +209,7 @@ def deim_tensor_coefficients(ops: dict[str, DeimTermOperator],
             product_tensors(op.E, p.Uam, p.am, p.Ubxm, p.bxm, p.coef, p.a_var, p.b_var,
                             trilinear_sum(op.E, p.Uam, p.Ubxm))
             for p in op.products])
-    return TensorCoefficients(
-        terms=terms,
-        coriolis_uv=space.coriolis_uv, coriolis_vu=space.coriolis_vu,
-        coriolis_u0=space.coriolis_u0, coriolis_v0=space.coriolis_v0,
-        k={var: space.k(var) for var in ("u", "v", "phi")}, deim_ops=ops)
+    return TensorCoefficients.from_space(terms, space, deim_ops=ops)
 
 
 # --- operator file ---------------------------------------------------------------

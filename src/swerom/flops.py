@@ -11,7 +11,7 @@ p used in this project (see the test suite for the frozen rows):
 
 from __future__ import annotations
 
-__all__ = ["flop_count", "REFERENCE_ROWS", "reference_table"]
+__all__ = ["METHODS", "flop_count", "REFERENCE_ROWS", "reference_table"]
 
 METHODS = ("standard-pod", "pod-deim", "tensorial-pod")
 

@@ -196,6 +196,15 @@ class TensorCoefficients:
         self.directions = {axis: PackedDirection(terms, self)
                            for axis, terms in (("x", X_TERMS), ("y", Y_TERMS))}
 
+    @classmethod
+    def from_space(cls, terms: dict[str, TermTensors], space: ReducedSpace,
+                   deim_ops: dict | None = None) -> TensorCoefficients:
+        """``terms`` with the Coriolis projections and basis sizes of ``space``."""
+        return cls(terms=terms,
+                   coriolis_uv=space.coriolis_uv, coriolis_vu=space.coriolis_vu,
+                   coriolis_u0=space.coriolis_u0, coriolis_v0=space.coriolis_v0,
+                   k={var: space.k(var) for var in VARIABLES}, deim_ops=deim_ops)
+
 
 def trilinear_sum(P, Ua, Ubx, symmetric: bool = False) -> np.ndarray:
     """T[e, p, q] = sum_i P[e, i] Ua[i, p] Ubx[i, q] for a k_e-by-r projector
@@ -260,11 +269,7 @@ def build_tensor_coefficients(space: ReducedSpace) -> TensorCoefficients:
             products.append(product_tensors(
                 P, ba.U, ba.xbar, Ubx, bxbar, coef, avar, bvar, T))
         terms[name] = TermTensors(term=name, products=products)
-    return TensorCoefficients(
-        terms=terms,
-        coriolis_uv=space.coriolis_uv, coriolis_vu=space.coriolis_vu,
-        coriolis_u0=space.coriolis_u0, coriolis_v0=space.coriolis_v0,
-        k={var: space.k(var) for var in VARIABLES})
+    return TensorCoefficients.from_space(terms, space)
 
 
 def tensorial_nonlinear(term: str, xt, tensors: TensorCoefficients) -> np.ndarray:
