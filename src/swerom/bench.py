@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -448,11 +448,17 @@ def write_timing_vs_n(reports: list[RunReport], path) -> None:
 
 
 def read_run_report(path) -> list[RunReport]:
-    """Parse run_report.csv back into report rows (for plot export)."""
+    """Parse run_report.csv back into report rows (for plot export); a report
+    that lacks a column without a default raises ValueError naming it."""
     types = {f.name: f.type for f in fields(RunReport)}
+    required = [f.name for f in fields(RunReport) if f.default is MISSING]
     parse = {"int": int, "int | None": int, "float": float, "float | None": float}
     with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name in required if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the required columns {', '.join(missing)}")
         # columns this version does not know (an older report's seed) are skipped
         return [RunReport(**{key: None if text == "" else parse.get(types[key], str)(text)
                              for key, text in raw.items() if key in types})
-                for raw in csv.DictReader(fh)]
+                for raw in reader]

@@ -217,6 +217,8 @@ def cmd_run_rom(args) -> int:
     romdir = Path(args.rom)
     meta_path = romdir / "rom_meta.json"
     meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} holds no JSON object")
     if "L" not in meta or "D" not in meta:
         raise ValueError(f"{meta_path} has no domain size L, D; rerun build-rom")
     for key, kind in [("nx", "int"), ("ny", "int"), ("nt", "int"), ("dt", "float"),

@@ -551,9 +551,10 @@ class ReducedModel(AdiNewton):
 
     def step(self, state: FieldState, step_index: int,
              timings: PhaseTimings | None = None) -> FieldState:
-        """Advance one full dt; see :meth:`swerom.solver.AdiNewton._adi_step`."""
+        """Advance one full dt: :meth:`~swerom.solver.AdiNewton._integrate`
+        with nt = 1."""
         timings = timings if timings is not None else PhaseTimings()
-        return self._adi_step(state, step_index, timings)
+        return self._integrate(state, 1, timings, first_step=step_index)
 
     def run(self, x0: FieldState, nt: int | None = None
             ) -> tuple[FieldState, dict[str, np.ndarray], PhaseTimings]:
@@ -561,30 +562,25 @@ class ReducedModel(AdiNewton):
         variable, column t at time (t+1)*dt, matching snapshot columns). A
         :class:`NonConvergenceError` carries the timings up to the failure.
 
-        The run calls :meth:`~swerom.solver.AdiNewton._advance` on one packed
-        vector: x0 is packed once, each step's result is written as a row of
-        an nt-by-K buffer, and the buffer is split into the C-ordered
-        trajectories at the end. Its results equal those of a loop of
-        :meth:`step` calls bit for bit."""
+        The run is one :meth:`~swerom.solver.AdiNewton._integrate` call,
+        the loop that :func:`swerom.solver.run_full` also steps: each step's
+        packed result is written as a row of an nt-by-K buffer, which is
+        split into the C-ordered trajectories at the end."""
         nt = nt if nt is not None else self.cfg.nt
         timings = PhaseTimings()
         t_start = time.perf_counter()
         rows = np.empty((nt, sum(self._sizes)))
-        w, t = self._pack(x0), x0.time
+
+        def record(i, w, t):
+            rows[i] = w
+
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = self._start(w, timings)
-                for step in range(nt):
-                    w, r = self._advance(w, r, step, timings)
-                    rows[step] = w
-                    t += self.cfg.dt
-        except NonConvergenceError as err:
+            final = self._integrate(x0, nt, timings, record=record)
+        finally:
             timings.total_s = time.perf_counter() - t_start
-            err.timings = timings
-            raise
         traj = {var: np.ascontiguousarray(block) for var, block in self._fields(rows.T).items()}
         timings.total_s = time.perf_counter() - t_start
-        return self._unpack(w, t), traj, timings
+        return final, traj, timings
 
 
 # --- tensor coefficient file -----------------------------------------------------

@@ -15,15 +15,15 @@ where the Newton matrix is assembled and LU-factorized only every
 packs the states of both; each model supplies only its block sizes, its
 right-hand side (the full model's is 0 minus
 :func:`swerom.model.direction_terms` plus half the Coriolis term) and its
-factorization; both fill one :class:`PhaseTimings`. One step core,
-:meth:`AdiNewton._advance`, holds the refresh cadence and the two
-half-steps on the packed state: a model's ``step`` wraps it in the
-:class:`FieldState` API, and the reduced model's ``run`` steps the packed
-vector through it directly. A half-step hands its accepted right-hand side
-on: the x half-step's is the y half-step's explicit part, and the y
-half-step's starts the next step when that step begins from the
-bit-identical state, so a run evaluates one explicit right-hand side, at
-its first step, besides one per residual.
+factorization; both fill one :class:`PhaseTimings`. One integration loop,
+:meth:`AdiNewton._integrate`, steps the packed state of either model:
+:func:`run_full`, the reduced model's ``run`` and both models' ``step``
+call it. Its step core, :meth:`AdiNewton._advance`, holds the refresh
+cadence and the two half-steps. A half-step hands its accepted right-hand
+side on: the x half-step's is the y half-step's explicit part, and the y
+half-step's starts the next step, so an integration of any length
+evaluates one explicit right-hand side, at its first step, besides one per
+residual.
 
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
@@ -234,38 +234,18 @@ class AdiNewton:
     ``timings``, a :class:`PhaseTimings`: ``_rhs`` in ``nonlinear_s``,
     ``_factor`` in ``jacobian_s`` and ``factorization_s``.
 
-    :meth:`_advance` is the step core: one full dt on the packed w, with
-    the refresh cadence and the two half-steps, written only there. It has
-    two callers. :meth:`_adi_step`, behind each model's ``step``, packs a
-    :class:`FieldState`, advances it and unpacks a copy. The reduced
-    model's ``run`` packs its initial state once and calls the core per
-    step, because at reduced sizes packing, unpacking and the carried check
-    cost as much as a step's arithmetic. :func:`run_full` stays on
-    :meth:`FullSolver.step`: that bookkeeping is under 1% of a full step,
-    and that method is the full model's traced step.
-
-    A step keeps the packed w it returns and that step's accepted
-    ``_rhs("y", w)``. The next step starts from that value instead of
-    evaluating it again, but only when its packed state equals the kept w
-    bit for bit (:meth:`_start`); a state changed in place, or any other
-    state, is evaluated afresh.
+    :meth:`_integrate` is the one integration loop: it packs the initial
+    state, steps the packed w nt times and unpacks the result. Its step
+    core, :meth:`_advance`, is one full dt on w, with the refresh cadence
+    and the two half-steps written only there.
     """
 
     _fixed = None
-    _carried = None  # (w, _rhs("y", w)) of the last step's result
-
-    def _pack(self, state: FieldState) -> np.ndarray:
-        return np.concatenate([state.u, state.v, state.phi])
 
     def _fields(self, w: np.ndarray) -> dict[str, np.ndarray]:
         """Views of the u, v and phi blocks of the packed ``w``."""
         ku, kv, _ = self._sizes
         return {"u": w[:ku], "v": w[ku:ku + kv], "phi": w[ku + kv:]}
-
-    def _unpack(self, w: np.ndarray, t: float) -> FieldState:
-        """Copies of the three blocks, as the state at time ``t``."""
-        u, v, phi = self._fields(w).values()
-        return FieldState(u=u.copy(), v=v.copy(), phi=phi.copy(), time=t)
 
     def _half_step(self, w0: np.ndarray, explicit_part: np.ndarray, axis: str,
                    dt2: float, solve, timings):
@@ -340,20 +320,11 @@ class AdiNewton:
             f"after {cfg.newton_max_iters} iterations",
             residual=float(res), iterations=cfg.newton_max_iters)
 
-    def _start(self, w: np.ndarray, timings) -> np.ndarray:
-        """``_rhs("y", w)``: the kept value when ``w`` equals the last step's
-        packed result bit for bit, evaluated afresh otherwise."""
-        carried = self._carried
-        if carried is not None and np.array_equal(carried[0], w):
-            return carried[1]
-        return self._rhs("y", w, timings)
-
     def _advance(self, w: np.ndarray, r: np.ndarray, step_index: int, timings):
         """Advance the packed ``w``, whose ``_rhs("y", w)`` is ``r``, one full
         dt (two half-steps); returns the new w and its ``_rhs("y", w)``.
         Factorizations refresh when ``step_index % lu_refresh_every == 0``
-        and are reused otherwise. The caller enters ``np.errstate``: a
-        blown-up state ends in NonConvergenceError, without overflow warnings."""
+        and are reused otherwise. :meth:`_integrate` is the only caller."""
         cfg = self.cfg
         dt2 = 0.5 * cfg.dt
         refresh = (step_index % cfg.lu_refresh_every == 0)
@@ -366,16 +337,36 @@ class AdiNewton:
             solve = self._solves.get(axis)
             w, self._solves[axis], r = self._half_step(w, w + dt2 * r, axis, dt2,
                                                        solve, timings)
-        self._carried = (w, r)
         timings.steps += 1
         return w, r
 
-    def _adi_step(self, state: FieldState, step_index: int, timings) -> FieldState:
-        """Advance the state one full dt: :meth:`_advance` on its packed w."""
-        w = self._pack(state)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, _ = self._advance(w, self._start(w, timings), step_index, timings)
-        return self._unpack(w, state.time + self.cfg.dt)
+    def _integrate(self, x0: FieldState, nt: int, timings, first_step: int = 0,
+                   record=None) -> FieldState:
+        """Advance ``x0`` nt full dt steps, numbered from ``first_step`` for
+        the refresh cadence; returns copies of the final blocks as the state
+        at x0.time plus nt times dt, accumulated one dt per step.
+
+        x0 is packed once and its ``_rhs("y", w)`` evaluated once; each step
+        then hands its accepted one to the next. After step i, ``record(i,
+        w, t)``, if given, gets the packed result w, which it copies to keep,
+        and its time t. A :class:`NonConvergenceError` carries ``timings``
+        up to the failure; a blown-up state ends in it, without overflow
+        warnings."""
+        dt = self.cfg.dt
+        w, t = np.concatenate([x0.u, x0.v, x0.phi]), x0.time
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = self._rhs("y", w, timings)
+                for i in range(nt):
+                    w, r = self._advance(w, r, first_step + i, timings)
+                    t += dt
+                    if record is not None:
+                        record(i, w, t)
+        except NonConvergenceError as err:
+            err.timings = timings
+            raise
+        u, v, phi = self._fields(w).values()
+        return FieldState(u=u.copy(), v=v.copy(), phi=phi.copy(), time=t)
 
 
 class FullSolver(AdiNewton):
@@ -421,9 +412,9 @@ class FullSolver(AdiNewton):
 
     def step(self, state: FieldState, step_index: int,
              timings: PhaseTimings | None = None) -> FieldState:
-        """Advance one full dt; see :meth:`AdiNewton._adi_step`."""
+        """Advance one full dt: :meth:`AdiNewton._integrate` with nt = 1."""
         timings = timings if timings is not None else PhaseTimings()
-        return self._adi_step(state, step_index, timings)
+        return self._integrate(state, 1, timings, first_step=step_index)
 
 
 def run_full(
@@ -436,10 +427,13 @@ def run_full(
     """Integrate nt steps from the initial condition, recording state and term snapshots.
 
     Snapshot column t holds the state after step t+1, i.e. at time (t+1)*dt;
-    the initial condition itself is not a snapshot column. Each step is
-    recorded as one contiguous row of an nt-by-n buffer; every buffer is
-    transposed once at the end into its C-ordered n-by-nt matrix. A
-    :class:`NonConvergenceError` carries the timings up to the failure.
+    the initial condition itself is not a snapshot column. The run is one
+    :meth:`AdiNewton._integrate` call, whose recorder writes each step's
+    state and its terms (by :func:`~swerom.model.all_nonlinear`) as one
+    contiguous row of an nt-by-n buffer per name, straight from the packed
+    state; every buffer is transposed once at the end into its C-ordered
+    n-by-nt matrix. A :class:`NonConvergenceError` carries the timings up to
+    the failure.
     """
     timings = PhaseTimings()
     t_start = time.perf_counter()
@@ -451,23 +445,22 @@ def run_full(
 
     rows = {name: np.empty((cfg.nt, grid.n)) for name in (*VARIABLES, *TERMS)}
     times = np.empty(cfg.nt)
-
     solver = FullSolver(grid, ops, f, cfg)
-    state = ic
+
+    def record(k, w, t):
+        times[k] = t
+        t0 = time.perf_counter()
+        fields = solver._fields(w)
+        for var in VARIABLES:
+            rows[var][k] = fields[var]
+        for term, value in all_nonlinear(FieldState(**fields, time=t), ops).items():
+            rows[term][k] = value
+        timings.recording_s += time.perf_counter() - t0
+
     try:
-        for k in range(cfg.nt):
-            state = solver.step(state, k, timings)
-            times[k] = state.time
-            t0 = time.perf_counter()
-            for var in VARIABLES:
-                rows[var][k] = state[var]
-            for term, value in all_nonlinear(state, ops).items():
-                rows[term][k] = value
-            timings.recording_s += time.perf_counter() - t0
-    except NonConvergenceError as err:
+        state = solver._integrate(ic, cfg.nt, timings, record=record)
+    finally:
         timings.total_s = time.perf_counter() - t_start
-        err.timings = timings
-        raise
 
     t0 = time.perf_counter()
     # each buffer is freed as soon as its transpose exists: one extra matrix at most

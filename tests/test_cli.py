@@ -521,6 +521,16 @@ def test_run_rom_meta_without_domain_exit_2(rom_dir, tmp_path, capsys):
     assert "no domain size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["5", '["L", "D"]'], ids=["number", "list"])
+def test_run_rom_meta_not_an_object_exit_2(rom_dir, tmp_path, capsys, text):
+    romdir = tmp_path / "rom"
+    shutil.copytree(rom_dir, romdir)
+    (romdir / "rom_meta.json").write_text(text)
+    assert main(["run-rom", "--rom", str(romdir), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {romdir / 'rom_meta.json'} holds no JSON object\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("nx", "11"), ("nx", 11.5), ("ny", True), ("nt", "8"), ("nt", 8.0), ("dt", [300]),
     ("L", "6e6"),
@@ -660,3 +670,12 @@ def test_export_plots_csv_and_svg(tmp_path, capsys):
     assert main(["export-plots", "--reports", str(out)]) == 0
     assert (out / "online_time_vs_n.svg").exists()
     assert main(["export-plots", "--reports", str(tmp_path / "missing")]) == 2
+
+
+def test_export_plots_report_without_required_columns_exit_2(tmp_path, capsys):
+    (tmp_path / "run_report.csv").write_text("n,mode\n63,full\n")
+    assert main(["export-plots", "--reports", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {tmp_path / 'run_report.csv'} lacks the required columns "
+                   "grid, nx, ny, window, dt, nt\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run_report.csv"]
