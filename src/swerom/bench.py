@@ -449,7 +449,8 @@ def write_timing_vs_n(reports: list[RunReport], path) -> None:
 
 def read_run_report(path) -> list[RunReport]:
     """Parse run_report.csv back into report rows (for plot export); a report
-    that lacks a column without a default raises ValueError naming it."""
+    that lacks a column without a default, or a row whose cells do not match
+    the header, raises ValueError naming it."""
     types = {f.name: f.type for f in fields(RunReport)}
     required = [f.name for f in fields(RunReport) if f.default is MISSING]
     parse = {"int": int, "int | None": int, "float": float, "float | None": float}
@@ -458,7 +459,12 @@ def read_run_report(path) -> list[RunReport]:
         missing = [name for name in required if name not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} lacks the required columns {', '.join(missing)}")
-        # columns this version does not know (an older report's seed) are skipped
-        return [RunReport(**{key: None if text == "" else parse.get(types[key], str)(text)
-                             for key, text in raw.items() if key in types})
-                for raw in reader]
+        rows = []
+        for raw in reader:  # DictReader fills a short row with None, files a long one under None
+            if None in raw or None in raw.values():
+                raise ValueError(f"{path} line {reader.line_num} does not have the "
+                                 f"{len(reader.fieldnames)} cells of its header")
+            # columns this version does not know (an older report's seed) are skipped
+            rows.append(RunReport(**{key: None if text == "" else parse.get(types[key], str)(text)
+                                     for key, text in raw.items() if key in types}))
+        return rows

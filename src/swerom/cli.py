@@ -261,8 +261,6 @@ def cmd_run_rom(args) -> int:
     full = None
     if args.snapshots:  # the run is scored against these, so check them before it
         full = load_snapshots(args.snapshots, nonlinear=False)
-        if full.states is None:
-            raise ValueError(f"{args.snapshots} holds no state matrices")
         if (full.grid.nx, full.grid.ny) != (grid.nx, grid.ny):
             raise ValueError(f"{args.snapshots} is on a {full.grid.nx}x{full.grid.ny} grid, "
                              f"the reduced model on {grid.nx}x{grid.ny}")

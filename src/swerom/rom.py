@@ -49,11 +49,10 @@ linear matrices, constant vector), sized by the basis sizes they couple.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from swerom import binfile
 from swerom.errors import NonConvergenceError
@@ -70,9 +69,6 @@ from swerom.model import (
 )
 from swerom.pod import PodBasis
 from swerom.solver import AdiNewton, PhaseTimings, SolverConfig
-
-# LAPACK's solve with an LU factorization, as lu_solve calls it
-_getrs = scipy.linalg.lapack.dgetrs
 
 __all__ = [
     "ReducedSpace",
@@ -519,8 +515,9 @@ class ReducedModel(AdiNewton):
         return out
 
     def _factor(self, axis: str, z: np.ndarray, dt2: float, timings: PhaseTimings):
-        """Dense LU of I - dt2*J at ``z``; returns the solve. A matrix that is
-        not finite or exactly singular raises :class:`NonConvergenceError`."""
+        """Dense LU of I - dt2*J at ``z`` by LAPACK ``getrf``; returns the
+        solve. A matrix that is not finite or has an exactly zero pivot
+        raises :class:`NonConvergenceError`."""
         t0 = time.perf_counter()
         A = self._directions[axis].jacobian(z)  # a fresh array: I - dt2*J is built in it
         A *= -dt2
@@ -530,20 +527,17 @@ class ReducedModel(AdiNewton):
         if not np.isfinite(A).all():
             raise NonConvergenceError("Newton matrix is not finite",
                                       residual=float("nan"), iterations=0)
-        with warnings.catch_warnings():  # a zero pivot raises instead of printing
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True, check_finite=False)
-            except scipy.linalg.LinAlgWarning:
-                raise NonConvergenceError("Newton matrix is singular (exactly zero pivot)",
-                                          residual=float("nan"), iterations=0) from None
+        lu, piv, info = dgetrf(A, overwrite_a=True)
+        if info > 0:
+            raise NonConvergenceError("Newton matrix is singular (exactly zero pivot)",
+                                      residual=float("nan"), iterations=0)
         timings.factorization_s += time.perf_counter() - t0
 
         def solve(rhs):
             # lu_solve without its finiteness check and batching wrapper: the
             # Newton loop solves only for finite residuals, and overwrites the
             # residual it passes, which it does not read again
-            x, info = _getrs(lu, piv, rhs, overwrite_b=True)
+            x, info = dgetrs(lu, piv, rhs, overwrite_b=True)
             if info != 0:
                 raise ValueError(f"getrs: illegal value in argument {-info}")
             return x

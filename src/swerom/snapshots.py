@@ -5,16 +5,17 @@ Layout of a snapshot file (all little-endian):
     bytes 0..8    magic ``b"SWESNAP1"``
     int64         nx, ny, nt, n            (n is stored redundantly)
     float64       dt
-    uint64        flags (bit 0: state matrices, bit 1: nonlinear matrices)
+    uint64        flags (bit 0: state matrices, required; bit 1: nonlinear matrices)
     float64       L, D
     float64[nt]   times
-    then, if bit 0 is set: u, v, phi as n-by-nt float64, column-major
+    u, v, phi     n-by-nt float64, column-major
     then, if bit 1 is set: F11, F12, F21, F22, F31, F32, same layout
 
 Column t of every matrix belongs to the same time instant ``times[t]``.
 Round-trips are bit exact. A load rejects ``n != nx*ny``, a non-finite or
-nonpositive ``dt``, unknown flag bits and trailing bytes. Only L and D of
-the physical constants travel: a grid with other constants is not saved.
+nonpositive ``dt``, a clear bit 0, unknown flag bits and trailing bytes; a
+save refuses a set without states. Only L and D of the physical constants
+travel: a grid with other constants is not saved.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class SnapshotSet:
     grid: Grid
     dt: float
     times: np.ndarray
-    states: dict[str, np.ndarray] | None = None
+    states: dict[str, np.ndarray]
     nonlinear: dict[str, np.ndarray] | None = None
 
     @property
@@ -51,11 +52,9 @@ def save_snapshots(snaps: SnapshotSet, path) -> None:
     grid = snaps.grid
     if grid.consts != PhysicalConstants(L=grid.L, D=grid.D):
         raise ValueError(f"a snapshot file keeps only L and D of the constants {grid.consts}")
-    flags = 0
-    if snaps.states is not None:
-        flags |= _FLAG_STATES
-    if snaps.nonlinear is not None:
-        flags |= _FLAG_NONLINEAR
+    if not snaps.states:
+        raise ValueError("a snapshot file holds the state matrices; this set has none")
+    flags = _FLAG_STATES | (_FLAG_NONLINEAR if snaps.nonlinear is not None else 0)
     with binfile.writing(path, "snapshot") as w:
         w.fields("qqqqdQdd", grid.nx, grid.ny, snaps.nt, grid.n, snaps.dt, flags, grid.L, grid.D)
         w.array(snaps.times)
@@ -72,11 +71,10 @@ def load_snapshots(path, nonlinear: bool = True) -> SnapshotSet:
         r.require(n == nx * ny, "stored n={} does not match {}x{}", n, nx, ny)
         r.require(0.0 < dt < np.inf, "snapshot dt={} is not finite and positive", dt)
         r.require(flags <= _FLAG_STATES | _FLAG_NONLINEAR, "unknown snapshot flags {:#x}", flags)
+        r.require(flags & _FLAG_STATES, "snapshot file holds no state matrices")
         grid = build_grid(nx, ny, PhysicalConstants(L=L, D=D))
         times = r.array((nt,), "times")
-        states = None
-        if flags & _FLAG_STATES:
-            states = {var: r.array((n, nt), var, order="F") for var in VARIABLES}
+        states = {var: r.array((n, nt), var, order="F") for var in VARIABLES}
         terms = None
         if flags & _FLAG_NONLINEAR:
             if nonlinear:

@@ -433,6 +433,28 @@ def test_run_rom_artifact_that_does_not_fit_exit_2(rom_dir, foreign_dir, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+def write_without_states(src, dst):
+    """Copy a snapshot file with states and terms (flags 3) as one holding the
+    terms only (flags 2), which no save writes."""
+    data = src.read_bytes()
+    nt, n = struct.unpack_from("<qq", data, 24)
+    assert struct.unpack_from("<Q", data, 48) == (3,)
+    states = 72 + 8 * nt  # header, then the times
+    dst.write_bytes(data[:48] + struct.pack("<Q", 2) + data[56:states]
+                    + data[states + 3 * 8 * n * nt:])
+
+
+@pytest.mark.parametrize("mode", ["tensorial-pod", "pod-deim"])
+def test_build_rom_snapshots_without_states_exit_2(full_run_dir, tmp_path, capsys, mode):
+    snap = tmp_path / "terms.snap"
+    write_without_states(full_run_dir / "snapshots.snap", snap)
+    out = tmp_path / "o"
+    assert main(["build-rom", "--snapshots", str(snap), "--k", "4", "--mode", mode,
+                 "--m", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: snapshot file holds no state matrices\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("snapshots, nt, message", [
     ("own", "9", "holds 8 snapshots, fewer than the 9 steps of --nt"),
     ("9x7", "8", "is on a 9x7 grid, the reduced model on 11x9"),
@@ -444,16 +466,16 @@ def test_run_rom_snapshots_that_do_not_fit_exit_2(rom_dir, full_run_dir, foreign
     # the scoring snapshots are checked before the integration, so no file is written
     path = {"own": full_run_dir, "9x7": foreign_dir / "full63"}.get(snapshots, tmp_path)
     path = path / "snapshots.snap"
-    if snapshots in ("dt600", "no-states"):
+    if snapshots == "dt600":
         snaps = load_snapshots(full_run_dir / "snapshots.snap", nonlinear=False)
-        if snapshots == "dt600":
-            snaps.dt, snaps.times = 600.0, 2 * snaps.times
-        else:
-            snaps.states = None
+        snaps.dt, snaps.times = 600.0, 2 * snaps.times
         save_snapshots(snaps, path)
+    elif snapshots == "no-states":  # the loader's message, which names no path
+        write_without_states(full_run_dir / "snapshots.snap", path)
     assert main(["run-rom", "--rom", str(rom_dir), "--mode", "tensorial-pod", "--nt", nt,
                  "--snapshots", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: {path} {message}\n"
+    where = "snapshot file" if snapshots == "no-states" else path
+    assert capsys.readouterr().err == f"error: {where} {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -670,6 +692,17 @@ def test_export_plots_csv_and_svg(tmp_path, capsys):
     assert main(["export-plots", "--reports", str(out)]) == 0
     assert (out / "online_time_vs_n.svg").exists()
     assert main(["export-plots", "--reports", str(tmp_path / "missing")]) == 2
+
+
+@pytest.mark.parametrize("row", ["9x7,9,7", "9x7,9,7,63,custom,300,3,full,4"],
+                         ids=["short", "long"])
+def test_export_plots_report_row_not_matching_header_exit_2(tmp_path, capsys, row):
+    report = tmp_path / "run_report.csv"
+    report.write_text(f"grid,nx,ny,n,window,dt,nt,mode\n9x7,9,7,63,custom,300,3,full\n{row}\n")
+    assert main(["export-plots", "--reports", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: {report} line 3 does not have the 8 cells "
+                                       "of its header\n")
+    assert list(tmp_path.iterdir()) == [report]
 
 
 def test_export_plots_report_without_required_columns_exit_2(tmp_path, capsys):

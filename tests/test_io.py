@@ -57,6 +57,23 @@ def test_snapshot_states_only(tmp_path):
     assert np.array_equal(back.states["phi"], snaps.states["phi"])
 
 
+@pytest.mark.parametrize("flags", [0, 2])
+def test_snapshot_file_without_states_is_refused(tmp_path, flags):
+    # every route needs the state matrices: a file cannot leave them out,
+    # and a set without them is not saved, so no file claims states it lacks
+    snaps = make_snapshots(np.random.default_rng(3))
+    path = tmp_path / "s.snap"
+    save_snapshots(snaps, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:48] + struct.pack("<Q", flags) + data[56:])
+    with pytest.raises(FileFormatError, match="holds no state matrices"):
+        load_snapshots(path)
+    snaps.states = None
+    with pytest.raises(ValueError, match="this set has none"):
+        save_snapshots(snaps, tmp_path / "none.snap")
+    assert not (tmp_path / "none.snap").exists()
+
+
 def test_snapshot_refuses_constants_it_cannot_store(tmp_path):
     # the header keeps only L and D; any other constant would load as its default
     snaps = make_snapshots(np.random.default_rng(8))

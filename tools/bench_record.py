@@ -56,10 +56,12 @@ PERFBENCH = ROOT / "perfbench"
 OUT = ROOT / ".perfbench_out"
 WORKLOADS = ("paper-121x89-nt12-k8-m12", "online-61x45-nt30-k20-m25",
              "cli-61x45-nt30-k12-m24")
-SPAN_NOTE = ("The on-line per-layer spans of a traced run (rom.lift_project, rom.contract, "
-             "rom.jacobian, deim.evaluate, rom.step) read 0 until [perfbench-debt] lands: they "
-             "wrap reference evaluators, or the per-step method, that ReducedModel.run no "
-             "longer calls.")
+SPAN_NOTE = ("Some per-layer spans of a traced run read 0 until [perfbench-debt] lands: "
+             "rom.lift_project, rom.contract, rom.jacobian and deim.evaluate wrap reference "
+             "evaluators that ReducedModel.run no longer calls; rom.step and solver.step wrap "
+             "the per-step methods, which ReducedModel.run and run_full do not call; "
+             "rom.lu_factor wraps scipy.linalg.lu_factor, where ReducedModel._factor calls "
+             "LAPACK dgetrf.")
 BLANK = "T"  # what a non-empty timing field becomes
 
 
