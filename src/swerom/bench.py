@@ -53,6 +53,7 @@ __all__ = [
     "run_experiment",
     "write_run_report",
     "read_run_report",
+    "read_spectra",
 ]
 
 WINDOWS = {"24h": (960.0, 91), "3h": (120.0, 91)}
@@ -447,13 +448,10 @@ def write_timing_vs_n(reports: list[RunReport], path) -> None:
                           key=lambda r: (r.n, r.mode, r.m or 0)), columns, path)
 
 
-def read_run_report(path) -> list[RunReport]:
-    """Parse run_report.csv back into report rows (for plot export); a report
-    that lacks a column without a default, or a row whose cells do not match
-    the header, raises ValueError naming it."""
-    types = {f.name: f.type for f in fields(RunReport)}
-    required = [f.name for f in fields(RunReport) if f.default is MISSING]
-    parse = {"int": int, "int | None": int, "float": float, "float | None": float}
+def _read_csv(path, parse: dict, required: list[str]) -> list[dict]:
+    """Rows of a CSV file as dicts of the columns in ``parse``, which parses each
+    cell (an optional column's empty cell reads None); missing required columns,
+    or a row whose cells do not match the header, raise ValueError naming them."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in required if name not in (reader.fieldnames or ())]
@@ -464,7 +462,20 @@ def read_run_report(path) -> list[RunReport]:
             if None in raw or None in raw.values():
                 raise ValueError(f"{path} line {reader.line_num} does not have the "
                                  f"{len(reader.fieldnames)} cells of its header")
-            # columns this version does not know (an older report's seed) are skipped
-            rows.append(RunReport(**{key: None if text == "" else parse.get(types[key], str)(text)
-                                     for key, text in raw.items() if key in types}))
+            rows.append({key: None if text == "" and key not in required else parse[key](text)
+                         for key, text in raw.items() if key in parse})
         return rows
+
+
+def read_run_report(path) -> list[RunReport]:
+    """Parse run_report.csv back into report rows (for plot export)."""
+    types = {"int": int, "int | None": int, "float": float, "float | None": float}
+    parse = {f.name: types.get(f.type, str) for f in fields(RunReport)}
+    required = [f.name for f in fields(RunReport) if f.default is MISSING]
+    return [RunReport(**row) for row in _read_csv(path, parse, required)]
+
+
+def read_spectra(path) -> list[dict]:
+    """Parse spectra.csv back into rows (for plot export)."""
+    parse = dict(zip(SPECTRA_COLUMNS, (str, str, str, str, int, float, float)))
+    return _read_csv(path, parse, SPECTRA_COLUMNS)

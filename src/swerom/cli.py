@@ -29,6 +29,7 @@ from swerom.bench import (
     _json_fits,
     offline_pass,
     read_run_report,
+    read_spectra,
     resolve_window,
     run_experiment,
 )
@@ -345,14 +346,8 @@ def cmd_export_plots(args) -> int:
     if not report_path.exists():
         raise FileNotFoundError(f"no run_report.csv in {reports_dir}")
     reports = read_run_report(report_path)
-    spectra = None
     spectra_path = reports_dir / "spectra.csv"
-    if spectra_path.exists():
-        with open(spectra_path, newline="") as fh:
-            spectra = [{"grid": r["grid"], "window": r["window"], "kind": r["kind"],
-                        "name": r["name"], "index": int(r["index"]),
-                        "sigma": float(r["sigma"]), "lambda": float(r["lambda"])}
-                       for r in csv.DictReader(fh)]
+    spectra = read_spectra(spectra_path) if spectra_path.exists() else None
     written = emit_plot_data(reports, args.out or reports_dir, spectra=spectra)
     for path in written:
         print(f"wrote {path}")

@@ -548,7 +548,7 @@ class ReducedModel(AdiNewton):
         """Advance one full dt: :meth:`~swerom.solver.AdiNewton._integrate`
         with nt = 1."""
         timings = timings if timings is not None else PhaseTimings()
-        return self._integrate(state, 1, timings, first_step=step_index)
+        return self._integrate(state, 1, timings, first_step=step_index)[0]
 
     def run(self, x0: FieldState, nt: int | None = None
             ) -> tuple[FieldState, dict[str, np.ndarray], PhaseTimings]:
@@ -557,22 +557,18 @@ class ReducedModel(AdiNewton):
         :class:`NonConvergenceError` carries the timings up to the failure.
 
         The run is one :meth:`~swerom.solver.AdiNewton._integrate` call,
-        the loop that :func:`swerom.solver.run_full` also steps: each step's
-        packed result is written as a row of an nt-by-K buffer, which is
-        split into the C-ordered trajectories at the end."""
+        the loop that :func:`swerom.solver.run_full` also steps, whose
+        nt-by-K buffer of packed states
+        :meth:`~swerom.solver.AdiNewton._split` splits into the C-ordered
+        trajectories."""
         nt = nt if nt is not None else self.cfg.nt
         timings = PhaseTimings()
         t_start = time.perf_counter()
-        rows = np.empty((nt, sum(self._sizes)))
-
-        def record(i, w, t):
-            rows[i] = w
-
         try:
-            final = self._integrate(x0, nt, timings, record=record)
+            final, _, rows = self._integrate(x0, nt, timings)
         finally:
             timings.total_s = time.perf_counter() - t_start
-        traj = {var: np.ascontiguousarray(block) for var, block in self._fields(rows.T).items()}
+        traj = self._split(rows)
         timings.total_s = time.perf_counter() - t_start
         return final, traj, timings
 

@@ -16,14 +16,14 @@ packs the states of both; each model supplies only its block sizes, its
 right-hand side (the full model's is 0 minus
 :func:`swerom.model.direction_terms` plus half the Coriolis term) and its
 factorization; both fill one :class:`PhaseTimings`. One integration loop,
-:meth:`AdiNewton._integrate`, steps the packed state of either model:
-:func:`run_full`, the reduced model's ``run`` and both models' ``step``
-call it. Its step core, :meth:`AdiNewton._advance`, holds the refresh
-cadence and the two half-steps. A half-step hands its accepted right-hand
-side on: the x half-step's is the y half-step's explicit part, and the y
-half-step's starts the next step, so an integration of any length
-evaluates one explicit right-hand side, at its first step, besides one per
-residual.
+:meth:`AdiNewton._integrate`, steps the packed state of either model and
+keeps each step's result: :func:`run_full`, the reduced model's ``run`` and
+both models' ``step`` call it. Its step core, :meth:`AdiNewton._advance`,
+holds the refresh cadence and the two half-steps. A half-step hands its
+accepted right-hand side on: the x half-step's is the y half-step's
+explicit part, and the y half-step's starts the next step, so an
+integration of any length evaluates one explicit right-hand side, at its
+first step, besides one per residual.
 
 A half-step's implicit terms couple nodes only along grid lines. With the
 unknowns interleaved by node (u, v, phi) and laid out line by line (y-rows
@@ -53,7 +53,6 @@ from swerom.model import (
     Grid,
     TERMS,
     TERM_EQUATION,
-    VARIABLES,
     X_TERMS,
     Y_TERMS,
     all_nonlinear,
@@ -101,7 +100,7 @@ class PhaseTimings:
     jacobian_s: float = 0.0     # Newton-matrix assembly
     factorization_s: float = 0.0
     solve_s: float = 0.0
-    recording_s: float = 0.0    # full model: snapshot rows and terms, and their transposition
+    recording_s: float = 0.0    # full model, after the loop: terms and snapshot matrices
     total_s: float = 0.0        # the whole run; a reduced model's tensors were packed before it
     newton_iters: int = 0
     rhs_evals: int = 0          # right-hand sides evaluated: one per residual, plus the
@@ -235,7 +234,9 @@ class AdiNewton:
     ``_factor`` in ``jacobian_s`` and ``factorization_s``.
 
     :meth:`_integrate` is the one integration loop: it packs the initial
-    state, steps the packed w nt times and unpacks the result. Its step
+    state, steps the packed w nt times, keeps each step's w as a row of one
+    nt-by-K buffer next to the step times, and unpacks the final state;
+    :meth:`_split` turns that buffer into per-variable matrices. Its step
     core, :meth:`_advance`, is one full dt on w, with the refresh cadence
     and the two half-steps written only there.
     """
@@ -340,33 +341,37 @@ class AdiNewton:
         timings.steps += 1
         return w, r
 
-    def _integrate(self, x0: FieldState, nt: int, timings, first_step: int = 0,
-                   record=None) -> FieldState:
+    def _integrate(self, x0: FieldState, nt: int, timings, first_step: int = 0
+                   ) -> tuple[FieldState, np.ndarray, np.ndarray]:
         """Advance ``x0`` nt full dt steps, numbered from ``first_step`` for
-        the refresh cadence; returns copies of the final blocks as the state
-        at x0.time plus nt times dt, accumulated one dt per step.
+        the refresh cadence. Returns the final state (copies of its blocks,
+        at x0.time plus nt times dt, accumulated one dt per step), the nt
+        step times and the nt-by-K trajectory whose row i is the packed
+        state after step i.
 
         x0 is packed once and its ``_rhs("y", w)`` evaluated once; each step
-        then hands its accepted one to the next. After step i, ``record(i,
-        w, t)``, if given, gets the packed result w, which it copies to keep,
-        and its time t. A :class:`NonConvergenceError` carries ``timings``
-        up to the failure; a blown-up state ends in it, without overflow
-        warnings."""
+        then hands its accepted one to the next. A
+        :class:`NonConvergenceError` carries ``timings`` up to the failure;
+        a blown-up state ends in it, without overflow warnings."""
         dt = self.cfg.dt
         w, t = np.concatenate([x0.u, x0.v, x0.phi]), x0.time
+        times, rows = np.empty(nt), np.empty((nt, w.size))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 r = self._rhs("y", w, timings)
                 for i in range(nt):
                     w, r = self._advance(w, r, first_step + i, timings)
                     t += dt
-                    if record is not None:
-                        record(i, w, t)
+                    times[i], rows[i] = t, w
         except NonConvergenceError as err:
             err.timings = timings
             raise
         u, v, phi = self._fields(w).values()
-        return FieldState(u=u.copy(), v=v.copy(), phi=phi.copy(), time=t)
+        return FieldState(u=u.copy(), v=v.copy(), phi=phi.copy(), time=t), times, rows
+
+    def _split(self, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """The C-ordered k-by-nt matrix of each variable of the nt-by-K ``rows``."""
+        return {var: np.ascontiguousarray(block) for var, block in self._fields(rows.T).items()}
 
 
 class FullSolver(AdiNewton):
@@ -414,7 +419,7 @@ class FullSolver(AdiNewton):
              timings: PhaseTimings | None = None) -> FieldState:
         """Advance one full dt: :meth:`AdiNewton._integrate` with nt = 1."""
         timings = timings if timings is not None else PhaseTimings()
-        return self._integrate(state, 1, timings, first_step=step_index)
+        return self._integrate(state, 1, timings, first_step=step_index)[0]
 
 
 def run_full(
@@ -428,12 +433,12 @@ def run_full(
 
     Snapshot column t holds the state after step t+1, i.e. at time (t+1)*dt;
     the initial condition itself is not a snapshot column. The run is one
-    :meth:`AdiNewton._integrate` call, whose recorder writes each step's
-    state and its terms (by :func:`~swerom.model.all_nonlinear`) as one
-    contiguous row of an nt-by-n buffer per name, straight from the packed
-    state; every buffer is transposed once at the end into its C-ordered
-    n-by-nt matrix. A :class:`NonConvergenceError` carries the timings up to
-    the failure.
+    :meth:`AdiNewton._integrate` call, which returns the step times and the
+    packed states as rows of one nt-by-3n buffer. Then the terms of each
+    row (by :func:`~swerom.model.all_nonlinear`) fill a row of an nt-by-n
+    buffer per term, each transposed once into its C-ordered n-by-nt
+    matrix, and :meth:`AdiNewton._split` gives the states. A
+    :class:`NonConvergenceError` carries the timings up to the failure.
     """
     timings = PhaseTimings()
     t_start = time.perf_counter()
@@ -443,30 +448,21 @@ def run_full(
         warnings.warn(f"CFL indicator {ind:.4f} exceeds stability limit {CFL_LIMIT}",
                       RuntimeWarning, stacklevel=2)
 
-    rows = {name: np.empty((cfg.nt, grid.n)) for name in (*VARIABLES, *TERMS)}
-    times = np.empty(cfg.nt)
     solver = FullSolver(grid, ops, f, cfg)
-
-    def record(k, w, t):
-        times[k] = t
-        t0 = time.perf_counter()
-        fields = solver._fields(w)
-        for var in VARIABLES:
-            rows[var][k] = fields[var]
-        for term, value in all_nonlinear(FieldState(**fields, time=t), ops).items():
-            rows[term][k] = value
-        timings.recording_s += time.perf_counter() - t0
-
     try:
-        state = solver._integrate(ic, cfg.nt, timings, record=record)
+        state, times, rows = solver._integrate(ic, cfg.nt, timings)
     finally:
         timings.total_s = time.perf_counter() - t_start
 
     t0 = time.perf_counter()
+    terms = {term: np.empty((cfg.nt, grid.n)) for term in TERMS}
+    for k in range(cfg.nt):
+        state_k = FieldState(**solver._fields(rows[k]), time=times[k])
+        for term, value in all_nonlinear(state_k, ops).items():
+            terms[term][k] = value
     # each buffer is freed as soon as its transpose exists: one extra matrix at most
-    matrices = {name: np.ascontiguousarray(rows.pop(name).T) for name in list(rows)}
-    states = {var: matrices[var] for var in VARIABLES}
-    nonlinear = {term: matrices[term] for term in TERMS}
+    nonlinear = {term: np.ascontiguousarray(terms.pop(term).T) for term in TERMS}
+    states = solver._split(rows)
     timings.recording_s += time.perf_counter() - t0
 
     timings.total_s = time.perf_counter() - t_start

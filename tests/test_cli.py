@@ -694,21 +694,34 @@ def test_export_plots_csv_and_svg(tmp_path, capsys):
     assert main(["export-plots", "--reports", str(tmp_path / "missing")]) == 2
 
 
-@pytest.mark.parametrize("row", ["9x7,9,7", "9x7,9,7,63,custom,300,3,full,4"],
-                         ids=["short", "long"])
-def test_export_plots_report_row_not_matching_header_exit_2(tmp_path, capsys, row):
-    report = tmp_path / "run_report.csv"
-    report.write_text(f"grid,nx,ny,n,window,dt,nt,mode\n9x7,9,7,63,custom,300,3,full\n{row}\n")
+VALID_REPORT = "grid,nx,ny,n,window,dt,nt,mode\n9x7,9,7,63,custom,300,3,full\n"
+VALID_SPECTRA = "grid,window,kind,name,index,sigma,lambda\n9x7,custom,state,u,0,2.0,4.0\n"
+
+
+@pytest.mark.parametrize("name,row,cells", [
+    ("run_report.csv", "9x7,9,7", 8),
+    ("run_report.csv", "9x7,9,7,63,custom,300,3,full,4", 8),
+    ("spectra.csv", "9x7,custom,state,u", 7),
+], ids=["short", "long", "spectra-short"])
+def test_export_plots_report_row_not_matching_header_exit_2(tmp_path, capsys, name, row, cells):
+    (tmp_path / "run_report.csv").write_text(VALID_REPORT)
+    (tmp_path / "spectra.csv").write_text(VALID_SPECTRA)
+    bad = tmp_path / name
+    bad.write_text(f"{bad.read_text()}{row}\n")
     assert main(["export-plots", "--reports", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (f"error: {report} line 3 does not have the 8 cells "
+    assert capsys.readouterr().err == (f"error: {bad} line 3 does not have the {cells} cells "
                                        "of its header\n")
-    assert list(tmp_path.iterdir()) == [report]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run_report.csv", "spectra.csv"]
 
 
 def test_export_plots_report_without_required_columns_exit_2(tmp_path, capsys):
-    (tmp_path / "run_report.csv").write_text("n,mode\n63,full\n")
-    assert main(["export-plots", "--reports", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: {tmp_path / 'run_report.csv'} lacks the required columns "
-                   "grid, nx, ny, window, dt, nt\n")
-    assert list(tmp_path.iterdir()) == [tmp_path / "run_report.csv"]
+    report, spectra = tmp_path / "run_report.csv", tmp_path / "spectra.csv"
+    for bad, text, missing in [
+            (report, "n,mode\n63,full\n", "grid, nx, ny, window, dt, nt"),
+            (spectra, "grid,window,kind,name,sigma\n9x7,custom,state,u,2.0\n", "index, lambda")]:
+        report.write_text(VALID_REPORT)
+        spectra.write_text(VALID_SPECTRA)
+        bad.write_text(text)
+        assert main(["export-plots", "--reports", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {bad} lacks the required columns {missing}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run_report.csv", "spectra.csv"]
